@@ -1,8 +1,9 @@
 """CI perf-regression gate: re-measure smoke workloads, compare to baselines.
 
-The repo commits six benchmark baselines — BENCH_engine.json (PR 1),
+The repo commits seven benchmark baselines — BENCH_engine.json (PR 1),
 BENCH_scale.json (PR 2), BENCH_service.json (PR 4), BENCH_mechanism.json
-(PR 5), BENCH_chaos.json (PR 8), BENCH_gateway.json (PR 9) — that CI
+(PR 5), BENCH_chaos.json (PR 8), BENCH_gateway.json (PR 9),
+BENCH_lp.json (the LP solver-policy grid) — that CI
 used to run but never compare
 against, so a PR could quietly halve the engine's speedups.  This script
 closes the loop:
@@ -11,8 +12,8 @@ closes the loop:
    (the n=40 engine fleets, one n=1000 scale point, the n=300 service
    smoke scenario, the n=300 process-pool smoke, the n=150
    truthful-mechanism smoke trace, the chaos scenarios at n=120, the
-   n=300 gateway smoke over a localhost socket; a few CPU-seconds each,
-   best-of ``--repeats``);
+   n=300 gateway smoke over a localhost socket, every LP solver mode on
+   the n=1000 metro LP; a few CPU-seconds each, best-of ``--repeats``);
 2. **compare** — each checked metric's *slowdown factor* against the
    committed baseline must stay under the noise tolerance.
 
@@ -24,7 +25,10 @@ like-to-like — a mismatched core count reports the check as skipped
 Speedup-ratio metrics (engine vs naive, sparse vs dense, tuned service
 vs no-cache baseline) are self-normalizing — both sides of the ratio run
 on the same machine — so they carry a tight default tolerance
-(``--tolerance``, 1.5x).  Absolute wall-clock metrics depend on the host,
+(``--tolerance``, 1.5x).  The LP policy check is one of them with its own
+pinned 1.2x: at n=1000 the mode ``choose_solver`` picks must run within
+1.2x of the fastest mode measured (the baseline records 1.0, the pick
+being the fastest).  Absolute wall-clock metrics depend on the host,
 so they get a looser default (``--time-tolerance``, 2.5x) that still
 catches order-of-magnitude rot.  Chaos-invariant metrics (completion
 rate under the seeded crash storm, invariant verdicts, the
@@ -59,6 +63,7 @@ BASELINE_FILES = {
     "mechanism": REPO / "BENCH_mechanism.json",
     "chaos": REPO / "BENCH_chaos.json",
     "gateway": REPO / "BENCH_gateway.json",
+    "lp": REPO / "BENCH_lp.json",
 }
 
 SPEEDUP_TOLERANCE = 1.5
@@ -77,7 +82,7 @@ def _lookup(data: dict, path: str) -> float:
 class Check:
     """One gated metric: where it lives and how slowdown is computed."""
 
-    source: str  # family: engine | scale | service | mechanism | chaos | gateway
+    source: str  # family: engine | scale | service | mechanism | chaos | gateway | lp
     path: str  # dotted path into both the baseline and the measured dict
     # "speedup": self-normalized ratio, higher is better, tight tolerance.
     # "seconds" / "throughput": absolute wall-clock-dependent values (lower /
@@ -154,6 +159,10 @@ CHECKS = [
     # is an exact pin, throughput rides the wall-clock tolerance
     Check("gateway", "smoke_n300.replay_identical", "rate", tol=1.0),
     Check("gateway", "smoke_n300.gateway.throughput_rps", "throughput"),
+    # LP policy: fastest mode's median over the chosen mode's at n=1000 —
+    # both measured on this machine, so the pin is tight and no CLI flag
+    # loosens it
+    Check("lp", "policy_n1000.fastest_over_chosen", "speedup", tol=1.2),
 ]
 
 
@@ -164,7 +173,7 @@ def measure(repeats: int = 2) -> dict:
     """Re-run the gated workloads, best-of ``repeats`` per metric.
 
     Returns one nested dict per baseline family (engine, scale, service,
-    mechanism, chaos) with the same shape as the committed baseline
+    mechanism, chaos, gateway, lp) with the same shape as the committed baseline
     files, restricted to the paths in :data:`CHECKS`.  Best-of keeps one
     noisy scheduler stall from failing the gate while a genuine
     regression still fails every repeat.
@@ -173,6 +182,7 @@ def measure(repeats: int = 2) -> dict:
     import bench_chaos
     import bench_engine
     import bench_gateway
+    import bench_lp_policy
     import bench_mechanism
     import bench_scale
     import bench_service
@@ -244,6 +254,14 @@ def measure(repeats: int = 2) -> dict:
     # raises, failing the measurement outright); best-of applies to the
     # throughput metric only
     gateway_runs = [{"smoke_n300": bench_gateway.bench_smoke()} for _ in range(repeats)]
+    lp_runs = [
+        {
+            "policy_n1000": bench_lp_policy.policy_entry(
+                bench_lp_policy.measure_point(bench_lp_policy.POLICY_N)
+            )
+        }
+        for _ in range(repeats)
+    ]
 
     runs = {
         "engine": engine_runs,
@@ -252,6 +270,7 @@ def measure(repeats: int = 2) -> dict:
         "mechanism": mechanism_runs,
         "chaos": chaos_runs,
         "gateway": gateway_runs,
+        "lp": lp_runs,
     }
     measured: dict = {name: {} for name in runs}
     for chk in CHECKS:

@@ -499,7 +499,9 @@ class CompiledAuction:
         structure (and bundle pattern) mutate the loaded model's objective
         and restart from the previous basis.  Warm solves are optimal but
         not vertex-pinned — callers opt in via the engine flag.  ``solver``
-        forwards the backend mode (``"auto"`` applies the size policy).
+        forwards the backend mode (``"auto"`` applies the row-count policy
+        of :func:`repro.engine.highs.choose_solver`: seed-parity simplex,
+        then primal simplex, then IPM as the LP grows).
         """
         with self._lock:
             if self._raw is not None:
@@ -602,8 +604,9 @@ class CompiledAuction:
         solution (repeat-rounding loops solve the LP once and pass it in).
         ``lp_warm_start`` opts the LP stage into the shared-structure
         warm-start path (optimal value guaranteed, vertex not pinned);
-        ``lp_solver`` forces a backend mode (benchmarks pin ``"simplex"``
-        to reproduce the pre-fast-path behavior).
+        ``lp_solver`` forces a backend mode — ``"simplex"``, ``"primal"``
+        or ``"ipm"`` (benchmarks pin ``"simplex"`` to reproduce the
+        pre-fast-path behavior).
         """
         from repro.engine.vectorized import round_batch
 

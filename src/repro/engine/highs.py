@@ -9,6 +9,13 @@ batch workloads while returning *bit-identical* primal/dual solutions (the
 model and option values passed to HiGHS are the same; the equivalence tests
 pin this against :func:`repro.core.lp.solve_packing_lp`).
 
+Which HiGHS algorithm runs is the ``solver="auto"`` policy
+(:func:`choose_solver`), measured on metro LPs in BENCH_lp.json: the
+seed's dual simplex below :data:`IPM_MIN_ROWS` rows (bit-identical to the
+seed), primal simplex up to :data:`PRIMAL_MAX_ROWS`, IPM with crossover
+above.  The two upper bands are not pinned to the seed's vertex, so each of
+their solves is checked against HiGHS's own infeasibility report.
+
 On top of the persistent instance sits an opt-in **warm-start** path for
 re-solve sequences (``warm_key``): when consecutive solves under the same
 key share the constraint matrix and RHS — auctions compiled on one
@@ -50,14 +57,41 @@ __all__ = [
     "highs_core",
     "new_highs_instance",
     "IPM_MIN_ROWS",
+    "PRIMAL_MAX_ROWS",
+    "SOLVER_MODES",
+    "LP_COUNTERS",
 ]
 
-# Above this row count the packing LPs' simplex paths degrade sharply while
-# interior point (with crossover, so a basic optimal solution still comes
-# back) stays near-linear — the n≈5000 metro auction solves ~5x faster.
-# Measured crossover on the BENCH_scale.json workloads (~2000 rows; set
-# above it so every seed-scale instance keeps the bit-parity simplex path).
+# The backend's solver modes.  "simplex" runs HiGHS's default options (dual
+# simplex) — the seed pipeline's linprog path, bit for bit; "primal" forces
+# primal simplex; "ipm" runs interior point with crossover.  All three
+# return an optimal *basic* solution.
+SOLVER_MODES = ("simplex", "primal", "ipm")
+
+# The "auto" policy's band edges, in LP rows, read off BENCH_lp.json
+# (metro disk, k=6, rows = 7n; benchmarks/bench_lp_policy.py).  Below
+# IPM_MIN_ROWS every LP keeps the seed-parity simplex path — the name dates
+# from the two-band rule, when IPM took over here.  From there up to
+# PRIMAL_MAX_ROWS primal simplex wins: a packing LP's slack basis is primal
+# feasible, and primal beats IPM + crossover 1.5-2x from 3500 to 17500
+# rows.  The two tie near 21000 rows (n=3000); above it IPM's near-linear
+# growth wins.
 IPM_MIN_ROWS = 3000
+PRIMAL_MAX_ROWS = 21000
+
+# Optimality evidence on the non-parity bands: the unscaled model's
+# largest primal/dual infeasibility after a solve must stay within this.
+MAX_INFEASIBILITY = 1e-7
+
+# The keys of warm_start_stats(): warm/cold model loads, solves per mode,
+# and HiGHS's simplex / IPM iteration totals (crossover's not included).
+LP_COUNTERS = (
+    "warm",
+    "cold",
+    *SOLVER_MODES,
+    "simplex_iterations",
+    "ipm_iterations",
+)
 
 try:  # pragma: no cover - exercised indirectly by every engine test
     import scipy.optimize._highspy._core as _hcore
@@ -135,20 +169,32 @@ def pass_colwise_model(
 
 
 def choose_solver(m: int, n: int) -> str:
-    """The ``solver="auto"`` policy: simplex below :data:`IPM_MIN_ROWS` rows
-    (bit-compatible with the seed pipeline's linprog), interior point above."""
-    return "ipm" if m >= IPM_MIN_ROWS else "simplex"
+    """The ``solver="auto"`` policy, on the LP's row count ``m`` alone:
+    simplex below :data:`IPM_MIN_ROWS` (bit-compatible with the seed
+    pipeline's linprog), primal simplex below :data:`PRIMAL_MAX_ROWS`,
+    interior point with crossover above.  ``n`` (columns) is accepted for
+    the call shape; the measured edges did not depend on it."""
+    if m < IPM_MIN_ROWS:
+        return "simplex"
+    return "primal" if m < PRIMAL_MAX_ROWS else "ipm"
+
+
+def _thread_state() -> dict[str, Any]:
+    """This thread's ``Highs`` instances by mode, creating the thread's
+    backend state (warm-start records, counters, bound arrays) on first use."""
+    instances = getattr(_local, "instances", None)
+    if instances is None:
+        instances = _local.instances = {}
+        _local.loaded = {}  # mode -> (warm_key, a, b) of its loaded model
+        _local.stats = dict.fromkeys(LP_COUNTERS, 0)
+        _local.aux = {}
+    return instances
 
 
 def _thread_highs(solver: str) -> Any:
     """One ``Highs`` instance per thread *and solver mode* (HiGHS objects are
     not thread-safe, and keeping modes separate avoids option churn)."""
-    instances = getattr(_local, "instances", None)
-    if instances is None:
-        instances = _local.instances = {}
-        _local.loaded = None  # (warm_key, a, b) of the last simplex model
-        _local.warm_stats = {"warm": 0, "cold": 0}
-        _local.aux = {}
+    instances = _thread_state()
     highs = instances.get(solver)
     if highs is None:
         highs = _hcore._Highs()
@@ -158,7 +204,9 @@ def _thread_highs(solver: str) -> Any:
         # thresholds, so the only effect of the default is per-run
         # thread-pool setup; the solve path (and the solution) is unchanged
         options.threads = 1
-        if solver == "ipm":
+        if solver == "primal":
+            options.simplex_strategy = 4  # primal; default pricing
+        elif solver == "ipm":
             options.solver = "ipm"  # crossover stays on: basic solutions
         highs.passOptions(options)
         instances[solver] = highs
@@ -166,9 +214,10 @@ def _thread_highs(solver: str) -> Any:
 
 
 def warm_start_stats() -> dict[str, int]:
-    """This thread's warm/cold solve counters (for tests and benchmarks)."""
-    _thread_highs("simplex")
-    return dict(_local.warm_stats)
+    """This thread's LP counters, keyed by :data:`LP_COUNTERS` (for the
+    service's accounting, tests, and benchmarks)."""
+    _thread_state()
+    return dict(_local.stats)
 
 
 def reset_backend() -> None:
@@ -183,7 +232,7 @@ def reset_backend() -> None:
     warm-start a fresh worker off a basis it never computed — a fresh
     process must start cold.
     """
-    for attr in ("instances", "loaded", "warm_stats", "aux"):
+    for attr in ("instances", "loaded", "stats", "aux"):
         try:
             delattr(_local, attr)
         except AttributeError:
@@ -248,17 +297,21 @@ def solve_packing_lp_fast(
     duals ``y ≥ 0`` of the packing rows); raises ``RuntimeError`` on
     non-optimal status.
 
-    ``solver`` is ``"simplex"``, ``"ipm"``, or ``"auto"`` (the
-    :func:`choose_solver` size policy).  Both modes return optimal basic
-    solutions (IPM runs crossover); small LPs always take simplex, keeping
-    bit-parity with the seed pipeline.
+    ``solver`` is one of :data:`SOLVER_MODES` or ``"auto"`` (the
+    :func:`choose_solver` size policy).  Every mode returns an optimal basic
+    solution (IPM runs crossover); small LPs always take simplex, keeping
+    bit-parity with the seed pipeline.  The primal and IPM modes are not
+    vertex-pinned to the seed, so their solves are checked after the run:
+    unscaled primal and dual infeasibilities within
+    :data:`MAX_INFEASIBILITY` and a valid basis, else ``RuntimeError``.
 
     ``warm_key`` (hashable, typically the compiled structure's identity plus
-    the LP dimensions) opts into the warm-start path: if the thread's loaded
+    the LP dimensions) opts into the warm-start path: if the mode's loaded
     model carries the same key, matrix, and RHS, only the objective is
     mutated and HiGHS starts from the previous basis.  Callers must accept
     any optimal vertex when passing a key (see module docstring).  Warm
-    starts apply to the simplex mode only (IPM has no basis to reuse).
+    starts apply to the simplex-family modes, each tracking its own loaded
+    model (IPM has no basis to reuse).
     """
     if _hcore is None:
         return solve_packing_lp(c, a_ub, b_ub)
@@ -268,40 +321,57 @@ def solve_packing_lp_fast(
     m, n = a.shape
     if (m, n) != (b_ub.shape[0], c.shape[0]):
         raise ValueError(f"A has shape {a.shape}, expected ({b_ub.shape[0]}, {c.shape[0]})")
-    if solver not in ("auto", "simplex", "ipm"):
-        raise ValueError(f"solver must be 'auto', 'simplex', or 'ipm', got {solver!r}")
     if solver == "auto":
         solver = choose_solver(m, n)
+    elif solver not in SOLVER_MODES:
+        raise ValueError(f"solver must be 'auto' or one of {SOLVER_MODES}, got {solver!r}")
 
     highs = _thread_highs(solver)
-    if (
-        solver == "simplex"
-        and warm_key is not None
-        and _same_model(_local.loaded, warm_key, a, b_ub)
-    ):
-        _local.warm_stats["warm"] += 1
+    stats, loaded = _local.stats, _local.loaded
+    if solver == "ipm":
+        warm_key = None  # no basis to restart from
+    if warm_key is not None and _same_model(loaded.get(solver), warm_key, a, b_ub):
+        stats["warm"] += 1
         idx = np.arange(n, dtype=np.int32)
         highs.changeColsCost(n, idx, -c)  # basis survives: warm re-solve
     else:
-        _local.warm_stats["cold"] += 1
+        stats["cold"] += 1
         zeros_n, inf_n, neginf_m = _aux_arrays(m, n)
         # -c: HiGHS minimizes
         pass_colwise_model(highs, a, -c, zeros_n, inf_n, neginf_m, b_ub)
-        if solver == "simplex":  # ipm uses its own instance; simplex state intact
-            _local.loaded = (warm_key, a, b_ub) if warm_key is not None else None
+        if warm_key is not None:
+            loaded[solver] = (warm_key, a, b_ub)
+        else:
+            loaded.pop(solver, None)
     highs.run()
+    stats[solver] += 1
+    info = highs.getInfo()
+    stats["simplex_iterations"] += info.simplex_iteration_count
+    stats["ipm_iterations"] += info.ipm_iteration_count
     status = highs.getModelStatus()
     if status != _hcore.HighsModelStatus.kOptimal:
-        _local.loaded = None  # do not warm-start off a failed solve
+        loaded.pop(solver, None)  # do not warm-start off a failed solve
         raise RuntimeError(
             f"LP solve failed (status {status}): {highs.modelStatusToString(status)}"
+        )
+    if solver != "simplex" and (
+        info.max_primal_infeasibility > MAX_INFEASIBILITY
+        or info.max_dual_infeasibility > MAX_INFEASIBILITY
+        or info.basis_validity != _hcore.kBasisValidityValid
+    ):
+        loaded.pop(solver, None)
+        raise RuntimeError(
+            f"LP solve ({solver}) returned no certified optimal basis: "
+            f"max primal infeasibility {info.max_primal_infeasibility:.3g}, "
+            f"max dual infeasibility {info.max_dual_infeasibility:.3g}, "
+            f"basis validity {info.basis_validity}"
         )
     solution = highs.getSolution()
     duals = -np.asarray(solution.row_dual, dtype=float)
     duals[duals < 0] = 0.0  # clip numerical noise, as in solve_packing_lp
     return LPSolution(
         x=np.asarray(solution.col_value, dtype=float),
-        value=float(-highs.getInfo().objective_function_value),
+        value=float(-info.objective_function_value),
         duals=duals,
         status=0,
         message="Optimal",

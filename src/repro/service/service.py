@@ -26,7 +26,8 @@ system.  The moving parts, in request order:
   thread-local, so pinning a scene to one shard thread is what makes
   warm-started re-solves actually hit their basis.
 * **Metrics** (:mod:`repro.service.metrics`) — throughput, p50/p95/p99
-  latency, batch sizes, cache hit rates, warm/cold LP solve counts.
+  latency, batch sizes, cache hit rates, warm/cold LP solve counts, LP
+  solves per solver mode and simplex/IPM iteration totals.
 
 ``executor="serial"`` keeps the dispatcher thread but runs every group
 inline in it — deterministic ordering, no shard threads — and is the
@@ -70,7 +71,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.auction import AuctionProblem
 from repro.engine.batch import BatchAuctionEngine
 from repro.engine.compiled import CompiledAuction, compile_structure
-from repro.engine.highs import warm_start_stats
+from repro.engine.highs import LP_COUNTERS, warm_start_stats
 from repro.service.errors import DeadlineExceeded, InjectedFaultError, ShedError
 from repro.service.metrics import ServiceMetrics
 from repro.service.scenes import SceneRegistry
@@ -215,7 +216,7 @@ class AuctionService:
         self._inflight = 0  #: guarded-by: _state_lock, _idle
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
-        self._warm_totals = {"warm": 0, "cold": 0}  #: guarded-by: _state_lock, _idle
+        self._warm_totals = dict.fromkeys(LP_COUNTERS, 0)  #: guarded-by: _state_lock, _idle
         # EWMA of observed per-request solve time, feeding deadline triage
         self._solve_ewma: float | None = solve_time_hint  #: guarded-by: _state_lock
         self._closed = False  #: guarded-by: _state_lock, _idle
@@ -385,8 +386,8 @@ class AuctionService:
         elapsed = time.perf_counter() - t0
         after = warm_start_stats()
         with self._state_lock:
-            self._warm_totals["warm"] += after["warm"] - before["warm"]
-            self._warm_totals["cold"] += after["cold"] - before["cold"]
+            for key in LP_COUNTERS:
+                self._warm_totals[key] += after[key] - before[key]
         per_request = elapsed / len(group) if group else 0.0
         if group:
             self._observe_solve_time(per_request)

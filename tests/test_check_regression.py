@@ -185,9 +185,10 @@ class TestMainExitCodes:
     def test_tolerance_flags_respected(self, gate, baselines, tmp_path):
         measured = _slowed(gate, baselines, 2.5)
         # the CLI noise tolerances apply to perf checks only — restore the
-        # exact-pin rate metrics, which no flag is allowed to loosen
+        # metrics with a pinned per-check tolerance (the exact-pin rates,
+        # the LP policy pin), which no flag is allowed to loosen
         for chk in gate.CHECKS:
-            if chk.kind == "rate":
+            if chk.tol is not None:
                 gate._assign(
                     measured[chk.source],
                     chk.path,

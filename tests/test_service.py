@@ -191,6 +191,9 @@ class TestCacheAccounting:
         assert stats["problems"]["hits"] == stats["problems"]["misses"] == 0
         warm = stats["lp_warm_solves"]
         assert warm["warm"] + warm["cold"] == 3
+        # small LPs: all three on the seed-parity simplex band
+        assert (warm["simplex"], warm["primal"], warm["ipm"]) == (3, 0, 0)
+        assert warm["simplex_iterations"] > 0 and warm["ipm_iterations"] == 0
 
     def test_problem_cache_eviction_accounted(self, scene):
         service = make_service(scene, problem_cache_size=2)

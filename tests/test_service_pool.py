@@ -89,6 +89,33 @@ class TestPlacementInvariance:
         assert [r.welfare for r in expected] == [r.welfare for r in got_pool]
         assert all(r.feasible for r in got_pool)
 
+    def test_primal_band_bit_identical_across_pool(self):
+        """Placement invariance on the primal-simplex band of the LP
+        policy: each request solves a 3500-row LP, and the serial service
+        (one reused primal instance) and the pool (fresh instances per
+        worker) must agree bit for bit."""
+        n, k = 500, 6
+        big = metro_disk_scene(n, seed=502)
+        serial = make_service(big, executor="serial", num_shards=1)
+        pooled = make_service(big, executor="process", num_shards=2)
+        [scene_id] = serial.registry.ids()
+        requests = [
+            AuctionRequest(scene_id, k, random_xor_valuations(n, k, seed=600 + i), seed=i)
+            for i in range(3)
+        ]
+        expected = [serial.submit(r).result(timeout=180) for r in requests]
+        got = [f.result(timeout=180) for f in [pooled.submit(r) for r in requests]]
+        assert serial.cache_stats()["lp_warm_solves"]["primal"] == len(requests)
+        workers = pooled.metrics_snapshot()["pool"]["workers"]
+        solves = [w["worker_stats"]["caches"]["lp_warm_solves"] for w in workers if w["jobs"]]
+        assert sum(s["primal"] for s in solves) == len(requests)
+        assert sum(s["simplex_iterations"] for s in solves) > 0
+        assert serial.close(timeout=180) and pooled.close(timeout=180)
+        assert [r.allocation for r in expected] == [r.allocation for r in got]
+        assert [r.lp_value for r in expected] == [r.lp_value for r in got]
+        assert [r.welfare for r in expected] == [r.welfare for r in got]
+        assert all(r.feasible for r in got)
+
     def test_truthful_payments_bit_identical_across_pool(self, scene):
         serial = make_service(scene, executor="serial", num_shards=1)
         trace = make_trace(serial, num_requests=4, mode="truthful")
