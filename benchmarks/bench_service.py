@@ -330,7 +330,8 @@ def bench_pool_smoke(
     """Budgeted pool scenario for CI: 2 workers, n=300 distinct trace.
 
     Pins parity (pool allocations bit-identical to the serial path) and
-    records throughput plus IPC accounting.  Cheap enough for the CI
+    records throughput plus IPC accounting (bytes sent per request is a
+    gated metric of its own).  Cheap enough for the CI
     regression gate to re-measure on every PR.
     """
     cores = os.cpu_count() or 1
@@ -366,6 +367,11 @@ def bench_pool_smoke(
         "pool": pool_summary,
         "speedup_vs_serial": (
             pool_summary["throughput_rps"] / serial_summary["throughput_rps"]
+        ),
+        # what the parent pickles to the workers per request: requests
+        # ship as columnar profiles, so this is a few bytes per bid
+        "ipc_bytes_sent_per_request": (
+            pool_summary["pool_stats"]["ipc_bytes_sent"] / num_requests
         ),
         "identical_allocations": identical,
     }

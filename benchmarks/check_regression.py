@@ -28,7 +28,9 @@ on the same machine — so they carry a tight default tolerance
 (``--tolerance``, 1.5x).  The LP policy check is one of them with its own
 pinned 1.2x: at n=1000 the mode ``choose_solver`` picks must run within
 1.2x of the fastest mode measured (the baseline records 1.0, the pick
-being the fastest).  Absolute wall-clock metrics depend on the host,
+being the fastest).  The pool smoke's IPC bytes sent per request is a
+size, not a time: lower is better, it does not depend on the host, and
+it carries its own pinned 1.25x.  Absolute wall-clock metrics depend on the host,
 so they get a looser default (``--time-tolerance``, 2.5x) that still
 catches order-of-magnitude rot.  Chaos-invariant metrics (completion
 rate under the seeded crash storm, invariant verdicts, the
@@ -68,6 +70,7 @@ BASELINE_FILES = {
 
 SPEEDUP_TOLERANCE = 1.5
 SECONDS_TOLERANCE = 2.5
+IPC_BYTES_TOLERANCE = 1.25
 
 
 def _lookup(data: dict, path: str) -> float:
@@ -90,6 +93,8 @@ class Check:
     # "rate": an exact fraction/boolean (completion rate, invariant verdict);
     # higher is better and the per-check tolerance pins it (1.0 = any drop
     # from the baseline fails).
+    # "bytes": a payload size (lower is better); host-independent, so it
+    # carries a pinned per-check tolerance instead of a CLI default.
     kind: str
     # optional dotted path (same family) that must hold the *same* value in
     # baseline and measurement for the comparison to mean anything — the
@@ -105,7 +110,7 @@ class Check:
         return f"{self.source}:{self.path}"
 
     def slowdown(self, baseline: float, measured: float) -> float:
-        if self.kind == "seconds":
+        if self.kind in ("seconds", "bytes"):
             return measured / baseline if baseline > 0 else float("inf")
         return baseline / measured if measured > 0 else float("inf")
 
@@ -132,6 +137,15 @@ CHECKS = [
         "pool_smoke_n300.pool.throughput_rps",
         "throughput",
         guard="pool_smoke_n300.cores",
+    ),
+    # pool IPC: bytes the parent pickles to workers per request — requests
+    # ship as columnar profiles, and a regression back to per-bidder
+    # objects is a ~6x jump; no CLI flag loosens the pinned 1.25x
+    Check(
+        "service",
+        "pool_smoke_n300.ipc_bytes_sent_per_request",
+        "bytes",
+        tol=IPC_BYTES_TOLERANCE,
     ),
     Check("mechanism", "smoke_truthful_n150.speedup", "speedup"),
     Check("mechanism", "smoke_truthful_n150.fast.throughput_rps", "throughput"),
@@ -189,7 +203,7 @@ def measure(repeats: int = 2) -> dict:
 
     def best(values: list[dict], path: str, kind: str) -> float:
         picked = [_lookup(v, path) for v in values]
-        return min(picked) if kind == "seconds" else max(picked)
+        return min(picked) if kind in ("seconds", "bytes") else max(picked)
 
     # one warm pass so imports/HiGHS setup are not billed to the first repeat
     bench_engine.bench_repeat_solves(unique=2, repeats=2, n=12, k=2)

@@ -102,6 +102,7 @@ from repro.valuations import (
     BudgetedAdditiveValuation,
     CappedAdditiveValuation,
     ExplicitValuation,
+    Profile,
     SingleMindedValuation,
     UnitDemandValuation,
     Valuation,
@@ -171,6 +172,7 @@ __all__ = [
     "UnitDemandValuation",
     "CappedAdditiveValuation",
     "BudgetedAdditiveValuation",
+    "Profile",
     "random_xor_valuations",
     "random_additive_valuations",
     "random_mixed_valuations",

@@ -30,6 +30,7 @@ from repro.core.auction_lp import AuctionLPSolution
 from repro.core.column_generation import solve_with_column_generation
 from repro.core.result import SolverResult
 from repro.engine.compiled import CompiledAuction, compile_auction
+from repro.valuations.profile import Profile
 
 __all__ = ["SolverResult", "SpectrumAuctionSolver"]
 
@@ -72,8 +73,9 @@ class SpectrumAuctionSolver:
         if method == "column_generation":
             return solve_with_column_generation(self.problem).solution
         if method == "auto":
-            have_supports = all(
-                v.support() is not None for v in self.problem.valuations
+            valuations = self.problem.valuations
+            have_supports = isinstance(valuations, Profile) or all(
+                v.support() is not None for v in valuations
             )
             if not have_supports and 2**self.problem.k > 2048:
                 return solve_with_column_generation(self.problem).solution

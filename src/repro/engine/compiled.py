@@ -44,6 +44,7 @@ from repro.core.result import SolverResult
 from repro.engine.highs import solve_packing_lp_fast
 from repro.util.lru import LRUCache
 from repro.util.rng import SeedLike, ensure_rng
+from repro.valuations.profile import as_profile, bundles_of
 
 if TYPE_CHECKING:
     from repro.engine.vectorized import RoundingPlan
@@ -297,47 +298,41 @@ class CompiledAuction:
     def _enumerate_columns(problem: AuctionProblem) -> _ColumnArrays:
         """Default column set flattened to arrays.
 
-        Fast path: when every bidder exposes ``support_items`` the loop
-        consumes the pairs directly (bundles are frozensets and values floats
-        already, so this applies exactly ``iter_default_columns``'s filter
-        without the generator hop — the enumeration sits on the cold-path
-        budget of BENCH_engine.json).  Any oracle-only bidder falls back to
-        the shared enumerator, keeping the two in lockstep.
+        Bid-list bidders — a :class:`~repro.valuations.profile.Profile`,
+        or a list of XOR / explicit / single-minded valuations packed into
+        one — yield their columns as vectorized ``(vertex, value, mask)``
+        arrays with no per-bidder work (the enumeration sits on the
+        cold-path budget of BENCH_engine.json).  Any other bidder routes
+        the problem through the shared enumerator ``iter_default_columns``,
+        the reference the profile path is pinned against.
         """
         k = problem.k
+        profile = as_profile(problem.valuations, k)
+        if profile is not None:
+            vertex, value, masks = profile.column_arrays()
+            return CompiledAuction._arrays_from_masks(vertex, value, masks, k)
+        verts: list[int] = []
+        vals: list[float] = []
         bundles: list[frozenset[int]] = []
-        val_parts: list[np.ndarray] = []
-        size_parts: list[np.ndarray] = []
-        chan_parts: list[np.ndarray] = []
-        counts = np.empty(len(problem.valuations), dtype=np.intp)
-        for v, valuation in enumerate(problem.valuations):
-            parts = valuation.support_column_arrays()
-            if parts is None:  # oracle-only or custom bidder: generic path
-                verts: list[int] = []
-                vals: list[float] = []
-                bundles = []
-                for u, bundle, value in iter_default_columns(problem):
-                    verts.append(u)
-                    bundles.append(bundle)
-                    vals.append(value)
-                return CompiledAuction._arrays_from_lists(verts, vals, bundles, k)
-            b, values, sizes, channels = parts
-            bundles.extend(b)
-            val_parts.append(values)
-            size_parts.append(sizes)
-            chan_parts.append(channels)
-            counts[v] = len(b)
-        m = len(bundles)
-        vertex = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-        value = np.concatenate(val_parts) if m else np.empty(0)
-        sizes = (
-            np.concatenate(size_parts) if m else np.empty(0, dtype=np.intp)
-        )
-        channels = (
-            np.concatenate(chan_parts) if m else np.empty(0, dtype=np.intp)
-        )
-        return CompiledAuction._arrays_from_parts(
-            vertex, value, sizes, channels, bundles, k
+        for u, bundle, v_value in iter_default_columns(problem):
+            verts.append(u)
+            bundles.append(bundle)
+            vals.append(v_value)
+        return CompiledAuction._arrays_from_lists(verts, vals, bundles, k)
+
+    @staticmethod
+    def _arrays_from_masks(
+        vertex: np.ndarray, value: np.ndarray, masks: np.ndarray, k: int
+    ) -> _ColumnArrays:
+        """Assemble :class:`_ColumnArrays` from per-column channel bitmasks;
+        bundles come from the shared ``2^k`` mask table."""
+        chan_mask = ((masks[:, None] >> np.arange(k)) & 1) == 1
+        sizes = chan_mask.sum(axis=1).astype(np.intp)
+        ch_off = np.zeros(masks.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=ch_off[1:])
+        ch_flat = np.nonzero(chan_mask)[1]
+        return _ColumnArrays(
+            vertex, value, ch_flat, ch_off, sizes, chan_mask, bundles_of(masks, k)
         )
 
     @staticmethod
@@ -358,38 +353,25 @@ class CompiledAuction:
     ) -> _ColumnArrays:
         m = len(bundles)
         sizes = np.fromiter((len(b) for b in bundles), dtype=np.intp, count=m)
-        channels = np.fromiter(
-            (j for b in bundles for j in b), dtype=np.intp, count=int(sizes.sum())
-        )
-        return CompiledAuction._arrays_from_parts(
-            np.asarray(verts, dtype=np.intp),
-            np.asarray(vals, dtype=float),
-            sizes,
-            channels,
-            bundles,
-            k,
-        )
-
-    @staticmethod
-    def _arrays_from_parts(
-        vertex: np.ndarray,
-        value: np.ndarray,
-        sizes: np.ndarray,
-        channels: np.ndarray,
-        bundles: list[frozenset[int]],
-        k: int,
-    ) -> _ColumnArrays:
-        """Assemble :class:`_ColumnArrays` from pre-flattened pieces
-        (``channels`` holds each bundle's ids consecutively, any order)."""
-        m = len(bundles)
         ch_off = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(sizes, out=ch_off[1:])
         chan_mask = np.zeros((m, k), dtype=bool)
         if m:
-            chan_mask[np.repeat(np.arange(m), sizes), channels] = True
+            chan_mask[
+                np.repeat(np.arange(m), sizes),
+                np.fromiter((j for b in bundles for j in b), dtype=np.intp),
+            ] = True
         # row-major nonzero yields each bundle's channels in ascending order
         ch_flat = np.nonzero(chan_mask)[1] if m else np.empty(0, dtype=np.intp)
-        return _ColumnArrays(vertex, value, ch_flat, ch_off, sizes, chan_mask, bundles)
+        return _ColumnArrays(
+            np.asarray(verts, dtype=np.intp),
+            np.asarray(vals, dtype=float),
+            ch_flat,
+            ch_off,
+            sizes,
+            chan_mask,
+            bundles,
+        )
 
     @property
     def cols(self) -> _ColumnArrays:

@@ -1,8 +1,7 @@
 """Structured fault injection: named sites, declarative plans, seeded RNG.
 
-PR 6 proved crash recovery with an ad-hoc ``metadata["_crash_worker"]``
-hook buried in :mod:`repro.service.pool`.  This module replaces that with
-a first-class subsystem: a :class:`FaultPlan` is a declarative list of
+Crash recovery and every other serving fault are driven by one
+first-class subsystem: a :class:`FaultPlan` is a declarative list of
 :class:`FaultSpec`\\ s naming *where* (an injection site), *what* (crash,
 slow-solve latency, backend error, spawn failure), and *when* (worker
 incarnation, Bernoulli probability, activation cap) a fault fires.  The
@@ -70,7 +69,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["FAULT_SITES", "FaultKey", "FaultSpec", "FaultPlan", "legacy_crash_fires"]
+__all__ = ["FAULT_SITES", "FaultKey", "FaultSpec", "FaultPlan"]
 
 # the registry of named injection sites and the fault kinds each supports
 FAULT_SITES: dict[str, tuple[str, ...]] = {
@@ -286,20 +285,3 @@ class FaultPlan:
 
     def __repr__(self) -> str:
         return f"FaultPlan(seed={self.seed}, specs={list(self.specs)!r})"
-
-
-def legacy_crash_fires(requests: Iterable[Any], generation: int) -> bool:
-    """Deprecated ``metadata["_crash_worker"]`` hook, kept as a shim.
-
-    The old PR 6 API: a request carrying ``metadata["_crash_worker"] = g``
-    kills worker incarnation ``g`` (or every incarnation with
-    ``"always"``).  It maps exactly onto
-    ``FaultSpec(site="pool.worker.batch", kind="crash", generations=(g,))``
-    — new code should build a :class:`FaultPlan`; this shim keeps old
-    traces and tests working and is pinned by a deprecation test.
-    """
-    for request in requests:
-        flag = getattr(request, "metadata", {}).get("_crash_worker")
-        if flag == "always" or flag == generation:
-            return True
-    return False

@@ -528,7 +528,7 @@ class AuctionGateway:
             raise _HttpError(
                 "bad-request",
                 f"mode {request.mode!r} is not servable over the wire "
-                "(schema_version 1 serializes allocate results only)",
+                f"(schema_version {SCHEMA_VERSION} serializes allocate results only)",
             )
         deadline_header = headers.get("x-auction-deadline")
         if deadline_header is not None:

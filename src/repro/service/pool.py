@@ -24,7 +24,9 @@ secondary-spectrum setting (scenes are stable, valuations churn):
 the registry, and any scene registered later crosses the pipe at most
 once per worker — the parent tracks a per-worker ``shipped`` set and
 sends ``("scene", id, structure)`` only on first use.  Requests
-themselves carry only valuations + a seed.
+themselves carry only a seed and their valuations as one columnar
+:class:`~repro.valuations.profile.Profile` (flat arrays, a few bytes per
+bid; the service converts bid-list sequences before queueing).
 
 **Affinity routing with spill.**  A scene's *home* worker is
 ``hash(scene_id) % workers``, so repeat traffic keeps hitting the worker
@@ -108,7 +110,6 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     crash incarnation 0 and let incarnation 1 serve the retry.
     """
     import repro.engine.highs  # noqa: F401 - registers its fork-reset hook
-    from repro.service.faults import legacy_crash_fires
     from repro.service.service import AuctionService
     from repro.util.mp import run_fork_resets
 
@@ -147,8 +148,7 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
                     )
                 continue
             _, job_id, requests = message
-            # deprecated metadata["_crash_worker"] hook, shimmed via faults
-            crash = legacy_crash_fires(requests, generation)
+            crash = False
             slow = 0.0
             if plan is not None:
                 key = requests[0].seed if requests else None

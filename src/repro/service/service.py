@@ -78,9 +78,13 @@ from repro.service.scenes import SceneRegistry
 from repro.service.wire import AuctionRequest, AuctionResponse
 from repro.util.lru import LRUCache
 from repro.util.rng import ensure_rng
+from repro.valuations.profile import Profile, as_profile
 
 if TYPE_CHECKING:
     import pathlib
+    from collections.abc import Sequence
+
+    from repro.valuations.base import Valuation
 
     from repro.mechanism.truthful import MechanismOutcome
     from repro.service.faults import FaultPlan
@@ -96,6 +100,26 @@ _EXECUTORS = ("serial", "thread", "process")
 
 
 _REQUEST_MODES = ("allocate", "truthful")
+
+
+def _valuations_of(request: AuctionRequest) -> Sequence[Valuation]:
+    """The request's valuations for an :class:`AuctionProblem`: a
+    :class:`Profile` as is (problems treat it as immutable), any other
+    sequence as a private list copy."""
+    if isinstance(request.valuations, Profile):
+        return request.valuations
+    return list(request.valuations)
+
+
+def _columnar(request: AuctionRequest) -> AuctionRequest:
+    """The request with bid-list valuations converted to one
+    :class:`Profile` — what the queue, the pool pickle and the engine's
+    column enumeration run on.  Profiles and sequences holding other
+    valuation types (the additive family) pass through unchanged."""
+    profile = as_profile(request.valuations, request.k)
+    if profile is None or profile is request.valuations:
+        return request
+    return replace(request, valuations=profile)
 
 
 @dataclass
@@ -242,7 +266,7 @@ class AuctionService:
         compiled_structure = compile_structure(structure, cache=self.structure_cache)
 
         def build() -> CompiledAuction:
-            problem = AuctionProblem(structure, request.k, list(request.valuations))
+            problem = AuctionProblem(structure, request.k, _valuations_of(request))
             return CompiledAuction(problem, structure=compiled_structure)
 
         if request.profile_key is None:
@@ -270,7 +294,7 @@ class AuctionService:
                 pricing=self.mechanism_pricing,
                 compiled_structure=compiled_structure,
             )
-            return mechanism.prepare(list(request.valuations), seed=0)
+            return mechanism.prepare(_valuations_of(request), seed=0)
 
         if request.profile_key is None:
             return build()
@@ -529,6 +553,9 @@ class AuctionService:
             )
         if request.deadline is not None and request.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {request.deadline}")
+        # converted once here, on the caller's clock: everything downstream
+        # (queue, pool pickle, column enumeration) runs on the flat arrays
+        request = _columnar(request)
         future: Future = Future()
         # closed-check and accounting under one lock hold: once _queued is
         # incremented a concurrent close() cannot observe an empty queue, so
@@ -701,7 +728,7 @@ class AuctionService:
         from repro.core.baselines import greedy_channel_allocation
 
         structure = self.registry.get(request.scene_id)
-        problem = AuctionProblem(structure, request.k, list(request.valuations))
+        problem = AuctionProblem(structure, request.k, _valuations_of(request))
         t0 = time.perf_counter()
         allocation = greedy_channel_allocation(problem)
         return AuctionResponse(

@@ -1,4 +1,4 @@
-"""Versioned wire schema for the auction service (`schema_version` 1).
+"""Versioned wire schema for the auction service (`schema_version` 2).
 
 This module is the single source of truth for what crosses the network
 boundary: the request/response dataclasses shared by the in-process
@@ -20,6 +20,12 @@ Design rules, in decreasing order of importance:
   round a degenerate LP to a different, equally optimal allocation).
   Replaying a recorded trace through the gateway therefore yields
   results bit-identical to an in-process replay.
+* **Requests are columnar.**  A request's valuations cross as one
+  :class:`~repro.valuations.profile.Profile` — four flat JSON arrays
+  (``kinds``, ``offsets``, ``masks``, ``values``) under ``"profile"`` —
+  and decode straight back into a validated profile, with no per-bidder
+  objects on the way.  Only bid-list valuations (XOR, explicit,
+  single-minded) have this form; the additive family stays in-process.
 * **Key order is load order.**  Nothing here sorts keys; the canonical
   sorted encoder lives in :mod:`repro.io` only.  Decoding is, however,
   insensitive to key order, so payloads re-serialized by a client with
@@ -48,7 +54,7 @@ its own.  The gateway journals completed responses under this key, so a
 request retried after a lost response returns the journaled bytes
 instead of re-solving — exactly-once results under at-least-once
 delivery (DESIGN.md → "Resilient edge").  The field is additive and
-optional on decode, so ``schema_version`` stays 1.
+optional on decode.
 """
 
 from __future__ import annotations
@@ -71,8 +77,11 @@ from repro.service.errors import (
 )
 from repro.service.pool import WorkerCrashError
 from repro.valuations.explicit import ExplicitValuation, XORValuation
+from repro.valuations.profile import Profile
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from repro.valuations.base import Valuation
 
 __all__ = [
@@ -90,7 +99,7 @@ __all__ = [
     "http_status_for",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _check_version(data: dict[str, Any], what: str) -> None:
@@ -128,10 +137,10 @@ def encode_valuation(v: Valuation) -> dict[str, Any]:
     """Like :func:`repro.io._valuation_to_dict` but order-preserving.
 
     The io layer canonicalizes explicit-style bids by sorting them;
-    the wire must keep the original bid order instead, because LP
-    column order follows it and a reordered (degenerate) LP can round
-    to a different — equally optimal — allocation.  Preserving order
-    keeps gateway replays bit-identical to in-process runs.  Exact type
+    trace files (:func:`repro.service.traffic.save_trace`) must keep the
+    original bid order instead, because LP column order follows it and a
+    reordered (degenerate) LP can round to a different — equally optimal
+    — allocation.  Preserving order keeps replays bit-identical.  Exact type
     checks: subclasses (``SingleMindedValuation``: one bid, so
     order-trivial) keep their own io encoding and round-trip to their
     own type.
@@ -195,11 +204,16 @@ class AuctionRequest:
     request is fully determined by ``(scene, k, seed, mode, profile)``.
     Callers whose requests differ in ways the derivation cannot see
     (same seed + profile, different meaning) must supply their own key.
+
+    ``valuations`` is any sequence of valuations: a plain list (the
+    paper API) or a :class:`~repro.valuations.profile.Profile`, the
+    columnar form the wire decodes into and the service converts
+    bid-list sequences to on submit.
     """
 
     scene_id: str
     k: int
-    valuations: list[Valuation]
+    valuations: Sequence[Valuation]
     seed: int | None = None
     profile_key: str | None = None
     mode: str = "allocate"
@@ -215,10 +229,12 @@ def default_idempotency_key(request: AuctionRequest) -> str:
     that pin a request's outcome bit-for-bit (the engine is
     deterministic given scene, valuations, and seed).  When
     ``profile_key`` is ``None`` the valuations are not named by any
-    coordinate, so their order-preserving wire encoding is folded into
-    the digest instead — two distinct one-off profiles sharing a seed
-    must not collide.  Deadlines and metadata are deliberately excluded:
-    they change *how* the request is served, never *what* the result is.
+    coordinate, so the profile's sha256 over its array bytes
+    (:meth:`~repro.valuations.profile.Profile.digest`, bid order
+    included) is folded into the digest instead — two distinct one-off
+    profiles sharing a seed must not collide.  Deadlines and metadata
+    are deliberately excluded: they change *how* the request is served,
+    never *what* the result is.
     """
     material: list[Any] = [
         request.scene_id,
@@ -228,18 +244,20 @@ def default_idempotency_key(request: AuctionRequest) -> str:
         request.profile_key,
     ]
     if request.profile_key is None:
-        material.append([encode_valuation(v) for v in request.valuations])
+        material.append(Profile.of(request.valuations, request.k).digest())
     digest = hashlib.sha256(json.dumps(material).encode("utf-8")).hexdigest()
     return digest[:32]
 
 
 def request_to_wire(request: AuctionRequest) -> dict[str, Any]:
-    """An :class:`AuctionRequest` as a wire dict (bid order preserved)."""
+    """An :class:`AuctionRequest` as a wire dict: the valuations as one
+    columnar profile (bid order preserved).  Raises ``TypeError`` for
+    valuations without a bid list (the additive family)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "scene_id": request.scene_id,
         "k": request.k,
-        "valuations": [encode_valuation(v) for v in request.valuations],
+        "profile": Profile.of(request.valuations, request.k).to_wire(),
         "seed": request.seed,
         "profile_key": request.profile_key,
         "mode": request.mode,
@@ -250,12 +268,15 @@ def request_to_wire(request: AuctionRequest) -> dict[str, Any]:
 
 
 def request_from_wire(data: dict[str, Any]) -> AuctionRequest:
-    """Decode a wire dict; rejects unknown schema versions."""
+    """Decode a wire dict into a request whose valuations are a validated
+    :class:`~repro.valuations.profile.Profile`; rejects unknown schema
+    versions and invalid profiles (``ValueError``)."""
     _check_version(data, "request")
+    k = int(data["k"])
     return AuctionRequest(
         scene_id=str(data["scene_id"]),
-        k=int(data["k"]),
-        valuations=[decode_valuation(v) for v in data["valuations"]],
+        k=k,
+        valuations=Profile.from_wire(k, data["profile"]),
         seed=None if data.get("seed") is None else int(data["seed"]),
         profile_key=data.get("profile_key"),
         mode=str(data.get("mode", "allocate")),

@@ -1,4 +1,5 @@
-"""Bidder valuations with exact demand oracles."""
+"""Bidder valuations with exact demand oracles, and their columnar
+:class:`Profile` form."""
 
 from repro.valuations.additive import (
     AdditiveValuation,
@@ -23,6 +24,7 @@ from repro.valuations.generators import (
     random_xor_valuations,
 )
 from repro.valuations.oracles import brute_force_demand, verify_demand_oracle
+from repro.valuations.profile import Profile
 
 __all__ = [
     "Valuation",
@@ -35,6 +37,7 @@ __all__ = [
     "UnitDemandValuation",
     "CappedAdditiveValuation",
     "BudgetedAdditiveValuation",
+    "Profile",
     "brute_force_demand",
     "verify_demand_oracle",
     "random_xor_valuations",

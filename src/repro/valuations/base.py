@@ -94,19 +94,6 @@ class Valuation(ABC):
             return None
         return [(bundle, self.value(bundle)) for bundle in supp]
 
-    def support_column_arrays(self):
-        """The bidder's LP columns pre-flattened for the engine, or ``None``.
-
-        Returns ``(bundles, values, sizes, channels)``: the positive-value
-        non-empty support bundles in :meth:`support_items` order, their
-        values and sizes as arrays, and the concatenation of their channel
-        ids (any per-bundle order).  Explicit-style valuations precompute
-        this at construction so the engine's column enumeration is pure
-        array concatenation; the default ``None`` routes the bidder through
-        the item-by-item path.
-        """
-        return None
-
     def max_value(self) -> float:
         """max_T b_{v,T}; default via a zero-price demand query."""
         _, util = self.demand(np.zeros(self.k))

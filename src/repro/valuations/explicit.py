@@ -14,6 +14,7 @@ expose their bid list via :meth:`support` so the LP can enumerate columns.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -22,18 +23,20 @@ from repro.valuations.base import EMPTY_BUNDLE, Valuation
 
 __all__ = ["ExplicitValuation", "XORValuation", "SingleMindedValuation"]
 
+# bid masks are int64: bit j names channel j, so channels 0..61 fit
+MASK_CHANNELS = 62
 
-def _column_arrays(items: list[tuple[frozenset[int], float]]):
-    """Pre-flattened LP-column arrays over positive-value support items
-    (the :meth:`Valuation.support_column_arrays` contract)."""
-    entries = [(b, v) for b, v in items if b and v > 0]
-    bundles = [b for b, _ in entries]
-    values = np.array([v for _, v in entries], dtype=float)
-    sizes = np.fromiter((len(b) for b in bundles), dtype=np.intp, count=len(bundles))
-    channels = np.fromiter(
-        (j for b in bundles for j in b), dtype=np.intp, count=int(sizes.sum())
-    )
-    return bundles, values, sizes, channels
+
+def _bid_arrays(
+    k: int, masks: list[int], values: list[float]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The bid list as raw ``(masks, values)`` arrays in bid order: channel
+    bitmasks (bit ``j`` set when ``j`` is in the bundle) and values — what
+    :meth:`repro.valuations.profile.Profile.of` concatenates.  ``None``
+    when ``k`` exceeds what an int64 mask holds."""
+    if k > MASK_CHANNELS:
+        return None
+    return np.array(masks, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 def _normalize_bids(bids: Mapping[frozenset[int], float], k: int) -> dict[frozenset[int], float]:
@@ -42,6 +45,8 @@ def _normalize_bids(bids: Mapping[frozenset[int], float], k: int) -> dict[frozen
         fs = frozenset(bundle)
         if any(not 0 <= j < k for j in fs):
             raise ValueError(f"bundle {sorted(fs)} out of range for k={k}")
+        if not math.isfinite(value):
+            raise ValueError(f"bid values must be finite, got {value!r}")
         if value < 0:
             raise ValueError("bid values must be non-negative")
         if not fs:
@@ -58,10 +63,11 @@ class ExplicitValuation(Valuation):
     def __init__(self, k: int, bids: Mapping[frozenset[int], float]) -> None:
         super().__init__(k)
         self.bids = _normalize_bids(bids, k)
-        self._column_arrays = _column_arrays(list(self.bids.items()))
-
-    def support_column_arrays(self):
-        return self._column_arrays
+        self._bid_arrays = _bid_arrays(
+            k,
+            [sum(1 << j for j in bundle) for bundle in self.bids],
+            list(self.bids.values()),
+        )
 
     def value(self, bundle: frozenset[int]) -> float:
         self._check_bundle(bundle)
@@ -92,9 +98,9 @@ class XORValuation(Valuation):
     def __init__(self, k: int, bids: Mapping[frozenset[int], float]) -> None:
         super().__init__(k)
         self.bids = _normalize_bids(bids, k)
-        # the free-disposal closure is computed eagerly: column enumeration
-        # sits on the engine's cold solve path, valuation construction does
-        # not (fleets are generated before solving starts)
+        # the free-disposal closure is computed eagerly: the reference
+        # enumerator (iter_default_columns, AuctionLP) reads it per bidder,
+        # valuation construction is off the solve path
         masks = [sum(1 << j for j in bundle) for bundle in self.bids]
         values = list(self.bids.values())
         self._support_items: list[tuple[frozenset[int], float]] = [
@@ -111,10 +117,7 @@ class XORValuation(Valuation):
             )
             for bundle, mask in zip(self.bids, masks)
         ]
-        self._column_arrays = _column_arrays(self._support_items)
-
-    def support_column_arrays(self):
-        return self._column_arrays
+        self._bid_arrays = _bid_arrays(k, masks, values)
 
     def value(self, bundle: frozenset[int]) -> float:
         self._check_bundle(bundle)

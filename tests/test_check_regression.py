@@ -53,7 +53,7 @@ def _slowed(gate, baselines, factor):
     measured = _as_measured(gate, baselines)
     for chk in gate.CHECKS:
         value = gate._lookup(measured[chk.source], chk.path)
-        worse = value * factor if chk.kind == "seconds" else value / factor
+        worse = value * factor if chk.kind in ("seconds", "bytes") else value / factor
         gate._assign(measured[chk.source], chk.path, worse)
     return measured
 
@@ -101,6 +101,21 @@ class TestCompare:
         rows = {row["check"]: row for row in gate.compare(measured, baselines)}
         assert not rows[victim.name]["ok"]
         assert rows[victim.name]["tolerance"] == 1.0
+
+    def test_ipc_bytes_check_is_pinned_and_lower_is_better(self, gate, baselines):
+        """The pool smoke's IPC bytes per request: more bytes is worse,
+        fewer is better, and the pinned 1.25x is the bound."""
+        [ipc] = [chk for chk in gate.CHECKS if chk.kind == "bytes"]
+        assert ipc.path == "pool_smoke_n300.ipc_bytes_sent_per_request"
+        assert ipc.guard is None  # a size, not a host-dependent rate
+        assert ipc.tol == gate.IPC_BYTES_TOLERANCE == 1.25
+        base = gate._lookup(baselines[ipc.source], ipc.path)
+        for factor, ok in ((0.2, True), (1.2, True), (1.3, False), (6.0, False)):
+            measured = _as_measured(gate, baselines)
+            gate._assign(measured[ipc.source], ipc.path, base * factor)
+            rows = {row["check"]: row for row in gate.compare(measured, baselines)}
+            assert rows[ipc.name]["ok"] is ok, factor
+            assert rows[ipc.name]["slowdown"] == pytest.approx(factor)
 
     def test_missing_metric_is_a_failure(self, gate, baselines):
         measured = _as_measured(gate, baselines)
@@ -186,7 +201,7 @@ class TestMainExitCodes:
         measured = _slowed(gate, baselines, 2.5)
         # the CLI noise tolerances apply to perf checks only — restore the
         # metrics with a pinned per-check tolerance (the exact-pin rates,
-        # the LP policy pin), which no flag is allowed to loosen
+        # the LP policy pin, the IPC bytes pin), which no flag may loosen
         for chk in gate.CHECKS:
             if chk.tol is not None:
                 gate._assign(
@@ -204,6 +219,19 @@ class TestMainExitCodes:
 
     def test_tolerance_flags_never_loosen_rate_pins(self, gate, baselines, tmp_path):
         path = self._write(tmp_path, _slowed(gate, baselines, 1.01))
+        assert (
+            gate.main(
+                ["--measured", path, "--tolerance", "5", "--time-tolerance", "5"]
+            )
+            == 1
+        )
+
+    def test_tolerance_flags_never_loosen_the_ipc_pin(self, gate, baselines, tmp_path):
+        [ipc] = [chk for chk in gate.CHECKS if chk.kind == "bytes"]
+        measured = _as_measured(gate, baselines)
+        base = gate._lookup(baselines[ipc.source], ipc.path)
+        gate._assign(measured[ipc.source], ipc.path, base * 1.5)
+        path = self._write(tmp_path, measured)
         assert (
             gate.main(
                 ["--measured", path, "--tolerance", "5", "--time-tolerance", "5"]

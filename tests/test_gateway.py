@@ -218,6 +218,49 @@ class TestErrorStatuses:
         assert payload["error_code"] == "bad-request"
         assert "schema_version" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("values", float("inf")),
+            ("values", float("nan")),
+            ("values", float("-inf")),
+            ("masks", 1 << K),
+            ("masks", 0),
+            ("masks", "duplicate"),
+        ],
+        ids=["inf", "nan", "-inf", "mask-out-of-range", "nonzero-empty-bundle",
+             "duplicate-bundle"],
+    )
+    def test_invalid_bids_are_400_not_500(self, served, field, bad):
+        """Invalid bids are the client's fault: each is refused typed at
+        decode.  (An ``inf`` bid used to reach HiGHS and come back as a
+        500 ``internal``.)"""
+        server, _, scene_id = served
+        wire = request_to_wire(make_request(scene_id))
+        profile = wire["profile"]
+        if bad == "duplicate":
+            start, end = profile["offsets"][0], profile["offsets"][1]
+            assert end - start >= 2, "first bidder needs two bids"
+            profile["masks"][start + 1] = profile["masks"][start]
+        else:
+            profile[field][0] = bad
+        status, payload = http_request(server, "POST", "/v1/solve", wire)
+        assert status == 400
+        assert payload["error_code"] == "bad-request"
+
+    def test_version_1_and_additive_payloads_are_400(self, served):
+        server, _, scene_id = served
+        wire = request_to_wire(make_request(scene_id))
+        wire["schema_version"] = 1
+        status, payload = http_request(server, "POST", "/v1/solve", wire)
+        assert status == 400 and "schema_version" in payload["message"]
+        # the additive family has no columnar form: nothing to decode
+        wire = request_to_wire(make_request(scene_id))
+        wire["profile"] = [{"type": "additive", "per_channel": [1.0] * K}] * N
+        status, payload = http_request(server, "POST", "/v1/solve", wire)
+        assert status == 400
+        assert payload["error_code"] == "bad-request"
+
     def test_truthful_mode_is_not_wire_servable(self, served):
         server, _, scene_id = served
         status, payload = http_request(

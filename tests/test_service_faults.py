@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from repro.service import FAULT_SITES, FaultPlan, FaultSpec
-from repro.service.faults import legacy_crash_fires
 
 
 def crash_spec(**overrides):
@@ -183,20 +182,12 @@ class TestFaultPlanSerialization:
         assert "seed=11" in repr(plan)
 
 
-class TestLegacyCrashShim:
-    """Deprecation pin: the PR 6 ``metadata["_crash_worker"]`` hook keeps
-    working through the shim until a major version drops it."""
+class TestLegacyCrashShimRemoved:
+    """The old ``metadata["_crash_worker"]`` hook served its deprecation
+    cycle; the shim must no longer exist (crash faults are FaultPlans)."""
 
-    class _Req:
-        def __init__(self, metadata):
-            self.metadata = metadata
+    def test_shim_is_gone(self):
+        import repro.service.faults as faults
 
-    def test_generation_and_always_flags(self):
-        hit = [self._Req({"_crash_worker": 1})]
-        assert not legacy_crash_fires(hit, generation=0)
-        assert legacy_crash_fires(hit, generation=1)
-        assert legacy_crash_fires([self._Req({"_crash_worker": "always"})], 7)
-
-    def test_absent_metadata_never_fires(self):
-        assert not legacy_crash_fires([self._Req({})], generation=0)
-        assert not legacy_crash_fires([], generation=0)
+        assert not hasattr(faults, "legacy_crash_fires")
+        assert "legacy_crash_fires" not in faults.__all__

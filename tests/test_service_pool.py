@@ -89,6 +89,33 @@ class TestPlacementInvariance:
         assert [r.welfare for r in expected] == [r.welfare for r in got_pool]
         assert all(r.feasible for r in got_pool)
 
+    @pytest.mark.parametrize(
+        "repeat_fraction", [0.0, 1.0], ids=["distinct", "renewal"]
+    )
+    def test_serial_lists_and_pool_profiles_bit_identical(self, scene, repeat_fraction):
+        """The serial queueless path solves the caller's valuation lists;
+        the pool path converts each request to a columnar Profile on
+        submit, pickles the arrays and enumerates columns from them.  On a
+        distinct trace and a renewal (profile_key) trace both must agree
+        bit for bit."""
+        from repro.valuations.profile import Profile
+
+        serial = make_service(scene, executor="serial", num_shards=1)
+        trace = make_trace(
+            serial, num_requests=10, seed=78, repeat_fraction=repeat_fraction
+        )
+        assert not any(isinstance(item.request.valuations, Profile) for item in trace)
+        if repeat_fraction:
+            assert all(item.request.profile_key is not None for item in trace)
+        expected = serial.solve_batch([item.request for item in trace])
+        serial.close()
+        pooled = make_service(scene, executor="process", num_shards=2)
+        got = drive(pooled, trace)
+        assert [r.allocation for r in got] == [r.allocation for r in expected]
+        assert [r.welfare for r in got] == [r.welfare for r in expected]
+        assert [r.lp_value for r in got] == [r.lp_value for r in expected]
+        assert all(r.feasible for r in got)
+
     def test_primal_band_bit_identical_across_pool(self):
         """Placement invariance on the primal-simplex band of the LP
         policy: each request solves a 3500-row LP, and the serial service
@@ -161,25 +188,23 @@ class TestCrashRecovery:
         assert service.metrics.counts()["failed"] == 0
         reference.close()
 
-    def test_legacy_crash_worker_metadata_shim(self, scene):
-        """Deprecation pin: the PR 6 ``metadata["_crash_worker"]`` hook
-        still kills the named incarnation (via the faults-module shim)
-        until a major version removes it — new code uses FaultPlan."""
-        service = make_service(
-            scene,
-            num_shards=1,
-            coalesce_window=0.0,
-            pool_config={"respawn_backoff": 0.01},
-        )
+    def test_crash_worker_metadata_is_inert(self, scene):
+        """The old ``metadata["_crash_worker"]`` hook and its shim are
+        gone: the key is plain metadata now and crashes nothing — crash
+        faults come from a FaultPlan only."""
+        import repro.service.faults as faults
+
+        assert not hasattr(faults, "legacy_crash_fires")
+        service = make_service(scene, num_shards=1, coalesce_window=0.0)
         [scene_id] = service.registry.ids()
         vals = random_xor_valuations(N, K, seed=5)
-        crashing = AuctionRequest(
+        flagged = AuctionRequest(
             scene_id, K, vals, seed=9, metadata={"_crash_worker": 0}
         )
-        assert service.submit(crashing).result(timeout=180).feasible
+        assert service.submit(flagged).result(timeout=180).feasible
         stats = service._pool.stats()
-        assert stats["restarts"] == 1
-        assert stats["retried_batches"] == 1
+        assert stats["restarts"] == 0
+        assert stats["retried_batches"] == 0
         assert service.close(timeout=180)
 
     def test_killed_idle_worker_recovers_on_next_batch(self, scene):

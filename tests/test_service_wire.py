@@ -31,7 +31,9 @@ from repro.service.wire import (
     request_from_wire,
     request_to_wire,
 )
+from repro.valuations.additive import AdditiveValuation
 from repro.valuations.explicit import XORValuation
+from repro.valuations.profile import Profile
 
 
 def make_valuations():
@@ -128,8 +130,8 @@ class TestRequestRoundTrip:
         wire = {
             "schema_version": SCHEMA_VERSION,
             "scene_id": "b" * 16,
-            "k": 2,
-            "valuations": [encode_valuation(make_valuations()[0])],
+            "k": 3,
+            "profile": Profile.of(make_valuations()[:1]).to_wire(),
         }
         decoded = request_from_wire(wire)
         assert decoded.seed is None
@@ -157,6 +159,95 @@ class TestRequestRoundTrip:
         assert request_from_wire(wire).idempotency_key == "renewal:42:7"
 
 
+class TestColumnarRequests:
+    """Schema v2: the valuations cross as one columnar profile."""
+
+    def test_profile_is_four_flat_arrays_in_bid_order(self):
+        wire = request_to_wire(make_request())
+        assert "valuations" not in wire
+        assert wire["profile"] == {
+            "kinds": [0, 0],
+            "offsets": [0, 3, 5],
+            "masks": [0b101, 0b010, 0b001, 0b110, 0b011],
+            "values": [5.0, 3.5, 1.25, 7.0, 2.0],
+        }
+        decoded = request_from_wire(json.loads(json.dumps(wire)))
+        assert isinstance(decoded.valuations, Profile)
+        assert decoded.valuations == Profile.of(make_valuations())
+
+    def test_version_1_payload_is_rejected_loudly(self):
+        wire = {
+            "schema_version": 1,
+            "scene_id": "b" * 16,
+            "k": 3,
+            "valuations": [encode_valuation(v) for v in make_valuations()],
+        }
+        with pytest.raises(ValueError, match="schema_version 1"):
+            request_from_wire(wire)
+
+    def test_additive_valuations_are_in_process_only(self):
+        request = make_request(valuations=[AdditiveValuation(np.ones(3))])
+        with pytest.raises(TypeError, match="AdditiveValuation"):
+            request_to_wire(request)
+        with pytest.raises(TypeError):
+            default_idempotency_key(make_request(
+                profile_key=None, valuations=[AdditiveValuation(np.ones(3))]
+            ))
+
+    @pytest.mark.parametrize(
+        "field, index, bad, match",
+        [
+            ("values", 0, float("nan"), "finite"),
+            ("values", 1, float("inf"), "finite"),
+            ("values", 2, float("-inf"), "finite"),
+            ("values", 0, -1.0, "non-negative"),
+            ("masks", 0, 0b1000, "masks"),
+            ("masks", 0, -1, "masks"),
+            ("masks", 1, 0, "empty bundle"),
+            ("masks", 1, 0b101, "same bundle twice"),
+        ],
+        ids=[
+            "nan", "inf", "-inf", "negative", "mask-out-of-range",
+            "negative-mask", "nonzero-empty-bundle", "duplicate-bundle",
+        ],
+    )
+    def test_invalid_profiles_are_rejected(self, field, index, bad, match):
+        wire = request_to_wire(make_request())
+        wire["profile"][field][index] = bad
+        with pytest.raises(ValueError, match=match):
+            request_from_wire(wire)
+
+    def test_zero_valued_empty_bundle_is_dropped(self):
+        wire = request_to_wire(make_request())
+        profile = wire["profile"]
+        profile["masks"].insert(1, 0)
+        profile["values"].insert(1, 0.0)
+        profile["offsets"] = [0, 4, 6]
+        decoded = request_from_wire(wire)
+        assert decoded.valuations == Profile.of(make_valuations())
+
+    @pytest.mark.parametrize(
+        "profile, match",
+        [
+            ({"kinds": [3], "offsets": [0, 1], "masks": [1], "values": [1.0]}, "kinds"),
+            ({"kinds": [2], "offsets": [0, 2], "masks": [1, 2], "values": [1.0, 2.0]},
+             "exactly one"),
+            ({"kinds": [0], "offsets": [0, 2], "masks": [1], "values": [1.0]}, "offsets"),
+            ({"kinds": [0], "offsets": [0, 1], "masks": [1.5], "values": [1.0]}, "integers"),
+            ({"kinds": [0], "offsets": [0, 1], "masks": [1], "values": ["1"]}, "numbers"),
+            ({"kinds": [0], "offsets": [0, 1], "masks": [1], "values": [1.0, 2.0]},
+             "differ"),
+        ],
+        ids=["kind", "single-minded-two-bids", "offsets", "float-mask", "string-value",
+             "length"],
+    )
+    def test_malformed_layouts_are_rejected(self, profile, match):
+        wire = {"schema_version": SCHEMA_VERSION, "scene_id": "b" * 16, "k": 3,
+                "profile": profile}
+        with pytest.raises(ValueError, match=match):
+            request_from_wire(wire)
+
+
 class TestIdempotencyKeyDerivation:
     def test_deterministic_across_calls_and_instances(self):
         assert default_idempotency_key(make_request()) == default_idempotency_key(
@@ -176,6 +267,16 @@ class TestIdempotencyKeyDerivation:
         assert (
             default_idempotency_key(make_request(metadata={"trace": "x"})) == base
         )
+
+    def test_key_is_the_same_for_lists_and_profiles(self):
+        as_list = make_request(profile_key=None)
+        as_profile = make_request(
+            profile_key=None, valuations=Profile.of(make_valuations())
+        )
+        decoded = request_from_wire(request_to_wire(as_list))
+        key = default_idempotency_key(as_list)
+        assert default_idempotency_key(as_profile) == key
+        assert default_idempotency_key(decoded) == key
 
     def test_profileless_requests_fold_in_the_valuations(self):
         """Two one-off profiles sharing a seed must not collide."""
