@@ -30,9 +30,12 @@ pinned 1.2x: at n=1000 the mode ``choose_solver`` picks must run within
 1.2x of the fastest mode measured (the baseline records 1.0, the pick
 being the fastest).  The pool smoke's IPC bytes sent per request is a
 size, not a time: lower is better, it does not depend on the host, and
-it carries its own pinned 1.25x.  Absolute wall-clock metrics depend on the host,
-so they get a looser default (``--time-tolerance``, 2.5x) that still
-catches order-of-magnitude rot.  Chaos-invariant metrics (completion
+it carries its own pinned 1.25x.  The kept-row count of the n=1000 metro
+LP (the rows that can bind, which is all any solve runs) is a count from
+a deterministic rule: lower is better and it carries a pinned 1.0x, so
+losing the row pruning fails the gate.  Absolute wall-clock metrics
+depend on the host, so they get a looser default (``--time-tolerance``,
+2.5x) that still catches order-of-magnitude rot.  Chaos-invariant metrics (completion
 rate under the seeded crash storm, invariant verdicts, the
 overload-shed criterion — all from BENCH_chaos.json) are exact booleans
 and rates: they carry a per-check tolerance of 1.0x, so *any* drop from
@@ -71,6 +74,9 @@ BASELINE_FILES = {
 SPEEDUP_TOLERANCE = 1.5
 SECONDS_TOLERANCE = 2.5
 IPC_BYTES_TOLERANCE = 1.25
+LP_ROWS_TOLERANCE = 1.0
+# check kinds whose slowdown is measured / baseline (best-of is the min)
+LOWER_IS_BETTER = ("seconds", "bytes", "count")
 
 
 def _lookup(data: dict, path: str) -> float:
@@ -95,6 +101,7 @@ class Check:
     # from the baseline fails).
     # "bytes": a payload size (lower is better); host-independent, so it
     # carries a pinned per-check tolerance instead of a CLI default.
+    # "count": a deterministic count (lower is better), pinned per check.
     kind: str
     # optional dotted path (same family) that must hold the *same* value in
     # baseline and measurement for the comparison to mean anything — the
@@ -110,7 +117,7 @@ class Check:
         return f"{self.source}:{self.path}"
 
     def slowdown(self, baseline: float, measured: float) -> float:
-        if self.kind in ("seconds", "bytes"):
+        if self.kind in LOWER_IS_BETTER:
             return measured / baseline if baseline > 0 else float("inf")
         return baseline / measured if measured > 0 else float("inf")
 
@@ -177,6 +184,9 @@ CHECKS = [
     # both measured on this machine, so the pin is tight and no CLI flag
     # loosens it
     Check("lp", "policy_n1000.fastest_over_chosen", "speedup", tol=1.2),
+    # LP rows: the n=1000 metro LP keeps only the rows that can bind; the
+    # count is deterministic, so any increase fails and no flag loosens it
+    Check("lp", "policy_n1000.kept_rows", "count", tol=LP_ROWS_TOLERANCE),
 ]
 
 
@@ -203,7 +213,7 @@ def measure(repeats: int = 2) -> dict:
 
     def best(values: list[dict], path: str, kind: str) -> float:
         picked = [_lookup(v, path) for v in values]
-        return min(picked) if kind in ("seconds", "bytes") else max(picked)
+        return min(picked) if kind in LOWER_IS_BETTER else max(picked)
 
     # one warm pass so imports/HiGHS setup are not billed to the first repeat
     bench_engine.bench_repeat_solves(unique=2, repeats=2, n=12, k=2)

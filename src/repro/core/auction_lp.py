@@ -9,6 +9,14 @@ bundle ``T``.  Rows:
   vertices (LP 4b);
 * one row per vertex: Σ_T x_{v,T} ≤ 1 (LP 1c/4c).
 
+:meth:`AuctionLP.build` returns exactly these rows.  Solves use only the
+rows that can bind (:func:`binding_rows`): the vertex rows cap each
+bidder's total mass at 1, so packing row (v, j) can never be violated
+when the κ(u, v) of the distinct vertices u holding a column on channel
+j sum to at most ρ.  Dropping such a row leaves the feasible set, and so
+the optimum, unchanged; :func:`scatter_duals` puts the solved duals back
+on the full row set, with zeros on the dropped rows.
+
 The builder enumerates columns from each valuation's finite support (or all
 bundles when k is small); bidders available only through demand oracles are
 handled by :mod:`repro.core.column_generation`, which grows the column set
@@ -31,7 +39,9 @@ __all__ = [
     "AuctionLP",
     "AuctionLPSolution",
     "allocation_to_lp_vector",
+    "binding_rows",
     "iter_default_columns",
+    "scatter_duals",
 ]
 
 
@@ -58,6 +68,53 @@ def iter_default_columns(problem: AuctionProblem, enumeration_limit: int = 2048)
         for bundle, value in items:
             if bundle and value > 0:
                 yield v, frozenset(bundle), float(value)
+
+
+def binding_rows(
+    kappa_ptr: np.ndarray,
+    kappa_idx: np.ndarray,
+    kappa_val: np.ndarray,
+    col_vertex: np.ndarray,
+    chan_mask: np.ndarray,
+    rho: float,
+) -> np.ndarray:
+    """Indices of the rows of LP (1)/(4) that can bind for a column set.
+
+    ``(kappa_ptr, kappa_idx, kappa_val)`` is κ in CSR form: row ``u``
+    lists the later vertices ``v`` that ``u`` interferes with and the
+    coefficient κ(u, v) it puts in packing row ``(v, j)``.  ``col_vertex``
+    and the ``(m, k)`` bool ``chan_mask`` give each column's vertex and
+    bundle.  Packing row ``v·k + j`` is kept iff the κ(u, v) of the
+    distinct vertices ``u`` owning a column with ``j ∈ T`` sum to more than
+    ``rho``: the vertex rows bound each bidder's mass on channel j by 1,
+    so a row whose worst-case load is at most ``rho`` is implied.  The
+    ``n`` vertex rows are always kept.  The rule reads the column set
+    only, never the values, and the load sums run in one fixed order
+    (κ's CSR order), so every caller with the same columns keeps the
+    same rows.  The engine and the reference both call this.
+    """
+    n = kappa_ptr.size - 1
+    k = chan_mask.shape[1]
+    owns = np.zeros(n * k, dtype=bool)
+    col, chan = np.nonzero(chan_mask)
+    owns[col_vertex[col] * k + chan] = True
+    owner = np.repeat(np.arange(n), np.diff(kappa_ptr))
+    target = (kappa_idx[:, None] * k + np.arange(k)).ravel()
+    weight = (kappa_val[:, None] * owns.reshape(n, k)[owner]).ravel()
+    load = np.bincount(target, weights=weight, minlength=n * k)
+    return np.concatenate([np.flatnonzero(load > rho), n * k + np.arange(n)])
+
+
+def scatter_duals(
+    duals: np.ndarray, rows: np.ndarray, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Duals of the kept ``rows`` back on the full row set, as ``(y, z)``
+    of shapes ``(n, k)`` and ``(n,)``; dropped rows get 0.  Dropped rows
+    are slack at every feasible point, so the scattered vector is an
+    optimal dual of the full LP with the same objective."""
+    full = np.zeros(n * k + n)
+    full[rows] = duals
+    return full[: n * k].reshape(n, k), full[n * k :]
 
 
 @dataclass(frozen=True)
@@ -103,6 +160,7 @@ class AuctionLP:
         self.problem = problem
         self.columns: list[Column] = []
         self._column_keys: set[tuple[int, frozenset[int]]] = set()
+        self._kappa: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if columns is None:
             columns = self.default_columns(problem)
         for col in columns:
@@ -180,18 +238,46 @@ class AuctionLP:
         c = np.array([col.value for col in self.columns])
         return a, b, c
 
+    def _kappa_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """κ as CSR arrays (row u: affected later vertices, coefficients)."""
+        if self._kappa is None:
+            parts = [self._interference_coefficients(u) for u in range(self.problem.n)]
+            ptr = np.zeros(self.problem.n + 1, dtype=np.intp)
+            np.cumsum([p[0].size for p in parts], out=ptr[1:])
+            idx = np.concatenate([p[0] for p in parts]).astype(np.intp)
+            val = np.concatenate([p[1] for p in parts]).astype(float)
+            self._kappa = (ptr, idx, val)
+        return self._kappa
+
+    def binding_rows(self) -> np.ndarray:
+        """The rows of :meth:`build` that can bind for the current columns
+        (:func:`binding_rows`); recomputed on every call, since adding a
+        column can bring a row back."""
+        chan_mask = np.zeros((len(self.columns), self.problem.k), dtype=bool)
+        for ci, col in enumerate(self.columns):
+            chan_mask[ci, list(col.bundle)] = True
+        verts = np.fromiter(
+            (col.vertex for col in self.columns), dtype=np.intp, count=len(self.columns)
+        )
+        return binding_rows(*self._kappa_csr(), verts, chan_mask, float(self.problem.rho))
+
+    def build_binding(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`build` restricted to :meth:`binding_rows` — the LP every
+        solve runs — plus the kept row indices."""
+        a, b, c = self.build()
+        rows = self.binding_rows()
+        return a[rows], b[rows], c, rows
+
     def solve(self) -> AuctionLPSolution:
-        """Solve the LP over the current columns."""
+        """Solve the LP over the current columns (on the rows that can bind)."""
+        n, k = self.problem.n, self.problem.k
         if not self.columns:
-            n, k = self.problem.n, self.problem.k
             return AuctionLPSolution(
                 columns=[], x=np.zeros(0), value=0.0, y=np.zeros((n, k)), z=np.zeros(n)
             )
-        a, b, c = self.build()
+        a, b, c, rows = self.build_binding()
         sol: LPSolution = solve_packing_lp(c, a, b)
-        n, k = self.problem.n, self.problem.k
-        y = sol.duals[: n * k].reshape(n, k)
-        z = sol.duals[n * k :]
+        y, z = scatter_duals(sol.duals, rows, n, k)
         return AuctionLPSolution(
             columns=list(self.columns), x=sol.x, value=sol.value, y=y, z=z
         )

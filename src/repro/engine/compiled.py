@@ -13,7 +13,9 @@ into two cacheable layers:
   cache.
 * :class:`CompiledAuction` — the per-problem layer: LP columns flattened
   into bundle/channel incidence arrays, the vectorized ``(A, b, c)``
-  assembly, and the cached LP solution.  The rich
+  assembly restricted to the rows that can bind
+  (:func:`~repro.core.auction_lp.binding_rows`, shared with the
+  reference), and the cached LP solution.  The rich
   :class:`~repro.core.auction_lp.Column` objects and
   :class:`AuctionLPSolution` are materialized lazily — the engine's own
   solve path runs entirely on the arrays.
@@ -37,7 +39,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.auction import AuctionProblem
-from repro.core.auction_lp import AuctionLPSolution, Column, iter_default_columns
+from repro.core.auction_lp import (
+    AuctionLPSolution,
+    Column,
+    binding_rows,
+    iter_default_columns,
+    scatter_duals,
+)
 from repro.core.conflict_resolution import make_fully_feasible
 from repro.core.derandomize import derandomize_rounding
 from repro.core.result import SolverResult
@@ -280,6 +288,7 @@ class CompiledAuction:
         else:
             self._columns = list(columns)
             self._cols = self._flatten_columns(self._columns, self.k)
+        self._rows: np.ndarray | None = None
         self._csc: sp.csc_matrix | None = None
         self._b: np.ndarray | None = None
         self._c: np.ndarray | None = None
@@ -402,18 +411,43 @@ class CompiledAuction:
     # LP assembly + solve
     # ------------------------------------------------------------------
     def build(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """Assembled ``(A, b, c)`` of LP (1)/(4); equals ``AuctionLP.build``."""
-        a_csc, b, c = self._build_csc()
+        """The paper's full ``(A, b, c)`` of LP (1)/(4), every row;
+        equals ``AuctionLP.build``.  Solves run on :meth:`matrices_csc`."""
+        with self._lock:
+            if self._matrices is not None:
+                return self._matrices
+        a, b, c = self._assemble()
         with self._lock:
             if self._matrices is None:
-                self._matrices = (a_csc.tocsr(), b, c)
+                self._matrices = (a.tocsr(), b, c)
             return self._matrices
 
+    def binding_rows(self) -> np.ndarray:
+        """Indices of the rows of :meth:`build` that can bind for this
+        column set (:func:`~repro.core.auction_lp.binding_rows`)."""
+        with self._lock:
+            if self._rows is not None:
+                return self._rows
+        cs, cols = self.structure, self.cols
+        rows = binding_rows(
+            cs.affected_off,
+            cs.affected_flat,
+            cs.coeff_flat,
+            cols.vertex,
+            cols.chan_mask,
+            cs.rho,
+        )
+        with self._lock:
+            if self._rows is None:
+                self._rows = rows
+            return self._rows
+
     def matrices_csc(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-        """The cached column-major ``(A, b, c)`` — the form the persistent
-        HiGHS backend ingests without a conversion copy.  Re-solve loops
-        that only mutate the objective (Lavi–Swamy pricing, VCG
-        externality probes) hold onto these arrays for the model's
+        """The cached column-major ``(A, b, c)`` on :meth:`binding_rows` —
+        the LP every solve of this instance runs, in the form the
+        persistent HiGHS backend ingests without a conversion copy.
+        Re-solve loops that only mutate the objective (Lavi–Swamy pricing,
+        VCG externality probes) hold onto these arrays for the model's
         lifetime."""
         return self._build_csc()
 
@@ -421,13 +455,15 @@ class CompiledAuction:
         with self._lock:
             if self._csc is not None:
                 return self._csc, self._b, self._c
-        a, b, c = self._assemble()
+        a, b, c = self._assemble(self.binding_rows())
         with self._lock:
             if self._csc is None:
                 self._csc, self._b, self._c = a, b, c
             return self._csc, self._b, self._c
 
-    def _assemble(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    def _assemble(
+        self, rows: np.ndarray | None = None
+    ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
         """Vectorized CSC assembly over the precompiled interference lists.
 
         Column ``ci`` (vertex ``u``, bundle ``T``) holds entry ``κ(u, v)``
@@ -436,15 +472,19 @@ class CompiledAuction:
         lists with the column's channel incidence — plus a 1 in its
         one-bundle-per-vertex row ``n·k + u``.  Affected lists and channel
         lists are ascending, so each CSC column comes out sorted and the
-        matrix is canonical without a sort pass.
+        matrix is canonical without a sort pass.  ``rows`` (ascending)
+        keeps only those rows, renumbered in order; the entries of the
+        other rows are dropped, which keeps every column sorted.
         """
         n, k = self.structure.n, self.k
         cs = self.structure
         cols = self.cols
         m = cols.vertex.size
         b = np.concatenate([np.full(n * k, cs.rho), np.ones(n)])
+        if rows is not None:
+            b = b[rows]
         if m == 0:
-            return sp.csc_matrix((n * k + n, 0)), b, cols.value.copy()
+            return sp.csc_matrix((b.size, 0)), b, cols.value.copy()
         deg = cs.affected_deg[cols.vertex]
         ch_counts = cols.ch_counts
         pack_cnt = deg * ch_counts
@@ -469,7 +509,15 @@ class CompiledAuction:
         vertex_pos = indptr[1:] - 1
         indices[vertex_pos] = n * k + cols.vertex
         data[vertex_pos] = 1.0
-        a = sp.csc_matrix((data, indices, indptr), shape=(n * k + n, m))
+        if rows is not None:
+            renumber = np.full(n * k + n, -1, dtype=np.int32)
+            renumber[rows] = np.arange(rows.size, dtype=np.int32)
+            indices = renumber[indices]
+            kept = np.flatnonzero(indices >= 0)
+            # a column's new start: the kept entries before its old start
+            indptr = np.searchsorted(kept, indptr).astype(np.int32)
+            indices, data = indices[kept], data[kept]
+        a = sp.csc_matrix((data, indices, indptr), shape=(b.size, m))
         a.has_sorted_indices = True
         return a, b, cols.value.copy()
 
@@ -495,9 +543,8 @@ class CompiledAuction:
             a, b, c = self._build_csc()
             warm_key = (id(self.structure), n, self.k) if warm_start else None
             sol = solve_packing_lp_fast(c, a, b, warm_key=warm_key, solver=solver)
-            raw = _RawLP(
-                sol.x, sol.value, sol.duals[: n * k].reshape(n, k), sol.duals[n * k :]
-            )
+            y, z = scatter_duals(sol.duals, self.binding_rows(), n, k)
+            raw = _RawLP(sol.x, sol.value, y, z)
         with self._lock:
             if self._raw is None:
                 self._raw = raw

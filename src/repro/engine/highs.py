@@ -13,8 +13,10 @@ Which HiGHS algorithm runs is the ``solver="auto"`` policy
 (:func:`choose_solver`), measured on metro LPs in BENCH_lp.json: the
 seed's dual simplex below :data:`IPM_MIN_ROWS` rows (bit-identical to the
 seed), primal simplex up to :data:`PRIMAL_MAX_ROWS`, IPM with crossover
-above.  The two upper bands are not pinned to the seed's vertex, so each of
-their solves is checked against HiGHS's own infeasibility report.
+above.  The row count is that of the LP as solved: callers pass the rows
+that can bind (``CompiledAuction.matrices_csc``).  The two upper bands are
+not pinned to the seed's vertex, so each of their solves is checked
+against HiGHS's own infeasibility report.
 
 On top of the persistent instance sits an opt-in **warm-start** path for
 re-solve sequences (``warm_key``): when consecutive solves under the same
@@ -68,16 +70,20 @@ __all__ = [
 # return an optimal *basic* solution.
 SOLVER_MODES = ("simplex", "primal", "ipm")
 
-# The "auto" policy's band edges, in LP rows, read off BENCH_lp.json
-# (metro disk, k=6, rows = 7n; benchmarks/bench_lp_policy.py).  Below
-# IPM_MIN_ROWS every LP keeps the seed-parity simplex path — the name dates
-# from the two-band rule, when IPM took over here.  From there up to
-# PRIMAL_MAX_ROWS primal simplex wins: a packing LP's slack basis is primal
-# feasible, and primal beats IPM + crossover 1.5-2x from 3500 to 17500
-# rows.  The two tie near 21000 rows (n=3000); above it IPM's near-linear
-# growth wins.
-IPM_MIN_ROWS = 3000
-PRIMAL_MAX_ROWS = 21000
+# The "auto" policy's band edges, in the rows an LP is solved with — the
+# rows that can bind (CompiledAuction.matrices_csc; a metro k=6 LP keeps
+# about half of its 7n rows) — read off BENCH_lp.json
+# (benchmarks/bench_lp_policy.py).  Below IPM_MIN_ROWS every LP keeps the
+# seed-parity dual simplex; the edge sits where IPM starts to beat dual
+# simplex (n=300, 1106 rows, to n=400, 1562 rows), as in the two-band rule
+# that named it.  From there up to PRIMAL_MAX_ROWS primal simplex wins: a
+# packing LP's slack basis is primal feasible, so primal starts at a
+# vertex.  The two tie at n=3000 (11.8k rows), and IPM's near-linear
+# growth wins above it.  Every mode runs with HiGHS presolve on: the
+# grid also times "off", which across repeated grid runs was not faster
+# at every point of either fast band (DESIGN.md, LP policy).
+IPM_MIN_ROWS = 1500
+PRIMAL_MAX_ROWS = 11000
 
 # Optimality evidence on the non-parity bands: the unscaled model's
 # largest primal/dual infeasibility after a solve must stay within this.
@@ -116,21 +122,32 @@ def highs_core() -> Any:
     return _hcore
 
 
-def new_highs_instance() -> Any:
-    """A dedicated ``Highs`` instance with the engine's standard options
-    (silent, single-threaded), or ``None`` when the bindings are missing.
+def new_highs_instance(solver: str = "simplex") -> Any:
+    """A dedicated ``Highs`` instance with the engine's options for one of
+    :data:`SOLVER_MODES` (silent, single-threaded), or ``None`` when the
+    bindings are missing.
 
     Unlike :func:`solve_packing_lp_fast`'s per-thread instance, a dedicated
     instance owns its loaded model for its whole lifetime — the shape the
     incremental-column master and the cost-mutating VCG loop need, without
-    clobbering the shared warm-start state.
+    clobbering the shared warm-start state.  The default ``"simplex"`` runs
+    HiGHS's own defaults, the seed pipeline's ``linprog`` path.
     """
     if _hcore is None:
         return None
     highs = _hcore._Highs()
     options = _hcore.HighsOptions()
     options.output_flag = False
+    # single-threaded: the small LPs sit far below HiGHS's parallel
+    # thresholds, so the only effect of the default is per-run
+    # thread-pool setup; the solve path (and the solution) is unchanged
     options.threads = 1
+    if solver == "primal":
+        options.simplex_strategy = 4  # primal; default pricing
+    elif solver == "ipm":
+        options.solver = "ipm"  # crossover stays on: basic solutions
+    elif solver != "simplex":
+        raise ValueError(f"solver must be one of {SOLVER_MODES}, got {solver!r}")
     highs.passOptions(options)
     return highs
 
@@ -197,19 +214,7 @@ def _thread_highs(solver: str) -> Any:
     instances = _thread_state()
     highs = instances.get(solver)
     if highs is None:
-        highs = _hcore._Highs()
-        options = _hcore.HighsOptions()
-        options.output_flag = False
-        # single-threaded: the small LPs sit far below HiGHS's parallel
-        # thresholds, so the only effect of the default is per-run
-        # thread-pool setup; the solve path (and the solution) is unchanged
-        options.threads = 1
-        if solver == "primal":
-            options.simplex_strategy = 4  # primal; default pricing
-        elif solver == "ipm":
-            options.solver = "ipm"  # crossover stays on: basic solutions
-        highs.passOptions(options)
-        instances[solver] = highs
+        highs = instances[solver] = new_highs_instance(solver)
     return highs
 
 

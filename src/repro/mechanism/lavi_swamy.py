@@ -60,7 +60,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from repro.core.auction import Allocation, AuctionProblem
-from repro.core.auction_lp import AuctionLP, AuctionLPSolution, Column
+from repro.core.auction_lp import AuctionLP, AuctionLPSolution, Column, scatter_duals
 from repro.core.conflict_resolution import make_fully_feasible
 from repro.core.derandomize import derandomize_rounding
 from repro.util.rng import ensure_rng
@@ -182,25 +182,19 @@ def _integral_allocation_for(
     lp: AuctionLP,
     objective: np.ndarray,
 ) -> Allocation:
-    """The reference pricing oracle: rebuild LP (1)/(4) and cold-solve it
-    under the adjusted valuations `objective` (one value per LP column)."""
-    a, b, _ = lp.build()
+    """The reference pricing oracle: rebuild LP (1)/(4) on its binding
+    rows and cold-solve it under the adjusted valuations `objective` (one
+    value per LP column)."""
+    a, b, _, rows = lp.build_binding()
     from repro.core.lp import solve_packing_lp
 
     sol = solve_packing_lp(objective, a, b)
-    n, k = problem.n, problem.k
     adjusted_cols = [
         Column(col.vertex, col.bundle, float(obj))
         for col, obj in zip(lp.columns, objective)
     ]
-    return _round_adjusted(
-        problem,
-        adjusted_cols,
-        sol.x,
-        sol.value,
-        sol.duals[: n * k].reshape(n, k),
-        sol.duals[n * k :],
-    )
+    y, z = scatter_duals(sol.duals, rows, problem.n, problem.k)
+    return _round_adjusted(problem, adjusted_cols, sol.x, sol.value, y, z)
 
 
 class _CompiledPricer:
@@ -209,7 +203,8 @@ class _CompiledPricer:
     The support columns' constraint matrix never changes across pricing
     iterations — only the objective (the master's duals ``w``) does — so
     the matrix is assembled once through :class:`CompiledAuction` (shared
-    structure compilation, vectorized CSC assembly).  With ``warm=True``
+    structure compilation, vectorized CSC assembly, the rows that can
+    bind — the same rows the reference oracle keeps).  With ``warm=True``
     every solve after the first goes through the warm-start path of
     :func:`~repro.engine.highs.solve_packing_lp_fast`: ``changeColsCost``
     on the loaded model plus a previous-basis simplex restart.  With
@@ -235,6 +230,7 @@ class _CompiledPricer:
             columns=columns,
         )
         self._a, self._b, _ = compiled.matrices_csc()
+        self._rows = compiled.binding_rows()
         self._warm_key = ("lavi-swamy-pricing", id(self)) if warm else None
 
     def price(self, objective: np.ndarray) -> Allocation:
@@ -247,19 +243,12 @@ class _CompiledPricer:
             warm_key=self._warm_key,
             solver="simplex",
         )
-        n, k = self._problem.n, self._problem.k
         adjusted_cols = [
             Column(col.vertex, col.bundle, float(obj))
             for col, obj in zip(self._columns, objective)
         ]
-        return _round_adjusted(
-            self._problem,
-            adjusted_cols,
-            sol.x,
-            sol.value,
-            sol.duals[: n * k].reshape(n, k),
-            sol.duals[n * k :],
-        )
+        y, z = scatter_duals(sol.duals, self._rows, self._problem.n, self._problem.k)
+        return _round_adjusted(self._problem, adjusted_cols, sol.x, sol.value, y, z)
 
 
 def _solve_master(

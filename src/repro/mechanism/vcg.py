@@ -24,7 +24,10 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   instead of rebuilding an ``AuctionLP`` and cold-solving ``linprog`` per
   bidder.  Optimal LP *values* are unique, so unlike warm-started
   *pricing* this reuse is safe wherever payments are consumed; the floats
-  can differ from the cold path only within solver tolerance.
+  can differ from the cold path only within solver tolerance.  The model
+  holds only the rows that can bind for the full column set
+  (``CompiledAuction.matrices_csc``); zeroing a bidder's costs removes no
+  column, so those rows stay exactly the ones every probe needs.
 
   Before probing, bidders are screened with the dual bound: dropping v
   keeps ``(y, z without z_v)`` feasible for the reduced dual, so
@@ -34,7 +37,9 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   metro workloads).  ``lp_without`` records the dual upper bound for
   screened bidders.
 * ``method="reference"`` — the seed-era per-bidder rebuild, kept as the
-  benchmark baseline and binding-free fallback.
+  benchmark baseline and binding-free fallback.  Each rebuild solves
+  through :meth:`AuctionLP.solve`, on the rows that can bind for its own
+  column set.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ def _slowed(gate, baselines, factor):
     measured = _as_measured(gate, baselines)
     for chk in gate.CHECKS:
         value = gate._lookup(measured[chk.source], chk.path)
-        worse = value * factor if chk.kind in ("seconds", "bytes") else value / factor
+        worse = value * factor if chk.kind in gate.LOWER_IS_BETTER else value / factor
         gate._assign(measured[chk.source], chk.path, worse)
     return measured
 
@@ -71,11 +71,13 @@ class TestCompare:
 
     def test_slowdown_within_tolerance_passes(self, gate, baselines):
         """1.2x degradation passes the noise-tolerant perf checks — but
-        the exact chaos-rate pins (tol 1.0x) fail on any drop at all."""
+        the exact pins (tol 1.0x: chaos rates, LP kept rows) fail on any
+        drop at all."""
         rows = gate.compare(_slowed(gate, baselines, 1.2), baselines)
         by_kind = {row["kind"]: row["ok"] for row in rows}
-        assert all(row["ok"] for row in rows if row["kind"] != "rate")
+        assert all(row["ok"] for row in rows if row["kind"] not in ("rate", "count"))
         assert by_kind["rate"] is False
+        assert by_kind["count"] is False
 
     def test_speedup_tolerance_tighter_than_time_tolerance(self, gate, baselines):
         rows = gate.compare(_slowed(gate, baselines, 2.0), baselines)
@@ -116,6 +118,22 @@ class TestCompare:
             rows = {row["check"]: row for row in gate.compare(measured, baselines)}
             assert rows[ipc.name]["ok"] is ok, factor
             assert rows[ipc.name]["slowdown"] == pytest.approx(factor)
+
+    def test_lp_kept_rows_pinned_exactly(self, gate, baselines):
+        """The n=1000 metro LP's kept-row count: one more row fails, fewer
+        rows pass, and the pin is 1.0x."""
+        [rows_check] = [chk for chk in gate.CHECKS if chk.kind == "count"]
+        assert rows_check.name == "lp:policy_n1000.kept_rows"
+        assert rows_check.guard is None
+        assert rows_check.tol == gate.LP_ROWS_TOLERANCE == 1.0
+        base = gate._lookup(baselines["lp"], "policy_n1000.kept_rows")
+        full = gate._lookup(baselines["lp"], "policy_n1000.full_rows")
+        assert base < full  # the baseline was recorded with pruning on
+        for got, ok in ((base, True), (base - 50, True), (base + 1, False), (full, False)):
+            measured = _as_measured(gate, baselines)
+            gate._assign(measured["lp"], rows_check.path, got)
+            rows = {row["check"]: row for row in gate.compare(measured, baselines)}
+            assert rows[rows_check.name]["ok"] is ok, got
 
     def test_missing_metric_is_a_failure(self, gate, baselines):
         measured = _as_measured(gate, baselines)
@@ -231,6 +249,18 @@ class TestMainExitCodes:
         measured = _as_measured(gate, baselines)
         base = gate._lookup(baselines[ipc.source], ipc.path)
         gate._assign(measured[ipc.source], ipc.path, base * 1.5)
+        path = self._write(tmp_path, measured)
+        assert (
+            gate.main(
+                ["--measured", path, "--tolerance", "5", "--time-tolerance", "5"]
+            )
+            == 1
+        )
+
+    def test_tolerance_flags_never_loosen_the_lp_rows_pin(self, gate, baselines, tmp_path):
+        measured = _as_measured(gate, baselines)
+        full = gate._lookup(baselines["lp"], "policy_n1000.full_rows")
+        gate._assign(measured["lp"], "policy_n1000.kept_rows", full)
         path = self._write(tmp_path, measured)
         assert (
             gate.main(

@@ -12,6 +12,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.auction import AuctionProblem
+from repro.engine.compiled import CompiledAuction
+from repro.engine.highs import choose_solver
 from repro.experiments.workloads import metro_disk_scene, metro_protocol_scene
 from repro.service import (
     AuctionRequest,
@@ -118,9 +121,10 @@ class TestPlacementInvariance:
 
     def test_primal_band_bit_identical_across_pool(self):
         """Placement invariance on the primal-simplex band of the LP
-        policy: each request solves a 3500-row LP, and the serial service
-        (one reused primal instance) and the pool (fresh instances per
-        worker) must agree bit for bit."""
+        policy: each request's LP has 3500 rows, of which about 1900 can
+        bind and are solved — inside the primal band — and the serial
+        service (one reused primal instance) and the pool (fresh instances
+        per worker) must agree bit for bit."""
         n, k = 500, 6
         big = metro_disk_scene(n, seed=502)
         serial = make_service(big, executor="serial", num_shards=1)
@@ -130,6 +134,9 @@ class TestPlacementInvariance:
             AuctionRequest(scene_id, k, random_xor_valuations(n, k, seed=600 + i), seed=i)
             for i in range(3)
         ]
+        for r in requests:
+            compiled = CompiledAuction(AuctionProblem(big, k, list(r.valuations)))
+            assert choose_solver(*compiled.matrices_csc()[0].shape) == "primal"
         expected = [serial.submit(r).result(timeout=180) for r in requests]
         got = [f.result(timeout=180) for f in [pooled.submit(r) for r in requests]]
         assert serial.cache_stats()["lp_warm_solves"]["primal"] == len(requests)

@@ -27,8 +27,8 @@ pytestmark = pytest.mark.skipif(
 
 
 def test_choose_solver_policy():
-    # three bands on the row count: seed-parity simplex, primal, IPM
-    assert (IPM_MIN_ROWS, PRIMAL_MAX_ROWS) == (3000, 21000)
+    # three bands on the (kept) row count: seed-parity simplex, primal, IPM
+    assert (IPM_MIN_ROWS, PRIMAL_MAX_ROWS) == (1500, 11000)
     assert choose_solver(1, 10) == "simplex"
     assert choose_solver(IPM_MIN_ROWS - 1, 10) == "simplex"
     assert choose_solver(IPM_MIN_ROWS, 10) == "primal"
@@ -41,7 +41,8 @@ def test_choose_solver_policy():
 
 @pytest.fixture(scope="module")
 def metro_lp():
-    """A metro n=500, k=6 LP: 3500 rows, inside the primal band."""
+    """A metro n=500, k=6 LP: 3500 rows, of which 1837 can bind — inside
+    the primal band."""
     a, b, c = CompiledAuction(metro_disk_auction(500, 6, seed=42))._build_csc()
     assert IPM_MIN_ROWS <= a.shape[0] < PRIMAL_MAX_ROWS
     return a, b, c
