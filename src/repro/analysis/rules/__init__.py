@@ -15,7 +15,7 @@ from repro.analysis.rules.determinism import (
     SetIterationRule,
     WallClockRule,
 )
-from repro.analysis.rules.parity import FloatEqRule, KernelMutationRule
+from repro.analysis.rules.parity import FloatEqRule, HighsOwnerRule, KernelMutationRule
 from repro.analysis.rules.robustness import SilentExceptRule, UnboundedRetryRule
 
 __all__ = ["ALL_RULES", "Finding", "Rule", "rule_index"]
@@ -31,6 +31,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ForkResetRule(),
     FloatEqRule(),
     KernelMutationRule(),
+    HighsOwnerRule(),
     SilentExceptRule(),
     UnboundedRetryRule(),
 )

@@ -3,7 +3,8 @@
 Bit-identical parity between the seed pipeline and every fast path is
 the repo's acceptance bar.  Exact float comparisons and hidden in-place
 mutation of kernel inputs are the two ways a "refactor" silently changes
-results.
+results; a HiGHS model driven outside the one owner module is the way a
+solve escapes the status and certificate checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ if TYPE_CHECKING:
     from repro.analysis.config import AnalysisConfig
     from repro.analysis.engine import FileContext
 
-__all__ = ["FloatEqRule", "KernelMutationRule"]
+__all__ = ["FloatEqRule", "HighsOwnerRule", "KernelMutationRule"]
 
 
 class FloatEqRule(Rule):
@@ -228,3 +229,60 @@ class KernelMutationRule(Rule):
                     yield from self._scan(ctx, sub, tainted)
             for handler in getattr(stmt, "handlers", []):
                 yield from self._scan(ctx, handler.body, tainted)
+
+
+class HighsOwnerRule(Rule):
+    rule_id = "highs-owner"
+    family = "parity"
+    invariant = (
+        "only engine/highs.py imports scipy's private HiGHS bindings or the "
+        "raw-instance helpers; every other module solves through ResidentLP "
+        "or solve_packing_lp_fast, so every solve passes one status and "
+        "certificate check"
+    )
+
+    OWNER = "engine/highs.py"
+    _BINDINGS = "scipy.optimize._highspy"
+    _MODULE = "repro.engine.highs"
+    _HELPERS = {"highs_core", "new_highs_instance", "pass_colwise_model"}
+
+    def _is_bindings(self, module: str) -> bool:
+        return module == self._BINDINGS or module.startswith(self._BINDINGS + ".")
+
+    def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
+        if ctx.rel == self.OWNER:
+            return
+        modules = {self._MODULE}  # names bound to repro.engine.highs
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if self._is_bindings(alias.name):
+                        yield self.finding(ctx, node, "imports scipy's private HiGHS bindings")
+                    elif alias.name == self._MODULE and alias.asname:
+                        modules.add(alias.asname)
+            elif isinstance(node, ast.ImportFrom) and node.module is not None:
+                names = {alias.name for alias in node.names}
+                if self._is_bindings(node.module) or (
+                    node.module == "scipy.optimize" and "_highspy" in names
+                ):
+                    yield self.finding(ctx, node, "imports scipy's private HiGHS bindings")
+                elif node.module == self._MODULE and names & self._HELPERS:
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"imports raw HiGHS helper(s) {sorted(names & self._HELPERS)}; "
+                        "use repro.engine.highs.ResidentLP",
+                    )
+                elif node.module == "repro.engine":
+                    modules.update(a.asname or a.name for a in node.names if a.name == "highs")
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in self._HELPERS
+                and dotted_name(node.value) in modules
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"calls raw HiGHS helper '{node.attr}'; use repro.engine.highs.ResidentLP",
+                )

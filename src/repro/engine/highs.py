@@ -1,47 +1,56 @@
-"""Persistent HiGHS backend for the compile-once/solve-many engine.
+"""Persistent HiGHS backend: :class:`ResidentLP` and the engine's solver.
 
 ``scipy.optimize.linprog`` rebuilds a ``Highs`` object, re-parses every
 option string, and re-validates the model on each call — for the small LPs
 of a single auction that overhead is larger than the solve itself.  This
-module keeps one ``Highs`` instance (and one parsed options object) per
-thread and only swaps the model in, which roughly triples LP throughput on
-batch workloads while returning *bit-identical* primal/dual solutions (the
-model and option values passed to HiGHS are the same; the equivalence tests
-pin this against :func:`repro.core.lp.solve_packing_lp`).
+module owns every HiGHS model in the package through one class,
+:class:`ResidentLP`: one ``Highs`` instance with one parsed options object
+and the model loaded into it, mutated in place (``set_costs``,
+``add_cols``) and re-solved from the previous basis.  Its consumers are the
+engine's packing solver below, the VCG probe model, and the Lavi–Swamy
+warm pricer and incremental master.  No other module touches the bindings
+(reprolint's ``highs-owner`` rule).
 
-Which HiGHS algorithm runs is the ``solver="auto"`` policy
+Every :meth:`ResidentLP.solve` raises on a non-optimal status and checks
+HiGHS's own certificate — max primal and dual infeasibility within
+:data:`MAX_INFEASIBILITY` and a valid basis — except on a *cold* dual-
+simplex solve: that is the seed's ``linprog`` path, whose primal/dual
+solutions the equivalence tests pin bit for bit against
+:func:`repro.core.lp.solve_packing_lp`.
+
+:func:`solve_packing_lp_fast` keeps one resident model per thread and per
+solver mode.  Which HiGHS algorithm runs is the ``solver="auto"`` policy
 (:func:`choose_solver`), measured on metro LPs in BENCH_lp.json: the
 seed's dual simplex below :data:`IPM_MIN_ROWS` rows (bit-identical to the
 seed), primal simplex up to :data:`PRIMAL_MAX_ROWS`, IPM with crossover
 above.  The row count is that of the LP as solved: callers pass the rows
-that can bind (``CompiledAuction.matrices_csc``).  The two upper bands are
-not pinned to the seed's vertex, so each of their solves is checked
-against HiGHS's own infeasibility report.
+that can bind (``CompiledAuction.matrices_csc``).
 
-On top of the persistent instance sits an opt-in **warm-start** path for
+On top of the persistent models sits an opt-in **warm-start** path for
 re-solve sequences (``warm_key``): when consecutive solves under the same
 key share the constraint matrix and RHS — auctions compiled on one
 :class:`~repro.engine.compiled.CompiledStructure` with unchanged bundle
 patterns, e.g. re-auctions with updated bids or mechanism misreport probes
-— only the objective is mutated in the loaded model
-(``changeColsCost``) and HiGHS re-solves from the previous optimal basis.
-That skips model ingestion, presolve, and most simplex iterations (2–3x on
-the BENCH_engine re-auction trace).  Warm solves return *an* optimal
-solution with the same objective value, but on degenerate LPs possibly a
-different vertex than a cold solve — which is why the path is opt-in
-(``BatchAuctionEngine(lp_warm_start=True)``) and never used where
-bit-parity with the seed pipeline is pinned.
+— only the objective of the resident model is mutated and HiGHS re-solves
+from the previous optimal basis.  That skips model ingestion, presolve,
+and most simplex iterations (2–3x on the BENCH_engine re-auction trace).
+Warm solves return *an* optimal solution with the same objective value,
+but on degenerate LPs possibly a different vertex than a cold solve —
+which is why the path is opt-in (``BatchAuctionEngine(lp_warm_start=True)``)
+and never used where bit-parity with the seed pipeline is pinned.
 
-The fast path relies on the private ``scipy.optimize._highspy`` bindings
+The backend relies on the private ``scipy.optimize._highspy`` bindings
 that scipy's own ``linprog(method="highs")`` is built on.  When the import
-fails (future scipy reshuffles), everything transparently falls back to
-:func:`repro.core.lp.solve_packing_lp` — slower, never wrong.
+fails (future scipy reshuffles), :func:`solve_packing_lp_fast` falls back
+to :func:`repro.core.lp.solve_packing_lp` — slower, never wrong — and
+constructing a :class:`ResidentLP` raises.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Hashable
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -51,6 +60,8 @@ from repro.core.lp import LPSolution, solve_packing_lp
 from repro.util.mp import register_fork_reset
 
 __all__ = [
+    "ResidentLP",
+    "SolveReport",
     "solve_packing_lp_fast",
     "fast_backend_available",
     "warm_start_stats",
@@ -85,8 +96,8 @@ SOLVER_MODES = ("simplex", "primal", "ipm")
 IPM_MIN_ROWS = 1500
 PRIMAL_MAX_ROWS = 11000
 
-# Optimality evidence on the non-parity bands: the unscaled model's
-# largest primal/dual infeasibility after a solve must stay within this.
+# Optimality evidence for every solve but a cold dual-simplex one: the
+# unscaled model's largest primal/dual infeasibility must stay within this.
 MAX_INFEASIBILITY = 1e-7
 
 # The keys of warm_start_stats(): warm/cold model loads, solves per mode,
@@ -113,28 +124,18 @@ def fast_backend_available() -> bool:
 
 
 def highs_core() -> Any:
-    """The private HiGHS binding module, or ``None`` when unavailable.
-
-    Callers building their own incremental models (the Lavi–Swamy master,
-    the warm-started VCG re-solves) go through this accessor so the import
-    fallback lives in exactly one place.
-    """
+    """The private HiGHS binding module, or ``None`` when unavailable."""
     return _hcore
 
 
 def new_highs_instance(solver: str = "simplex") -> Any:
-    """A dedicated ``Highs`` instance with the engine's options for one of
-    :data:`SOLVER_MODES` (silent, single-threaded), or ``None`` when the
-    bindings are missing.
-
-    Unlike :func:`solve_packing_lp_fast`'s per-thread instance, a dedicated
-    instance owns its loaded model for its whole lifetime — the shape the
-    incremental-column master and the cost-mutating VCG loop need, without
-    clobbering the shared warm-start state.  The default ``"simplex"`` runs
-    HiGHS's own defaults, the seed pipeline's ``linprog`` path.
-    """
+    """A raw ``Highs`` instance with the backend's options for one of
+    :data:`SOLVER_MODES` (silent, single-threaded).  The default
+    ``"simplex"`` runs HiGHS's own defaults, the seed pipeline's
+    ``linprog`` path.  Raises ``RuntimeError`` when the bindings are
+    missing."""
     if _hcore is None:
-        return None
+        raise RuntimeError("scipy's HiGHS bindings are unavailable")
     highs = _hcore._Highs()
     options = _hcore.HighsOptions()
     options.output_flag = False
@@ -163,9 +164,8 @@ def pass_colwise_model(
 ) -> None:
     """Load a column-major LP into ``highs`` (minimization; bounds as given).
 
-    The one place the ``HighsLp`` field-by-field construction lives —
-    shared by the packing solver's cold path, the VCG probe loop, and the
-    decomposition master, so a binding quirk is fixed once for all three.
+    The one place the ``HighsLp`` field-by-field construction lives, so a
+    binding quirk is fixed once for every model.
     """
     m, n = a.shape
     lp = _hcore.HighsLp()
@@ -185,6 +185,120 @@ def pass_colwise_model(
     highs.passModel(lp)
 
 
+@dataclass(frozen=True)
+class SolveReport:
+    """What one :meth:`ResidentLP.solve` did.  ``objective`` is HiGHS's
+    (minimization) objective value; ``warm`` says the solve restarted from
+    the basis of the model's previous solve."""
+
+    mode: str
+    warm: bool
+    simplex_iterations: int
+    ipm_iterations: int
+    max_primal_infeasibility: float
+    max_dual_infeasibility: float
+    basis_valid: bool
+    objective: float
+
+
+class ResidentLP:
+    """One ``Highs`` instance and the model loaded into it.
+
+    :meth:`load` passes a column-major model (minimization over ``x ≥ 0``,
+    row bounds as given); :meth:`set_costs` and :meth:`add_cols` mutate it
+    in place, so the next :meth:`solve` restarts from the previous optimal
+    basis.  The first solve after a load is *cold*, every later one *warm*.
+    ``key`` is the caller's name for the loaded model (the engine's
+    warm-start record); a failed solve clears it, so nothing warm-starts off
+    a failed basis.
+    """
+
+    def __init__(self, mode: str = "simplex") -> None:
+        self.mode = mode
+        self.key: Hashable | None = None
+        self._highs = new_highs_instance(mode)
+        self._solved = False
+
+    def load(
+        self,
+        a: sp.csc_matrix,
+        cost: np.ndarray,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
+        key: Hashable | None = None,
+    ) -> None:
+        """Load ``min cost·x s.t. row_lower ≤ a x ≤ row_upper, x ≥ 0``."""
+        n = a.shape[1]
+        pass_colwise_model(
+            self._highs, a, cost, np.zeros(n), np.full(n, np.inf), row_lower, row_upper
+        )
+        self.key = key
+        self._solved = False
+
+    def set_costs(self, idx: np.ndarray, values: np.ndarray) -> None:
+        """Set the costs of columns ``idx`` (int32) to ``values``."""
+        self._highs.changeColsCost(idx.size, idx, values)
+
+    def add_cols(
+        self, cost: np.ndarray, starts: np.ndarray, indices: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Append columns ``x ≥ 0`` given column-major (int32 ``starts``
+        into ``indices`` / ``values``)."""
+        n = cost.size
+        self._highs.addCols(
+            n, cost, np.zeros(n), np.full(n, np.inf), indices.size, starts, indices, values
+        )
+
+    def solve(self) -> SolveReport:
+        """Run HiGHS on the model.  Raises ``RuntimeError`` on a non-optimal
+        status, and — on every solve but a cold dual-simplex one, the seed's
+        bit-pinned ``linprog`` path — when the certificate fails: max primal
+        or dual infeasibility above :data:`MAX_INFEASIBILITY`, or no valid
+        basis."""
+        highs = self._highs
+        highs.run()
+        info = highs.getInfo()
+        report = SolveReport(
+            mode=self.mode,
+            warm=self._solved,
+            simplex_iterations=info.simplex_iteration_count,
+            ipm_iterations=info.ipm_iteration_count,
+            max_primal_infeasibility=info.max_primal_infeasibility,
+            max_dual_infeasibility=info.max_dual_infeasibility,
+            basis_valid=info.basis_validity == _hcore.kBasisValidityValid,
+            objective=float(info.objective_function_value),
+        )
+        status = highs.getModelStatus()
+        if status != _hcore.HighsModelStatus.kOptimal:
+            self.key = None
+            raise RuntimeError(
+                f"LP solve failed (status {status}): {highs.modelStatusToString(status)}"
+            )
+        if (report.warm or self.mode != "simplex") and not (
+            report.max_primal_infeasibility <= MAX_INFEASIBILITY
+            and report.max_dual_infeasibility <= MAX_INFEASIBILITY
+            and report.basis_valid
+        ):
+            self.key = None
+            raise RuntimeError(
+                f"LP solve ({self.mode}, {'warm' if report.warm else 'cold'}) "
+                "returned no certified optimal basis: max primal infeasibility "
+                f"{report.max_primal_infeasibility:.3g}, max dual infeasibility "
+                f"{report.max_dual_infeasibility:.3g}, basis valid {report.basis_valid}"
+            )
+        self._solved = True
+        return report
+
+    def solution(self) -> tuple[np.ndarray, np.ndarray]:
+        """The last solve's column values and row duals, in HiGHS's
+        (minimization) signs."""
+        solution = self._highs.getSolution()
+        return (
+            np.asarray(solution.col_value, dtype=float),
+            np.asarray(solution.row_dual, dtype=float),
+        )
+
+
 def choose_solver(m: int, n: int) -> str:
     """The ``solver="auto"`` policy, on the LP's row count ``m`` alone:
     simplex below :data:`IPM_MIN_ROWS` (bit-compatible with the seed
@@ -196,26 +310,24 @@ def choose_solver(m: int, n: int) -> str:
     return "primal" if m < PRIMAL_MAX_ROWS else "ipm"
 
 
-def _thread_state() -> dict[str, Any]:
-    """This thread's ``Highs`` instances by mode, creating the thread's
-    backend state (warm-start records, counters, bound arrays) on first use."""
-    instances = getattr(_local, "instances", None)
-    if instances is None:
-        instances = _local.instances = {}
-        _local.loaded = {}  # mode -> (warm_key, a, b) of its loaded model
+def _thread_state() -> dict[str, ResidentLP]:
+    """This thread's resident models by mode, creating the thread's backend
+    state (models, counters) on first use."""
+    models = getattr(_local, "models", None)
+    if models is None:
+        models = _local.models = {}
         _local.stats = dict.fromkeys(LP_COUNTERS, 0)
-        _local.aux = {}
-    return instances
+    return models
 
 
-def _thread_highs(solver: str) -> Any:
-    """One ``Highs`` instance per thread *and solver mode* (HiGHS objects are
+def _thread_model(solver: str) -> ResidentLP:
+    """One resident model per thread *and solver mode* (HiGHS objects are
     not thread-safe, and keeping modes separate avoids option churn)."""
-    instances = _thread_state()
-    highs = instances.get(solver)
-    if highs is None:
-        highs = instances[solver] = new_highs_instance(solver)
-    return highs
+    models = _thread_state()
+    lp = models.get(solver)
+    if lp is None:
+        lp = models[solver] = ResidentLP(solver)
+    return lp
 
 
 def warm_start_stats() -> dict[str, int]:
@@ -226,8 +338,8 @@ def warm_start_stats() -> dict[str, int]:
 
 
 def reset_backend() -> None:
-    """Drop this thread's persistent backend state (instances, loaded
-    warm-start model, counters, cached bound arrays).
+    """Drop this thread's whole backend state (resident models and their
+    warm-start keys, counters).
 
     Process-pool workers call this once at startup: under a fork-based
     start method the child's main thread inherits the forking thread's
@@ -237,29 +349,13 @@ def reset_backend() -> None:
     warm-start a fresh worker off a basis it never computed — a fresh
     process must start cold.
     """
-    for attr in ("instances", "loaded", "stats", "aux"):
-        try:
-            delattr(_local, attr)
-        except AttributeError:
-            pass
+    vars(_local).clear()
 
 
 # every thread-local holding native state must be resettable at worker
 # spawn; repro.util.mp.run_fork_resets(require=...) asserts this hook
 # exists before a pool worker takes its first solve
 register_fork_reset("repro.engine.highs", reset_backend)
-
-
-def _aux_arrays(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (zeros_n, inf_n, neginf_m) bound arrays per dimension pair."""
-    aux = _local.aux
-    hit = aux.get((m, n))
-    if hit is None:
-        hit = (np.zeros(n), np.full(n, np.inf), np.full(m, -np.inf))
-        if len(aux) >= 32:
-            aux.pop(next(iter(aux)))
-        aux[(m, n)] = hit
-    return hit
 
 
 def _same_model(
@@ -300,22 +396,19 @@ def solve_packing_lp_fast(
 
     Same contract as :func:`repro.core.lp.solve_packing_lp` (maximization,
     duals ``y ≥ 0`` of the packing rows); raises ``RuntimeError`` on
-    non-optimal status.
+    non-optimal status or a failed certificate (:meth:`ResidentLP.solve`).
 
     ``solver`` is one of :data:`SOLVER_MODES` or ``"auto"`` (the
     :func:`choose_solver` size policy).  Every mode returns an optimal basic
     solution (IPM runs crossover); small LPs always take simplex, keeping
-    bit-parity with the seed pipeline.  The primal and IPM modes are not
-    vertex-pinned to the seed, so their solves are checked after the run:
-    unscaled primal and dual infeasibilities within
-    :data:`MAX_INFEASIBILITY` and a valid basis, else ``RuntimeError``.
+    bit-parity with the seed pipeline.
 
     ``warm_key`` (hashable, typically the compiled structure's identity plus
-    the LP dimensions) opts into the warm-start path: if the mode's loaded
+    the LP dimensions) opts into the warm-start path: if the mode's resident
     model carries the same key, matrix, and RHS, only the objective is
     mutated and HiGHS starts from the previous basis.  Callers must accept
     any optimal vertex when passing a key (see module docstring).  Warm
-    starts apply to the simplex-family modes, each tracking its own loaded
+    starts apply to the simplex-family modes, each with its own resident
     model (IPM has no basis to reuse).
     """
     if _hcore is None:
@@ -331,52 +424,27 @@ def solve_packing_lp_fast(
     elif solver not in SOLVER_MODES:
         raise ValueError(f"solver must be 'auto' or one of {SOLVER_MODES}, got {solver!r}")
 
-    highs = _thread_highs(solver)
-    stats, loaded = _local.stats, _local.loaded
+    lp = _thread_model(solver)
+    stats = _local.stats
     if solver == "ipm":
         warm_key = None  # no basis to restart from
-    if warm_key is not None and _same_model(loaded.get(solver), warm_key, a, b_ub):
+    if warm_key is not None and _same_model(lp.key, warm_key, a, b_ub):
         stats["warm"] += 1
-        idx = np.arange(n, dtype=np.int32)
-        highs.changeColsCost(n, idx, -c)  # basis survives: warm re-solve
+        lp.set_costs(np.arange(n, dtype=np.int32), -c)  # basis survives
     else:
         stats["cold"] += 1
-        zeros_n, inf_n, neginf_m = _aux_arrays(m, n)
-        # -c: HiGHS minimizes
-        pass_colwise_model(highs, a, -c, zeros_n, inf_n, neginf_m, b_ub)
-        if warm_key is not None:
-            loaded[solver] = (warm_key, a, b_ub)
-        else:
-            loaded.pop(solver, None)
-    highs.run()
+        key = None if warm_key is None else (warm_key, a, b_ub)
+        lp.load(a, -c, np.full(m, -np.inf), b_ub, key=key)  # -c: HiGHS minimizes
     stats[solver] += 1
-    info = highs.getInfo()
-    stats["simplex_iterations"] += info.simplex_iteration_count
-    stats["ipm_iterations"] += info.ipm_iteration_count
-    status = highs.getModelStatus()
-    if status != _hcore.HighsModelStatus.kOptimal:
-        loaded.pop(solver, None)  # do not warm-start off a failed solve
-        raise RuntimeError(
-            f"LP solve failed (status {status}): {highs.modelStatusToString(status)}"
-        )
-    if solver != "simplex" and (
-        info.max_primal_infeasibility > MAX_INFEASIBILITY
-        or info.max_dual_infeasibility > MAX_INFEASIBILITY
-        or info.basis_validity != _hcore.kBasisValidityValid
-    ):
-        loaded.pop(solver, None)
-        raise RuntimeError(
-            f"LP solve ({solver}) returned no certified optimal basis: "
-            f"max primal infeasibility {info.max_primal_infeasibility:.3g}, "
-            f"max dual infeasibility {info.max_dual_infeasibility:.3g}, "
-            f"basis validity {info.basis_validity}"
-        )
-    solution = highs.getSolution()
-    duals = -np.asarray(solution.row_dual, dtype=float)
+    report = lp.solve()
+    stats["simplex_iterations"] += report.simplex_iterations
+    stats["ipm_iterations"] += report.ipm_iterations
+    x, row_dual = lp.solution()
+    duals = -row_dual
     duals[duals < 0] = 0.0  # clip numerical noise, as in solve_packing_lp
     return LPSolution(
-        x=np.asarray(solution.col_value, dtype=float),
-        value=float(-info.objective_function_value),
+        x=x,
+        value=float(-report.objective),
         duals=duals,
         status=0,
         message="Optimal",

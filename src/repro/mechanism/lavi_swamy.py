@@ -34,10 +34,11 @@ Three implementations of the column-generation loop coexist:
   vertex — and therefore the whole decomposition: pool, weights, keep
   probabilities, samples — bit-identical to ``"reference"``
   (pinned by ``tests/test_mechanism_parity.py``).
-* ``pricing="warm"`` — maximum throughput: pricing re-solves mutate only
-  the objective of the loaded model (``changeColsCost`` + previous-basis
-  simplex restart) and the master runs on a persistent incremental-column
-  HiGHS instance (:class:`_IncrementalMaster`).  Both return optimal
+* ``pricing="warm"`` — maximum throughput: the pricer owns a resident
+  model (:class:`~repro.engine.highs.ResidentLP`) whose objective alone is
+  mutated per iteration (previous-basis simplex restart), and the master
+  grows its own resident model by the new allocations' columns
+  (:class:`_IncrementalMaster`).  Both return optimal
   solutions, but on the degenerate LPs of the decomposition possibly a
   different optimal vertex / dual than a cold solve — so the pool can
   legitimately differ from the reference while carrying the *same* exact
@@ -63,6 +64,7 @@ from repro.core.auction import Allocation, AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution, Column, scatter_duals
 from repro.core.conflict_resolution import make_fully_feasible
 from repro.core.derandomize import derandomize_rounding
+from repro.engine.highs import ResidentLP, solve_packing_lp_fast
 from repro.util.rng import ensure_rng
 
 __all__ = ["DecompositionResult", "decompose_lp_solution", "default_alpha"]
@@ -205,10 +207,10 @@ class _CompiledPricer:
     the matrix is assembled once through :class:`CompiledAuction` (shared
     structure compilation, vectorized CSC assembly, the rows that can
     bind — the same rows the reference oracle keeps).  With ``warm=True``
-    every solve after the first goes through the warm-start path of
-    :func:`~repro.engine.highs.solve_packing_lp_fast`: ``changeColsCost``
-    on the loaded model plus a previous-basis simplex restart.  With
-    ``warm=False`` each solve re-passes the model cold — bit-identical to
+    the pricer owns a :class:`~repro.engine.highs.ResidentLP`: every solve
+    after the first only sets the costs and restarts from the previous
+    basis.  With ``warm=False`` each solve re-passes the model cold through
+    :func:`~repro.engine.highs.solve_packing_lp_fast` — bit-identical to
     the reference oracle's ``linprog`` (only the scipy/AuctionLP rebuild
     overhead is gone).
     """
@@ -231,24 +233,28 @@ class _CompiledPricer:
         )
         self._a, self._b, _ = compiled.matrices_csc()
         self._rows = compiled.binding_rows()
-        self._warm_key = ("lavi-swamy-pricing", id(self)) if warm else None
+        self._resident = None
+        if warm:
+            m, n = self._a.shape
+            self._resident = ResidentLP()
+            self._resident.load(self._a, np.zeros(n), np.full(m, -np.inf), self._b)
 
     def price(self, objective: np.ndarray) -> Allocation:
-        from repro.engine.highs import solve_packing_lp_fast
-
-        sol = solve_packing_lp_fast(
-            objective,
-            self._a,
-            self._b,
-            warm_key=self._warm_key,
-            solver="simplex",
-        )
+        if self._resident is None:
+            sol = solve_packing_lp_fast(objective, self._a, self._b, solver="simplex")
+            x, value, duals = sol.x, sol.value, sol.duals
+        else:
+            lp = self._resident
+            lp.set_costs(np.arange(objective.size, dtype=np.int32), -objective)
+            value = -lp.solve().objective  # -: HiGHS minimizes
+            x, row_dual = lp.solution()
+            duals = np.maximum(-row_dual, 0.0)
         adjusted_cols = [
             Column(col.vertex, col.bundle, float(obj))
             for col, obj in zip(self._columns, objective)
         ]
-        y, z = scatter_duals(sol.duals, self._rows, self._problem.n, self._problem.k)
-        return _round_adjusted(self._problem, adjusted_cols, sol.x, sol.value, y, z)
+        y, z = scatter_duals(duals, self._rows, self._problem.n, self._problem.k)
+        return _round_adjusted(self._problem, adjusted_cols, x, value, y, z)
 
 
 def _solve_master(
@@ -259,8 +265,7 @@ def _solve_master(
     """min Σλ s.t. Σ_l λ_l 𝟙[pair ∈ l] ≥ r; returns (λ, μ, duals w ≥ 0).
 
     The reference master: rebuilt from the whole pool and cold-solved with
-    ``linprog`` every iteration (also the fallback when the private HiGHS
-    bindings are unavailable).
+    ``linprog`` every iteration.
     """
     a = _master_matrix(pool, pairs)
     res = linprog(
@@ -303,10 +308,6 @@ def _solve_master_fast(
     cold-solved — primal, value, and duals are bit-identical to
     :func:`_solve_master`; only the scipy call overhead is gone.
     """
-    from repro.engine.highs import fast_backend_available, solve_packing_lp_fast
-
-    if not fast_backend_available():  # pragma: no cover - binding-dependent
-        return _solve_master(pool, pairs, r)
     a = _master_matrix(pool, pairs)
     sol = solve_packing_lp_fast(
         -np.ones(len(pool)), sp.csc_matrix(-a), -r, solver="simplex"
@@ -315,108 +316,47 @@ def _solve_master_fast(
 
 
 class _IncrementalMaster:
-    """The decomposition master on a persistent incremental-column HiGHS.
+    """The decomposition master on a resident incremental-column model.
 
     Rows (one ≥-covering constraint per support pair) are fixed at
     construction; each iteration only *appends* the pricing oracle's new
-    allocations via ``addCols`` and re-solves from the previous basis —
+    allocations via ``add_cols`` and re-solves from the previous basis —
     the classic column-generation warm start — instead of rebuilding the
-    LP from the whole pool and cold-solving it.  Falls back to the
-    ``linprog`` rebuild when the private bindings are missing.
+    LP from the whole pool and cold-solving it.
     """
 
     def __init__(
         self, pairs: list[tuple[int, frozenset[int]]], r: np.ndarray
     ) -> None:
-        from repro.engine.highs import (
-            highs_core,
-            new_highs_instance,
-            pass_colwise_model,
-        )
-
-        self._pairs = pairs
         self._pair_index = {p: i for i, p in enumerate(pairs)}
-        self._r = np.asarray(r, dtype=float)
         self._added = 0
-        self._core = highs_core()
-        self._highs = new_highs_instance()
-        if self._highs is None:
-            return
         m = len(pairs)
-        empty = sp.csc_matrix(
-            (np.empty(0), np.empty(0, np.int32), np.zeros(1, np.int32)),
-            shape=(m, 0),
-        )
-        pass_colwise_model(
-            self._highs,
-            empty,
-            np.empty(0),
-            np.empty(0),
-            np.empty(0),
-            self._r,
-            np.full(m, np.inf),
-        )
+        self._lp = ResidentLP()
+        self._lp.load(sp.csc_matrix((m, 0)), np.empty(0), np.asarray(r, float), np.full(m, np.inf))
 
-    def _append(self, allocs: list[Allocation]) -> None:
+    def solve(
+        self, pool: list[Allocation]
+    ) -> tuple[np.ndarray, float, np.ndarray]:
+        """Append the pool's allocations added since the last solve, then
+        re-solve; returns (λ, μ, duals w ≥ 0)."""
         starts: list[int] = []
         indices: list[int] = []
-        for alloc in allocs:
+        for alloc in pool[self._added :]:
             starts.append(len(indices))
-            covered = sorted(
-                self._pair_index[key]
-                for key in ((v, bundle) for v, bundle in alloc.items())
-                if key in self._pair_index
+            indices.extend(
+                sorted(self._pair_index[key] for key in alloc.items() if key in self._pair_index)
             )
-            indices.extend(covered)
-        num = len(allocs)
-        self._highs.addCols(
-            num,
-            np.ones(num),
-            np.zeros(num),
-            np.full(num, np.inf),
-            len(indices),
-            np.asarray(starts, dtype=np.int32),
-            np.asarray(indices, dtype=np.int32),
-            np.ones(len(indices)),
-        )
-
-    def solve(
-        self, pool: list[Allocation]
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        if self._highs is None:  # pragma: no cover - binding-dependent
-            return _solve_master(pool, self._pairs, self._r)
-        if len(pool) > self._added:
-            self._append(pool[self._added :])
+        if starts:
+            self._lp.add_cols(
+                np.ones(len(starts)),
+                np.asarray(starts, dtype=np.int32),
+                np.asarray(indices, dtype=np.int32),
+                np.ones(len(indices)),
+            )
             self._added = len(pool)
-        self._highs.run()
-        status = self._highs.getModelStatus()
-        if status != self._core.HighsModelStatus.kOptimal:
-            raise RuntimeError(
-                "decomposition master failed: "
-                f"{self._highs.modelStatusToString(status)}"
-            )
-        solution = self._highs.getSolution()
-        lam = np.asarray(solution.col_value, dtype=float)
-        w = np.maximum(np.asarray(solution.row_dual, dtype=float), 0.0)
-        mu = float(self._highs.getInfo().objective_function_value)
-        return lam, mu, w
-
-
-class _FastMaster:
-    """Reference master semantics on the persistent backend: rebuilt from
-    the pool each iteration and cold-solved — bit-identical results,
-    without the scipy call overhead."""
-
-    def __init__(
-        self, pairs: list[tuple[int, frozenset[int]]], r: np.ndarray
-    ) -> None:
-        self._pairs = pairs
-        self._r = np.asarray(r, dtype=float)
-
-    def solve(
-        self, pool: list[Allocation]
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        return _solve_master_fast(pool, self._pairs, self._r)
+        mu = self._lp.solve().objective
+        lam, row_dual = self._lp.solution()
+        return lam, mu, np.maximum(row_dual, 0.0)
 
 
 def decompose_lp_solution(
@@ -463,19 +403,19 @@ def decompose_lp_solution(
         lp = AuctionLP(problem, columns=support_cols)
         columns = lp.columns
         price = lambda objective: _integral_allocation_for(problem, lp, objective)  # noqa: E731
-        master = None
+        master = lambda pool: _solve_master(pool, pairs, r)  # noqa: E731
     else:
         columns = support_cols
-        pricer = _CompiledPricer(
+        price = _CompiledPricer(
             problem,
             support_cols,
             warm=pricing == "warm",
             compiled_structure=compiled_structure,
-        )
-        price = pricer.price
-        master = _IncrementalMaster(pairs, r) if pricing == "warm" else None
-        if master is None:
-            master = _FastMaster(pairs, r)
+        ).price
+        if pricing == "warm":
+            master = _IncrementalMaster(pairs, r).solve
+        else:
+            master = lambda pool: _solve_master_fast(pool, pairs, r)  # noqa: E731
 
     # Seed pool: the true-valuation allocation plus per-pair singletons
     # (every single (v, T) is feasible on its own), guaranteeing the master
@@ -498,10 +438,7 @@ def decompose_lp_solution(
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        if master is None:
-            lam, mu, w = _solve_master(pool, pairs, r)
-        else:
-            lam, mu, w = master.solve(pool)
+        lam, mu, w = master(pool)
         if mu <= 1.0 + tolerance:
             break
         # columns and pairs share the same order by construction

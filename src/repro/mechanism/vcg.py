@@ -15,19 +15,21 @@ verify.
 
 Two evaluation strategies for the n "LP without bidder v" terms:
 
-* ``method="warm"`` (the default when the persistent HiGHS bindings are
-  available) — one model load, then warm re-solves.  Removing bidder v's
-  columns changes the optimal *value* exactly as zeroing their objective
-  coefficients does (zero-cost columns never help and never hurt a packing
-  LP), so each probe is ``changeColsCost(v's columns → 0)`` + a dual-
-  simplex restart from the previous optimal basis + a cost restore —
+* ``method="warm"`` (the default, ``"auto"``) — one resident model
+  (:class:`~repro.engine.highs.ResidentLP`), then warm re-solves.
+  Removing bidder v's columns changes the optimal *value* exactly as
+  zeroing their objective coefficients does (zero-cost columns never help
+  and never hurt a packing LP), so each probe is ``set_costs(v's columns
+  → 0)`` + a restart from the previous optimal basis + a cost restore —
   instead of rebuilding an ``AuctionLP`` and cold-solving ``linprog`` per
-  bidder.  Optimal LP *values* are unique, so unlike warm-started
-  *pricing* this reuse is safe wherever payments are consumed; the floats
-  can differ from the cold path only within solver tolerance.  The model
-  holds only the rows that can bind for the full column set
-  (``CompiledAuction.matrices_csc``); zeroing a bidder's costs removes no
-  column, so those rows stay exactly the ones every probe needs.
+  bidder.  The model runs in the mode :func:`~repro.engine.highs.choose_solver`
+  picks for its row count, and every probe passes the resident model's
+  certificate check.  Optimal LP *values* are unique, so unlike
+  warm-started *pricing* this reuse is safe wherever payments are
+  consumed; the floats can differ from the cold path only within solver
+  tolerance.  The model holds only the rows that can bind for the full
+  column set (``CompiledAuction.matrices_csc``); zeroing a bidder's costs
+  removes no column, so those rows stay exactly the ones every probe needs.
 
   Before probing, bidders are screened with the dual bound: dropping v
   keeps ``(y, z without z_v)`` feasible for the reduced dual, so
@@ -37,9 +39,9 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   metro workloads).  ``lp_without`` records the dual upper bound for
   screened bidders.
 * ``method="reference"`` — the seed-era per-bidder rebuild, kept as the
-  benchmark baseline and binding-free fallback.  Each rebuild solves
-  through :meth:`AuctionLP.solve`, on the rows that can bind for its own
-  column set.
+  benchmark baseline and parity anchor.  Each rebuild solves through
+  :meth:`AuctionLP.solve`, on the rows that can bind for its own column
+  set.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import numpy as np
 
 from repro.core.auction import AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution
+from repro.engine.highs import ResidentLP, choose_solver
 
 __all__ = ["FractionalVCG", "vcg_payments"]
 
@@ -78,21 +81,12 @@ def _warm_values_without(
     solution: AuctionLPSolution,
     probe_vertices: list[int],
     compiled_structure=None,
-) -> dict[int, float] | None:
-    """All "LP without v" optima via cost-zeroing warm re-solves.
-
-    Returns ``None`` when the persistent backend is unavailable (callers
-    fall back to the reference per-bidder rebuild).
-    """
+) -> dict[int, float]:
+    """All "LP without v" optima via cost-zeroing warm re-solves."""
     from repro.engine.compiled import CompiledAuction, compile_structure
-    from repro.engine.highs import highs_core, new_highs_instance, pass_colwise_model
 
-    core = highs_core()
-    if core is None:  # pragma: no cover - binding-dependent
-        return None
     if not probe_vertices:  # everything screened: no model to build
         return {}
-    highs = new_highs_instance()
     compiled = CompiledAuction(
         problem,
         structure=compiled_structure or compile_structure(problem.structure),
@@ -101,18 +95,9 @@ def _warm_values_without(
     a, b, c = compiled.matrices_csc()
     m, ncol = a.shape
     cost = -c  # HiGHS minimizes
-    pass_colwise_model(
-        highs,
-        a,
-        cost,
-        np.zeros(ncol),
-        np.full(ncol, np.inf),
-        np.full(m, -np.inf),
-        b,
-    )
-    highs.run()  # establish the full-LP optimal basis once
-    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
-        raise RuntimeError("VCG base LP solve failed")
+    lp = ResidentLP(choose_solver(m, ncol))
+    lp.load(a, cost, np.full(m, -np.inf), b)
+    lp.solve()  # establish the full-LP optimal basis once
 
     verts = np.fromiter(
         (col.vertex for col in solution.columns), dtype=np.intp, count=ncol
@@ -123,16 +108,9 @@ def _warm_values_without(
         if idx.size == 0:
             out[v] = float(solution.value)
             continue
-        highs.changeColsCost(idx.size, idx, np.zeros(idx.size))
-        highs.run()
-        status = highs.getModelStatus()
-        if status != core.HighsModelStatus.kOptimal:
-            raise RuntimeError(
-                f"VCG probe for bidder {v} failed: "
-                f"{highs.modelStatusToString(status)}"
-            )
-        out[v] = float(-highs.getInfo().objective_function_value)
-        highs.changeColsCost(idx.size, idx, cost[idx])
+        lp.set_costs(idx, np.zeros(idx.size))
+        out[v] = -lp.solve().objective
+        lp.set_costs(idx, cost[idx])
     return out
 
 
@@ -145,9 +123,8 @@ def vcg_payments(
 ) -> FractionalVCG:
     """Compute scaled fractional VCG payments for every bidder.
 
-    ``method="auto"`` uses the warm-started probe loop when the persistent
-    HiGHS backend is available and the reference rebuild otherwise;
-    ``"warm"`` / ``"reference"`` force one path.  ``compiled_structure``
+    ``method="auto"`` and ``"warm"`` run the warm-started probe loop,
+    ``"reference"`` the per-bidder rebuild.  ``compiled_structure``
     forwards an existing engine compilation to the warm path.
     """
     if method not in VCG_METHODS:
@@ -160,34 +137,30 @@ def vcg_payments(
     lp_without = np.full(n, float(solution.value))
     payments = np.zeros(n)
 
-    warm_values: dict[int, float] | None = None
-    screened: set[int] = set()
-    if method in ("auto", "warm"):
+    if method == "reference":
+        screened: set[int] = set()
+        lp = AuctionLP(problem, columns=list(solution.columns))
+        values = {v: _lp_value_without(problem, lp, v) for v in probes}
+    else:
         # dual screening: externality ≤ contribution_v − z_v, so bidders at
         # or below zero provably pay nothing — skip the solve, record the
         # dual bound in lp_without
         screened = {
             v for v in probes if contributions[v] - float(solution.z[v]) <= 1e-9
         }
-        to_probe = [v for v in probes if v not in screened]
-        warm_values = _warm_values_without(
-            problem, solution, to_probe, compiled_structure=compiled_structure
+        values = _warm_values_without(
+            problem,
+            solution,
+            [v for v in probes if v not in screened],
+            compiled_structure=compiled_structure,
         )
-        if warm_values is None and method == "warm":  # pragma: no cover
-            raise RuntimeError(
-                "persistent HiGHS backend unavailable; use method='reference'"
-            )
-    if warm_values is None:
-        screened = set()
-        lp = AuctionLP(problem, columns=list(solution.columns))
-        warm_values = {v: _lp_value_without(problem, lp, v) for v in probes}
 
     for v in probes:
         if v in screened:
             lp_without[v] = float(solution.value) - float(solution.z[v])
             payments[v] = 0.0  # provably zero: externality ≤ contribution − z_v
             continue
-        lp_without[v] = warm_values[v]
+        lp_without[v] = values[v]
         externality = lp_without[v] - (solution.value - contributions[v])
         payments[v] = max(0.0, externality) / alpha
     return FractionalVCG(

@@ -45,6 +45,7 @@ def test_rule_registry_is_complete():
         "fork-reset",
         "float-eq",
         "kernel-mutation",
+        "highs-owner",
         "silent-except",
         "unbounded-retry",
     }
@@ -514,6 +515,44 @@ def test_kernel_mutation_mutates_pragma(tmp_path):
     flagged = [f for f in findings if f.rule == "kernel-mutation"]
     assert len(flagged) == 1
     assert "'r'" in flagged[0].message
+
+
+_RAW_HIGHS = """
+    import scipy.optimize._highspy._core as core
+    from scipy.optimize import _highspy
+    from repro.engine import highs
+    from repro.engine.highs import ResidentLP, new_highs_instance
+
+    def build():
+        model = highs.pass_colwise_model
+        return core, _highspy, ResidentLP, new_highs_instance(), model
+    """
+
+
+def test_highs_owner_positive(tmp_path):
+    findings = lint(tmp_path, _RAW_HIGHS, filename="mechanism/vcg.py")
+    flagged = [f for f in findings if f.rule == "highs-owner"]
+    # two binding imports, one helper import, one helper attribute
+    assert len(flagged) == 4
+    assert {f.line for f in flagged} == {2, 3, 5, 8}
+
+
+def test_highs_owner_negative_owner_and_resident_consumers(tmp_path):
+    owner = lint(tmp_path / "owner", _RAW_HIGHS, filename="engine/highs.py")
+    assert "highs-owner" not in rules_fired(owner)
+    consumer = lint(
+        tmp_path / "consumer",
+        """
+        from repro.engine import highs
+        from repro.engine.highs import ResidentLP, choose_solver, solve_packing_lp_fast
+
+        def solve(a, b, c):
+            lp = ResidentLP(choose_solver(*a.shape))
+            return lp, solve_packing_lp_fast(c, a, b), highs.MAX_INFEASIBILITY
+        """,
+        filename="mechanism/vcg.py",
+    )
+    assert "highs-owner" not in rules_fired(consumer)
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,21 @@ def test_highs_reset_clears_thread_state():
     assert not hasattr(highs._local, "loaded")
 
 
+def test_highs_reset_drops_resident_models():
+    from repro.engine import highs
+    from repro.engine.compiled import CompiledAuction
+    from repro.experiments.workloads import protocol_auction
+
+    # a real solve leaves this thread a resident model holding a warm key
+    a, b, c = CompiledAuction(protocol_auction(12, 4, seed=3)).matrices_csc()
+    highs.solve_packing_lp_fast(c, a, b, warm_key=("fork-test",))
+    resident = highs._local.models["simplex"]
+    assert isinstance(resident, highs.ResidentLP) and resident.key is not None
+    run_fork_resets(require=("repro.engine.highs",))
+    assert not hasattr(highs._local, "models")
+    assert vars(highs._local) == {}  # the whole thread state, not a fixed list
+
+
 def _unsorted_structure() -> SimpleNamespace:
     # CSR with deliberately unsorted column indices within row 0
     indptr = np.array([0, 2, 2, 2])
