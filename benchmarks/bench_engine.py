@@ -93,13 +93,12 @@ def bench_batch_50(regions: int = 5, epochs: int = 10, n: int = 40, k: int = 8):
     """
     fleet_naive = protocol_auction_fleet(regions, epochs, n, k, seed=900)
     fleet_engine = protocol_auction_fleet(regions, epochs, n, k, seed=900)
-    fleet_thread = protocol_auction_fleet(regions, epochs, n, k, seed=900)
     seeds = np.random.SeedSequence(5).spawn(len(fleet_naive))
     # warm both code paths (imports, numpy/scipy dispatch) on a throwaway pair
     warm_naive = protocol_auction_fleet(1, 1, n, k, seed=899)
     warm_engine = protocol_auction_fleet(1, 1, n, k, seed=899)
     naive_solve(warm_naive[0], seed=1)
-    BatchAuctionEngine(executor="serial").solve_many(warm_engine, seed=1)
+    BatchAuctionEngine().solve_many(warm_engine, seed=1)
 
     def run_naive():
         return sum(
@@ -108,19 +107,15 @@ def bench_batch_50(regions: int = 5, epochs: int = 10, n: int = 40, k: int = 8):
         )
 
     naive_time, naive_welfare = _timed(run_naive)
-    engine = BatchAuctionEngine(executor="serial")
+    engine = BatchAuctionEngine()
     engine_time, batch = _timed(lambda: engine.solve_many(fleet_engine, seed=5))
-    thread_engine = BatchAuctionEngine(executor="thread", max_workers=4)
-    thread_time, _ = _timed(lambda: thread_engine.solve_many(fleet_thread, seed=5))
     assert batch.total_welfare == naive_welfare, "engine diverged from seed pipeline"
     return {
         "workload": f"{regions} regions x {epochs} epochs, n={n}, k={k}",
         "instances": len(fleet_naive),
         "naive_seconds": naive_time,
         "engine_serial_seconds": engine_time,
-        "engine_thread_seconds": thread_time,
         "speedup_serial": naive_time / engine_time,
-        "speedup_thread": naive_time / thread_time,
         "total_welfare": batch.total_welfare,
         "lp_solves": batch.lp_solves,
     }
@@ -145,7 +140,7 @@ def bench_repeat_solves(unique: int = 10, repeats: int = 5, n: int = 40, k: int 
         )
 
     naive_time, naive_welfare = _timed(run_naive)
-    engine = BatchAuctionEngine(executor="serial")
+    engine = BatchAuctionEngine()
     engine_time, batch = _timed(lambda: engine.solve_many(workload_engine, seed=7))
     assert batch.total_welfare == naive_welfare, "engine diverged from seed pipeline"
     return {
@@ -176,7 +171,7 @@ def bench_warm_reauction(epochs: int = 50, n: int = 40, k: int = 8):
     seeds = np.random.SeedSequence(9).spawn(epochs)
     warm_n = reauction_fleet(1, n, k, seed=320)
     naive_solve(warm_n[0], seed=1)
-    BatchAuctionEngine(executor="serial").solve_many(
+    BatchAuctionEngine().solve_many(
         reauction_fleet(1, n, k, seed=320), seed=1
     )
 
@@ -187,10 +182,10 @@ def bench_warm_reauction(epochs: int = 50, n: int = 40, k: int = 8):
         )
 
     naive_time, naive_welfare = _timed(run_naive)
-    cold_engine = BatchAuctionEngine(executor="serial")
+    cold_engine = BatchAuctionEngine()
     cold_time, cold_batch = _timed(lambda: cold_engine.solve_many(fleet_cold, seed=9))
     stats_before = warm_start_stats()
-    warm_engine = BatchAuctionEngine(executor="serial", lp_warm_start=True)
+    warm_engine = BatchAuctionEngine(lp_warm_start=True)
     warm_time, warm_batch = _timed(lambda: warm_engine.solve_many(fleet_warm, seed=9))
     stats_after = warm_start_stats()
     warm_hits = stats_after["warm"] - stats_before["warm"]

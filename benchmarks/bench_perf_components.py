@@ -181,5 +181,5 @@ def test_perf_loop_rounding_20(benchmark, problem, lp_solution):
 
 def test_perf_engine_batch_fleet(benchmark):
     fleet = protocol_auction_fleet(2, 5, 30, 4, seed=905)
-    engine = BatchAuctionEngine(executor="serial")
+    engine = BatchAuctionEngine()
     benchmark(lambda: engine.solve_many(fleet, seed=906))

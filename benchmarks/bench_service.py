@@ -19,13 +19,13 @@ same engine, same trace):
   baseline), so the tuned configuration no longer pays a stage-batching
   penalty here — the honest result is parity, not a speedup.
 * ``burst_realtime`` — 4 bursts of 12 simultaneous requests through the
-  threaded queue/shard pool in real time: what the coalescing window and
-  shard affinity do to tail latency.
+  live queue in real time, solved on the dispatcher (``executor="serial"``):
+  what the coalescing window does to tail latency.
 * ``smoke_repeat_n300`` — a scaled-down repeat scenario cheap enough for
   the CI regression gate to re-measure (see check_regression.py).
 * ``pool_scaling_distinct_n1000`` — the process-pool cores-scaling curve:
   the distinct-heavy n=1000 trace driven open-loop at maximum rate
-  through the queue, against the thread-shard baseline and the
+  through the queue, against the serial baseline and the
   :class:`~repro.service.pool.ProcessShardPool` at 1/2/4/… workers (capped
   at the host's cores, which are recorded — the ≥3x acceptance criterion
   is only evaluable on a ≥4-core runner, and the regression gate compares
@@ -65,7 +65,7 @@ OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_service.json"
 
 HEADLINE_MIN_SPEEDUP = 3.0
 SMOKE_MIN_SPEEDUP = 2.0
-# pool acceptance: >=3x over the thread-shard baseline on distinct-heavy
+# pool acceptance: >=3x over the serial baseline on distinct-heavy
 # traffic — only evaluable when the host actually has cores to scale onto
 POOL_MIN_SPEEDUP = 3.0
 POOL_MIN_CORES = 4
@@ -165,7 +165,7 @@ def _drive_queue(service: AuctionService, trace) -> tuple[list, float]:
     """Open-loop max-rate drive through the live queue.
 
     Unlike ``run_trace`` this submits every request up front (arrival
-    stamps ignored) so the dispatcher, shards, or worker processes run at
+    stamps ignored) so the dispatcher or the worker processes run at
     saturation.  The first request is replayed once as an untimed warm-up:
     with ``executor="process"`` the first submit is what spawns the worker
     pool, and spawn cost is startup, not steady-state throughput.
@@ -228,9 +228,9 @@ def _distinct_trace(registry, scene_id, *, k, num_requests, trace_seed):
 
 
 def _queue_service(registry, executor: str, shards: int) -> AuctionService:
-    # max_batch=1 keeps every request an independent job, so all shards or
-    # workers can be busy at once — coalescing distinct-heavy traffic would
-    # only serialize batches behind single shards
+    # max_batch=1 keeps every request an independent job, so all workers
+    # can be busy at once — coalescing distinct-heavy traffic would only
+    # serialize batches behind single workers
     return AuctionService(
         registry=registry,
         executor=executor,
@@ -252,12 +252,12 @@ def bench_pool_scaling(
     scene_seed: int = 1000,
     trace_seed: int = 44,
 ) -> dict:
-    """Cores-scaling curve: thread shards vs the multi-process pool.
+    """Cores-scaling curve: the serial dispatcher vs the multi-process pool.
 
     Every configuration replays the identical distinct-heavy trace (every
     request a fresh valuation profile — only the compiled structure is
-    reusable, so per-request work is irreducible and the thread shards sit
-    on the GIL).  Allocations must be bit-identical across placements.
+    reusable, so per-request work is irreducible and GIL-bound in one
+    process).  Allocations must be bit-identical across placements.
     The host core count is recorded and the >=3x acceptance criterion is
     evaluated only on hosts with >= POOL_MIN_CORES cores; the regression
     gate compares pool numbers like-to-like by the recorded core count.
@@ -279,7 +279,7 @@ def bench_pool_scaling(
             service.close()
         return results, summary
 
-    base_results, base = run("thread", max(counts))
+    base_results, base = run("serial", 1)
     entry: dict = {
         "workload": (
             f"{num_requests} distinct-profile requests, 1 metro disk scene "
@@ -287,31 +287,31 @@ def bench_pool_scaling(
         ),
         "cores": cores,
         "worker_counts": counts,
-        "thread_baseline": {"num_shards": max(counts), **base},
+        "serial_baseline": base,
         "pool": {},
     }
     expected = [r.allocation for r in base_results]
     for workers in counts:
         pool_results, summary = run("process", workers)
         assert [r.allocation for r in pool_results] == expected, (
-            f"process pool ({workers} workers) diverged from thread baseline"
+            f"process pool ({workers} workers) diverged from serial baseline"
         )
         entry["pool"][str(workers)] = summary
     best_workers = max(counts, key=lambda w: entry["pool"][str(w)]["throughput_rps"])
     best = entry["pool"][str(best_workers)]["throughput_rps"]
     one = entry["pool"]["1"]["throughput_rps"]
     entry["best_workers"] = best_workers
-    entry["speedup_vs_threads"] = best / entry["thread_baseline"]["throughput_rps"]
+    entry["speedup_vs_serial"] = best / entry["serial_baseline"]["throughput_rps"]
     entry["scaling_vs_one_worker"] = {
         str(w): entry["pool"][str(w)]["throughput_rps"] / one for w in counts
     }
     entry["criterion"] = (
-        f"process pool >= {POOL_MIN_SPEEDUP}x thread-shard baseline throughput "
+        f"process pool >= {POOL_MIN_SPEEDUP}x serial baseline throughput "
         f"on the distinct-heavy n={n} trace; evaluable only on hosts with "
         f">= {POOL_MIN_CORES} cores (cores recorded above)"
     )
     entry["met"] = (
-        entry["speedup_vs_threads"] >= POOL_MIN_SPEEDUP
+        entry["speedup_vs_serial"] >= POOL_MIN_SPEEDUP
         if cores >= POOL_MIN_CORES
         else None
     )
@@ -380,7 +380,7 @@ def bench_pool_smoke(
 def bench_burst(
     n: int = 300, *, k: int = 6, burst_size: int = 12, bursts: int = 4
 ) -> dict:
-    """Real-time bursts through the threaded queue and shard pool."""
+    """Real-time bursts through the live queue, solved on the dispatcher."""
     registry = SceneRegistry()
     scene_a = registry.register(metro_disk_scene(n, seed=1300))
     scene_b = registry.register(metro_disk_scene(n, seed=1301))
@@ -395,9 +395,7 @@ def bench_burst(
         repeat_fraction=0.75,
         unique_profiles=4,
     )
-    service = _service(
-        registry, tuned=True, executor="thread", num_shards=2, coalesce_window=0.01
-    )
+    service = _service(registry, tuned=True, coalesce_window=0.01)
     start = time.perf_counter()
     with service:
         results = service.run_trace(trace, realtime=True)
@@ -406,7 +404,7 @@ def bench_burst(
     entry = _summarize(service, results, wall)
     entry["workload"] = (
         f"{bursts} bursts x {burst_size} requests, 2 scenes n={n}, k={k}, "
-        f"realtime open-loop, threaded 2-shard pool"
+        f"realtime open-loop, serial dispatcher"
     )
     return entry
 
@@ -480,7 +478,7 @@ def main(argv=None) -> int:
     pool_scaling = bench_pool_scaling()
     print(
         f"pool scaling distinct n=1000 ({pool_scaling['cores']} cores): "
-        f"{pool_scaling['speedup_vs_threads']:.2f}x vs thread shards at "
+        f"{pool_scaling['speedup_vs_serial']:.2f}x vs serial at "
         f"{pool_scaling['best_workers']} workers "
         f"(criterion {'n/a: <4 cores' if pool_scaling['met'] is None else pool_scaling['met']})",
         flush=True,
@@ -516,7 +514,7 @@ def main(argv=None) -> int:
         "pool_headline": {
             "criterion": pool_scaling["criterion"],
             "cores": pool_scaling["cores"],
-            "speedup_vs_threads": pool_scaling["speedup_vs_threads"],
+            "speedup_vs_serial": pool_scaling["speedup_vs_serial"],
             "best_workers": pool_scaling["best_workers"],
             "met": pool_scaling["met"],
         },

@@ -1,7 +1,7 @@
 """Serve auction requests with the AuctionService.
 
 Registers two metro scenes, drives a repeat-heavy Poisson trace through
-the coalescing queue (threaded shard pool), then replays the same trace
+the coalescing queue (solved on the dispatcher thread), then replays the same trace
 through a no-cache/no-coalescing configuration to show what the caches
 buy — a miniature of benchmarks/bench_service.py.
 
@@ -29,8 +29,7 @@ from repro.service import AuctionService, poisson_trace
 
 def build_service(**overrides) -> AuctionService:
     options = {
-        "executor": "thread",
-        "num_shards": 2,
+        "executor": "serial",
         "coalesce_window": 0.01,
     }
     options.update(overrides)

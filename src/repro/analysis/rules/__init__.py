@@ -8,6 +8,7 @@ from repro.analysis.rules.concurrency import (
     GuardedByRule,
     ModuleStateRule,
     MpContextRule,
+    PoolOwnerRule,
 )
 from repro.analysis.rules.determinism import (
     GlobalRngRule,
@@ -28,6 +29,7 @@ ALL_RULES: tuple[Rule, ...] = (
     GuardedByRule(),
     ModuleStateRule(),
     MpContextRule(),
+    PoolOwnerRule(),
     ForkResetRule(),
     FloatEqRule(),
     KernelMutationRule(),

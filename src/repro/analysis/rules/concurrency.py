@@ -22,7 +22,13 @@ if TYPE_CHECKING:
     from repro.analysis.config import AnalysisConfig
     from repro.analysis.engine import FileContext
 
-__all__ = ["GuardedByRule", "ModuleStateRule", "MpContextRule", "ForkResetRule"]
+__all__ = [
+    "GuardedByRule",
+    "ModuleStateRule",
+    "MpContextRule",
+    "PoolOwnerRule",
+    "ForkResetRule",
+]
 
 _GUARD_COMMENT = re.compile(r"#:\s*guarded-by:\s*([\w.,\s]+)")
 
@@ -378,6 +384,55 @@ class MpContextRule(Rule):
                     node,
                     f"direct multiprocessing factory '{func.id}'; "
                     "use repro.util.mp.mp_context",
+                )
+
+
+class PoolOwnerRule(Rule):
+    rule_id = "pool-owner"
+    family = "concurrency"
+    invariant = (
+        "the solve path holds the GIL, so repro builds no thread or process "
+        "executor of its own: the only pool is service/pool.py's "
+        "ProcessShardPool, the only mp_context() caller beside util/mp.py"
+    )
+
+    OWNERS = ("service/pool.py", "util/mp.py")
+    _EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+
+    def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
+        executors = set(self._EXECUTORS)  # plus local aliases
+        contexts = {"mp_context"}
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module is not None:
+                for alias in node.names:
+                    if node.module == "concurrent.futures" and alias.name in self._EXECUTORS:
+                        executors.add(alias.asname or alias.name)
+                    elif node.module == "repro.util.mp" and alias.name == "mp_context":
+                        contexts.add(alias.asname or alias.name)
+        owner = ctx.rel in self.OWNERS
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            if name in executors:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"constructs '{name}'; the solve path holds the GIL, serve "
+                    "in parallel through service.pool.ProcessShardPool",
+                )
+            elif name in contexts and not owner:
+                yield self.finding(
+                    ctx,
+                    node,
+                    "calls mp_context() outside service/pool.py; spawn workers "
+                    "through ProcessShardPool",
                 )
 
 

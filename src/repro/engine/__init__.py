@@ -8,8 +8,8 @@ Three layers (see DESIGN.md for the architecture):
 * :mod:`repro.engine.vectorized` — batched randomized rounding, drawing all
   ``attempts × n`` bundle choices as one RNG matrix and resolving conflicts
   with mask operations (bit-equal to Algorithms 1/2 run in a loop);
-* :mod:`repro.engine.batch` — :class:`BatchAuctionEngine`: fan a list of
-  problems across a serial/thread/process executor with deterministic
+* :mod:`repro.engine.batch` — :class:`BatchAuctionEngine`: compile a list
+  of problems once and solve them stage by stage with deterministic
   per-instance seed spawning.
 
 :class:`~repro.core.solver.SpectrumAuctionSolver` is a thin facade over

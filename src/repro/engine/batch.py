@@ -1,15 +1,17 @@
-"""Batch auction engine: many instances, one compilation pass, pooled solves.
+"""Batch auction engine: many instances, one compilation pass, stage-batched solves.
 
 :class:`BatchAuctionEngine` accepts a list (or generator) of
 :class:`~repro.core.auction.AuctionProblem`\\ s — or zero-argument callables
 producing them — compiles each distinct problem once (structures shared via
-the keyed cache), dispatches across a serial loop, a thread pool, or a
-process pool, and returns per-instance :class:`SolverResult`\\ s plus
-aggregate stats.
+the keyed cache), solves them stage by stage in the calling thread, and
+returns per-instance :class:`SolverResult`\\ s plus aggregate stats.  The
+solve path is GIL-bound Python + NumPy, so the engine runs no pool of its
+own: parallelism across requests is the service's
+:class:`~repro.service.pool.ProcessShardPool`.
 
 Determinism: one root :class:`numpy.random.SeedSequence` is spawned into
 per-instance children *by position*, so results are identical for the same
-seed no matter the executor or worker count (pinned by the engine tests).
+seed to solving each instance alone (pinned by the engine tests).
 Repeated occurrences of the same problem object share one
 :class:`CompiledAuction` — and therefore one LP solve — which is exactly
 the E7 / mechanism-sampling workload the engine exists for.
@@ -17,10 +19,8 @@ the E7 / mechanism-sampling workload the engine exists for.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,12 +30,9 @@ from repro.core.auction import AuctionProblem
 from repro.core.result import SolverResult
 from repro.engine.compiled import CompiledAuction, compile_auction, compile_structure
 from repro.util.lru import LRUCache
-from repro.util.mp import mp_context
 from repro.util.rng import SeedLike
 
 __all__ = ["BatchAuctionEngine", "BatchResult"]
-
-_EXECUTORS = ("auto", "serial", "thread", "process")
 
 
 @dataclass
@@ -44,7 +41,6 @@ class BatchResult:
 
     results: list[SolverResult]
     wall_time: float
-    executor: str
     unique_problems: int
     lp_solves: int
     summary: dict[str, Any] = field(default_factory=dict)
@@ -80,16 +76,6 @@ def _materialize(
     return out
 
 
-def _solve_group(
-    problem: AuctionProblem,
-    seeds: list[np.random.SeedSequence],
-    solve_kwargs: dict[str, Any],
-) -> list[SolverResult]:
-    """Process-pool worker: one compiled instance, many seeds."""
-    compiled = compile_auction(problem)
-    return [compiled.solve(seed=seed, **solve_kwargs) for seed in seeds]
-
-
 class BatchAuctionEngine:
     """Compile-once/solve-many driver for fleets of auction problems."""
 
@@ -99,12 +85,9 @@ class BatchAuctionEngine:
         rounding_attempts: int = 1,
         derandomize: bool | str = False,
         verify_power_control: bool = True,
-        executor: str = "auto",
-        max_workers: int | None = None,
         lp_warm_start: bool = False,
         structure_cache: LRUCache | None = None,
         auction_cache: LRUCache | None = None,
-        mp_start_method: str = "auto",
     ) -> None:
         """``lp_warm_start=True`` lets instances sharing a compiled structure
         (and bundle pattern) re-solve the LP by mutating the loaded HiGHS
@@ -117,37 +100,17 @@ class BatchAuctionEngine:
         :class:`~repro.util.lru.LRUCache` instances for the compilation
         layers (``None`` keeps the process-wide defaults); the auction
         service uses this to bound and account its caches per service.
-
-        ``mp_start_method`` controls how ``executor="process"`` workers
-        start (``"auto"`` resolves via :mod:`repro.util.mp` — forkserver
-        where available, never bare fork from a threaded parent).
         """
-        if executor not in _EXECUTORS:
-            raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
         self.solve_kwargs: dict[str, Any] = {
             "rounding_attempts": rounding_attempts,
             "derandomize": derandomize,
             "verify_power_control": verify_power_control,
             "lp_warm_start": lp_warm_start,
         }
-        self.executor = executor
-        self.max_workers = max_workers
         self.structure_cache = structure_cache
         self.auction_cache = auction_cache
-        self.mp_start_method = mp_start_method
 
     # ------------------------------------------------------------------
-    def _resolve_executor(self, n_tasks: int) -> tuple[str, int]:
-        workers = self.max_workers or min(8, os.cpu_count() or 1)
-        workers = max(1, min(workers, n_tasks))
-        executor = self.executor
-        if executor == "auto":
-            # the solve path is GIL-bound Python + NumPy: on the reference
-            # workload (BENCH_engine.json) the thread pool is measurably
-            # slower than the serial loop, so pools stay opt-in
-            executor = "serial"
-        return executor, workers
-
     def compile(
         self, problems: Iterable[AuctionProblem]
     ) -> dict[int, CompiledAuction]:
@@ -198,41 +161,21 @@ class BatchAuctionEngine:
         problems: Iterable[AuctionProblem | Callable[[], AuctionProblem]],
         seed: int | None = None,
     ) -> BatchResult:
-        """Solve every instance; deterministic from ``seed`` across executors."""
+        """Solve every instance; deterministic from ``seed``."""
         start = time.perf_counter()
         instances = _materialize(problems)
         seeds = np.random.SeedSequence(seed).spawn(len(instances)) if instances else []
-        executor, workers = self._resolve_executor(len(instances))
-
-        if executor == "process":
-            results = self._run_process(instances, seeds, workers)
-            # each worker group compiles its problem fresh and solves its LP once
-            lp_solves = len({id(p) for p in instances})
-        else:
-            compiled = self.compile(instances)
-            solves_before = sum(ca.lp_solve_count for ca in compiled.values())
-            tasks = [
-                (compiled[id(problem)], child) for problem, child in zip(instances, seeds)
-            ]
-            if executor == "thread":
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(
-                            lambda task: task[0].solve(seed=task[1], **self.solve_kwargs),
-                            tasks,
-                        )
-                    )
-            else:
-                results = self.solve_compiled(tasks)
-            # only LP solves performed by *this* batch (compiled instances may
-            # arrive from the global cache with their LP already solved)
-            lp_solves = (
-                sum(ca.lp_solve_count for ca in compiled.values()) - solves_before
-            )
+        compiled = self.compile(instances)
+        solves_before = sum(ca.lp_solve_count for ca in compiled.values())
+        results = self.solve_compiled(
+            [(compiled[id(problem)], child) for problem, child in zip(instances, seeds)]
+        )
+        # only LP solves performed by *this* batch (compiled instances may
+        # arrive from the global cache with their LP already solved)
+        lp_solves = sum(ca.lp_solve_count for ca in compiled.values()) - solves_before
         batch = BatchResult(
             results=results,
             wall_time=time.perf_counter() - start,
-            executor=executor,
             unique_problems=len({id(p) for p in instances}),
             lp_solves=lp_solves,
         )
@@ -244,32 +187,5 @@ class BatchAuctionEngine:
             "total_lp_value": batch.total_lp_value,
             "guarantee_met_fraction": batch.guarantee_met_fraction,
             "wall_time": batch.wall_time,
-            "executor": batch.executor,
         }
         return batch
-
-    # ------------------------------------------------------------------
-    def _run_process(
-        self,
-        instances: list[AuctionProblem],
-        seeds: list[np.random.SeedSequence],
-        workers: int,
-    ) -> list[SolverResult]:
-        """Group instances by problem identity so each worker compiles once."""
-        groups: dict[int, tuple[AuctionProblem, list[int], list[np.random.SeedSequence]]] = {}
-        for i, (problem, child) in enumerate(zip(instances, seeds)):
-            entry = groups.setdefault(id(problem), (problem, [], []))
-            entry[1].append(i)
-            entry[2].append(child)
-        results: list[SolverResult | None] = [None] * len(instances)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context(self.mp_start_method)
-        ) as pool:
-            futures = [
-                (indices, pool.submit(_solve_group, problem, children, self.solve_kwargs))
-                for problem, indices, children in groups.values()
-            ]
-            for indices, future in futures:
-                for i, result in zip(indices, future.result()):
-                    results[i] = result
-        return results  # type: ignore[return-value]

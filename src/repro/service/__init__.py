@@ -7,14 +7,15 @@ chaos", and "The serving edge"):
   structurally identical interference scenes share one canonical object
   and therefore one compilation;
 * :mod:`repro.service.service` — :class:`AuctionService`: coalescing
-  request queue, per-service LRU compilation caches, shard-affinity
-  routing, graceful drain, admission control + per-request deadlines
-  with greedy-baseline degradation;
+  request queue, per-service LRU compilation caches, two executors
+  (``"serial"`` inline on the dispatcher, ``"process"`` on the pool),
+  graceful drain, admission control + per-request deadlines with
+  greedy-baseline degradation;
 * :mod:`repro.service.pool` — :class:`ProcessShardPool`: long-lived
   worker processes (own HiGHS backend, warm bases, caches) behind the
-  ``executor="process"`` service configuration — the GIL-free shard tier
-  for distinct-heavy traffic — with capped-backoff respawn and
-  per-worker circuit breakers;
+  ``executor="process"`` service configuration — the only parallel
+  executor, for distinct-heavy traffic — with scene-affinity routing,
+  capped-backoff respawn and per-worker circuit breakers;
 * :mod:`repro.service.wire` — the versioned wire schema
   (``schema_version`` :data:`SCHEMA_VERSION`): :class:`AuctionRequest` /
   :class:`AuctionResponse` with exact JSON round trips, and every typed
@@ -28,7 +29,8 @@ chaos", and "The serving edge"):
   :class:`RetryPolicy` retries + hedging), :class:`ReplicaSet`
   (multi-replica failover with probe-driven eviction), and their sync
   facades :class:`SyncGatewayClient` / :class:`SyncReplicaClient`
-  (future-based ``submit``, mirroring the in-process service);
+  (future-based ``submit``, mirroring the in-process service), which
+  share one loop-thread bridge (:mod:`repro.service._loop`);
 * :mod:`repro.service.traffic` — open-loop Poisson/burst/replay traffic
   over the metro workload family;
 * :mod:`repro.service.metrics` — throughput, latency percentiles, cache

@@ -37,8 +37,9 @@ the network.
   and resending it elsewhere would just duplicate load.
 
 :class:`SyncGatewayClient` / :class:`SyncReplicaClient` wrap the async
-clients for synchronous callers by running an event loop on a daemon
-thread; ``submit`` mirrors :meth:`AuctionService.submit`'s future-based
+clients for synchronous callers by running them on one daemon loop thread
+(:class:`~repro.service._loop.LoopThread`) and share every method body;
+``submit`` mirrors :meth:`AuctionService.submit`'s future-based
 contract (``submit(request) -> concurrent.futures.Future``), which is
 what lets the chaos harness and the open-loop benchmark drive a gateway
 exactly like an in-process service.
@@ -49,16 +50,17 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import threading
 import time
 from collections import deque
+from collections.abc import Callable, Coroutine
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
 from repro.io import _structure_to_dict
+from repro.service._loop import LoopThread
 from repro.service.wire import (
     AuctionResponse,
     default_idempotency_key,
@@ -682,7 +684,57 @@ class ReplicaSet:
         return snapshot
 
 
-class SyncGatewayClient:
+S = TypeVar("S", bound="_SyncFacade")
+
+
+class _SyncFacade:
+    """The synchronous methods both facades share: each forwards to the
+    async target (a :class:`GatewayClient` or a :class:`ReplicaSet`)
+    running on a private :class:`~repro.service._loop.LoopThread`."""
+
+    _target: GatewayClient | ReplicaSet
+
+    def __init__(
+        self,
+        name: str,
+        setup: Callable[[], Coroutine[Any, Any, GatewayClient | ReplicaSet]],
+    ) -> None:
+        # the target is built on the loop, so its asyncio state binds there
+        self._runner, self._target = LoopThread.start(name, setup)
+
+    def submit(self, request: AuctionRequest) -> Future[AuctionResponse]:
+        """Start one solve; returns a future (typed error on failure)."""
+        return self._runner.submit(self._target.solve(request))
+
+    def solve(self, request: AuctionRequest) -> AuctionResponse:
+        return self.submit(request).result()
+
+    def register_scene(self, structure: AnyStructure) -> str:
+        return self._runner.run(self._target.register_scene(structure), timeout=60)
+
+    def health(self) -> bool:
+        return self._runner.run(self._target.health(), timeout=30)
+
+    def stats(self) -> dict[str, Any]:
+        """The target's counters (loop-thread safe)."""
+        return self._target.stats()
+
+    def close(self) -> None:
+        if self._runner.loop.is_closed():
+            return
+        try:
+            self._runner.run(self._target.close(), timeout=30)
+        finally:
+            self._runner.stop()
+
+    def __enter__(self: S) -> S:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class SyncGatewayClient(_SyncFacade):
     """Synchronous facade: :class:`GatewayClient` on a daemon loop thread.
 
     ``submit(request)`` returns a :class:`concurrent.futures.Future`
@@ -695,6 +747,8 @@ class SyncGatewayClient:
     ``ShedError`` from ``submit``.)
     """
 
+    _target: GatewayClient
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -704,77 +758,28 @@ class SyncGatewayClient:
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="gateway-client-loop", daemon=True
-        )
-        self._thread.start()
-
         async def make_client() -> GatewayClient:
             return GatewayClient(
                 host, port, max_connections, retry=retry, fault_plan=fault_plan
             )
 
-        self._client: GatewayClient = asyncio.run_coroutine_threadsafe(
-            make_client(), self._loop
-        ).result(timeout=30)
-
-    def submit(self, request: AuctionRequest) -> Future[AuctionResponse]:
-        """Start one solve; returns a future (typed error on failure)."""
-        return asyncio.run_coroutine_threadsafe(
-            self._client.solve(request), self._loop
-        )
-
-    def solve(self, request: AuctionRequest) -> AuctionResponse:
-        return self.submit(request).result()
+        super().__init__("gateway-client-loop", make_client)
 
     def solve_batch(
         self, requests: list[AuctionRequest]
     ) -> list[AuctionResponse | Exception]:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.solve_batch(requests), self._loop
-        ).result()
-
-    def register_scene(self, structure: AnyStructure) -> str:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.register_scene(structure), self._loop
-        ).result(timeout=30)
+        return self._runner.run(self._target.solve_batch(requests))
 
     def metrics(self) -> dict[str, Any]:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.metrics(), self._loop
-        ).result(timeout=30)
-
-    def health(self) -> bool:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.health(), self._loop
-        ).result(timeout=30)
-
-    def stats(self) -> dict[str, int]:
-        """The client's attempt/retry/hedge counters (loop-thread safe)."""
-        return self._client.stats()
-
-    def close(self) -> None:
-        loop, thread = self._loop, self._thread
-        if not loop.is_closed():
-            asyncio.run_coroutine_threadsafe(self._client.close(), loop).result(
-                timeout=30
-            )
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=30)
-            loop.close()
-
-    def __enter__(self) -> "SyncGatewayClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        return self._runner.run(self._target.metrics(), timeout=30)
 
 
-class SyncReplicaClient:
+class SyncReplicaClient(_SyncFacade):
     """Synchronous facade: :class:`ReplicaSet` on a daemon loop thread,
     probe loop armed — the multi-replica counterpart of
     :class:`SyncGatewayClient` with the same ``submit`` contract."""
+
+    _target: ReplicaSet
 
     def __init__(
         self,
@@ -789,12 +794,6 @@ class SyncReplicaClient:
         cooldown: float = 0.5,
         request_timeout: float = 60.0,
     ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="replica-client-loop", daemon=True
-        )
-        self._thread.start()
-
         async def make_set() -> ReplicaSet:
             replica_set = ReplicaSet(
                 endpoints,
@@ -807,45 +806,6 @@ class SyncReplicaClient:
                 cooldown=cooldown,
                 request_timeout=request_timeout,
             )
-            await replica_set.start()
-            return replica_set
+            return await replica_set.start()
 
-        self._set: ReplicaSet = asyncio.run_coroutine_threadsafe(
-            make_set(), self._loop
-        ).result(timeout=30)
-
-    def submit(self, request: AuctionRequest) -> Future[AuctionResponse]:
-        """Start one solve with failover; returns a future."""
-        return asyncio.run_coroutine_threadsafe(self._set.solve(request), self._loop)
-
-    def solve(self, request: AuctionRequest) -> AuctionResponse:
-        return self.submit(request).result()
-
-    def register_scene(self, structure: AnyStructure) -> str:
-        return asyncio.run_coroutine_threadsafe(
-            self._set.register_scene(structure), self._loop
-        ).result(timeout=60)
-
-    def health(self) -> bool:
-        return asyncio.run_coroutine_threadsafe(
-            self._set.health(), self._loop
-        ).result(timeout=30)
-
-    def stats(self) -> dict[str, Any]:
-        return self._set.stats()
-
-    def close(self) -> None:
-        loop, thread = self._loop, self._thread
-        if not loop.is_closed():
-            asyncio.run_coroutine_threadsafe(self._set.close(), loop).result(
-                timeout=30
-            )
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=30)
-            loop.close()
-
-    def __enter__(self) -> "SyncReplicaClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        super().__init__("replica-client-loop", make_set)

@@ -13,8 +13,8 @@ configurations simply carry no plan, so every hook is a cheap
 
 * ``"service.solve"`` — evaluated in ``AuctionService._solve_scene_group``
   just before the engine runs, wherever that happens to be (the
-  dispatcher thread, a shard thread, or a pool worker's private
-  service).  ``"slow"`` sleeps ``delay`` seconds per fired request —
+  dispatcher thread, a ``solve_batch`` caller, or a pool worker's
+  private service).  ``"slow"`` sleeps ``delay`` seconds per fired request —
   a browning-out solver; ``"error"`` raises
   :class:`~repro.service.errors.InjectedFaultError` — a native backend
   failure, which (like a real one) fails the whole coalesced scene
@@ -166,8 +166,8 @@ class FaultSpec:
 class FaultPlan:
     """An armed set of :class:`FaultSpec`\\ s evaluated at named sites.
 
-    Evaluation is thread-safe (the service's solve sites run on shard
-    threads) and deterministic from ``seed``: keyed evaluations are
+    Evaluation is thread-safe (the service's solve sites run on its
+    dispatcher and on ``solve_batch`` callers' threads) and deterministic from ``seed``: keyed evaluations are
     stateless, unkeyed ones consume per-spec counter streams.
     """
 

@@ -5,10 +5,10 @@
 — no web framework, no extra dependency — in front of a backing
 :class:`~repro.service.AuctionService`.  The event loop only parses,
 routes, and encodes; every solve is bridged onto the service's own
-dispatcher/shard machinery by wrapping the ``submit`` future with
+dispatcher machinery by wrapping the ``submit`` future with
 :func:`asyncio.wrap_future`, so thousands of concurrent connections cost
-one coroutine each while the thread or process executor does the actual
-work.
+one coroutine each while the service's dispatcher (``executor="serial"``)
+or its process pool (``executor="process"``) does the actual work.
 
 Endpoints (all request/response bodies are JSON; see DESIGN.md → "The
 serving edge" for the full table):
@@ -74,11 +74,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
 from repro.io import _structure_from_dict
+from repro.service._loop import LoopThread
 from repro.service.errors import ShedError
 from repro.service.wire import (
     SCHEMA_VERSION,
@@ -705,24 +705,17 @@ class GatewayServer:
         )
         self.host = host
         self._requested_port = port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
+        self._runner: LoopThread | None = None
         self._server: asyncio.Server | None = None
         self.port: int = 0
 
     def start(self) -> "GatewayServer":
         """Start the loop thread and bind the listening socket."""
-        if self._thread is not None:
+        if self._runner is not None:
             return self
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="gateway-loop", daemon=True
+        self._runner, self._server = LoopThread.start(
+            "gateway-loop", lambda: self.gateway.start(self.host, self._requested_port)
         )
-        self._thread.start()
-        started = asyncio.run_coroutine_threadsafe(
-            self.gateway.start(self.host, self._requested_port), self._loop
-        )
-        self._server = started.result(timeout=30)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -739,32 +732,32 @@ class GatewayServer:
         in-flight requests — the signal that drives
         :class:`~repro.service.client.ReplicaSet` eviction.
         """
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None:
+        runner, server = self._runner, self._server
+        if runner is not None and server is not None:
 
             def slam() -> None:
                 server.close()
                 self.gateway.abort_connections()
 
-            loop.call_soon_threadsafe(slam)
+            runner.loop.call_soon_threadsafe(slam)
         self.close()
 
     def close(self) -> None:
         """Stop accepting, close the listener, and join the loop thread."""
-        loop, server, thread = self._loop, self._server, self._thread
-        if loop is None or thread is None:
+        runner, server = self._runner, self._server
+        if runner is None:
             return
-        if server is not None:
+        self._runner = self._server = None
 
-            async def shutdown() -> None:
+        async def shutdown() -> None:
+            if server is not None:
                 server.close()
                 await server.wait_closed()
 
-            asyncio.run_coroutine_threadsafe(shutdown(), loop).result(timeout=30)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=30)
-        loop.close()
-        self._loop = self._thread = self._server = None
+        try:
+            runner.run(shutdown(), timeout=30)
+        finally:
+            runner.stop()
 
     def __enter__(self) -> "GatewayServer":
         return self.start()

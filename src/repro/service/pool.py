@@ -1,19 +1,19 @@
 """Multi-process shard pool: worker processes that outlive the GIL ceiling.
 
-The thread-shard executor of :class:`~repro.service.AuctionService` tops
-out near 1x on distinct-heavy traffic: every shard shares one GIL, and a
-distinct request's cost is almost entirely Python + NumPy solve work that
-never releases it for long.  :class:`ProcessShardPool` replaces the shard
-threads with a pool of **long-lived worker processes**, each owning the
-full per-shard solver state:
+A distinct request's cost is almost entirely Python + NumPy solve work
+that never releases the GIL for long, so threads in one process cannot
+add throughput.  :class:`ProcessShardPool` is the parallel executor of
+:class:`~repro.service.AuctionService` (``executor="process"``): a pool
+of **long-lived worker processes**, each owning the full per-shard solver
+state:
 
 * its own persistent HiGHS backend (per-process ``threading.local``, warm
   bases included),
 * its own LRU caches of compiled structures / compiled auctions /
   prepared mechanism outcomes,
 * its own worker-side :class:`~repro.service.AuctionService` running the
-  *identical* synchronous ``solve_batch`` code path the in-process
-  executors use — which is what makes pool results bit-identical to the
+  *identical* synchronous ``solve_batch`` code path the serial executor
+  uses — which is what makes pool results bit-identical to the
   serial path for seeded requests (pinned by the placement-invariance
   tests).
 
@@ -248,7 +248,6 @@ class ProcessShardPool:
         num_workers: int,
         *,
         worker_config: dict[str, Any] | None = None,
-        start_method: str = "auto",
         max_retries: int = 1,
         spill: bool = True,
         close_timeout: float = 5.0,
@@ -283,8 +282,7 @@ class ProcessShardPool:
         self.respawn_backoff = respawn_backoff
         self.backoff_cap = backoff_cap
         self.breaker_cooldown = breaker_cooldown
-        self._ctx = mp_context(start_method)
-        self.start_method = self._ctx.get_start_method()
+        self._ctx = mp_context()
         self._lock = threading.Lock()
         self._workers = [_WorkerHandle(index=i) for i in range(num_workers)]
         self._threads: list[threading.Thread] = []
@@ -661,7 +659,7 @@ class ProcessShardPool:
             ]
             return {
                 "num_workers": self.num_workers,
-                "start_method": self.start_method,
+                "start_method": self._ctx.get_start_method(),
                 "cores": os.cpu_count(),
                 "restarts": self._restarts,
                 "retried_batches": self._retried_batches,

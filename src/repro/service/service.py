@@ -21,29 +21,24 @@ system.  The moving parts, in request order:
   compiled-structure pass, one LP stage, one rounding stage per group.
   Each request carries its own seed, so its result is independent of
   which batch it was coalesced into (pinned by the service tests).
-* **Shard-affinity routing** — groups are routed to a worker shard by
-  scene id hash.  The warm-start basis of the persistent HiGHS backend is
-  thread-local, so pinning a scene to one shard thread is what makes
-  warm-started re-solves actually hit their basis.
+* **Executors** — ``executor="serial"`` (the default) solves every
+  group inline on the dispatcher thread: deterministic ordering, and one
+  thread owns every warm basis of the thread-local HiGHS backend.
+  ``executor="process"`` hands each group to a
+  :class:`~repro.service.pool.ProcessShardPool` of long-lived worker
+  processes — each owning its own HiGHS backend, warm bases, and
+  compilation caches, and each running the serial path — with
+  scene-affinity routing (plus spill to the least-loaded worker),
+  pickle-once scene shipping, and crash recovery.  The solve path is
+  GIL-bound Python + NumPy, so only processes add parallelism; per-request
+  seeds make pool results bit-identical to the serial path, so the
+  choice of executor is purely a throughput decision.
 * **Metrics** (:mod:`repro.service.metrics`) — throughput, p50/p95/p99
   latency, batch sizes, cache hit rates, warm/cold LP solve counts, LP
   solves per solver mode and simplex/IPM iteration totals.
 
-``executor="serial"`` keeps the dispatcher thread but runs every group
-inline in it — deterministic ordering, no shard threads — and is the
-configuration the determinism tests pin.  :meth:`solve_batch` /
-:meth:`run_trace` bypass the queue entirely for synchronous, simulated
-replays.
-
-``executor="thread"`` shards are cheap but share one GIL, which caps
-distinct-heavy throughput at ~1x no matter the shard count.
-``executor="process"`` swaps them for a
-:class:`~repro.service.pool.ProcessShardPool` of long-lived worker
-processes — each owning its own HiGHS backend, warm bases, and
-compilation caches — with scene-affinity routing (plus spill to the
-least-loaded worker), pickle-once scene shipping, and crash recovery.
-Per-request seeds make pool results bit-identical to the serial path, so
-the choice of executor is purely a throughput decision.
+:meth:`solve_batch` / :meth:`run_trace` bypass the queue entirely for
+synchronous, simulated replays.
 
 **Fault tolerance** (DESIGN.md → "Fault tolerance & chaos"): the queued
 path enforces *admission control* (``max_queue`` bounds the backlog;
@@ -64,7 +59,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -96,7 +91,7 @@ if TYPE_CHECKING:
 # wire schema) and re-exported here for the pre-gateway import path
 __all__ = ["AuctionRequest", "AuctionService"]
 
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 _REQUEST_MODES = ("allocate", "truthful")
@@ -137,7 +132,7 @@ class AuctionService:
         self,
         *,
         registry: SceneRegistry | None = None,
-        executor: str = "thread",
+        executor: str = "serial",
         num_shards: int = 2,
         coalesce_window: float = 0.005,
         max_batch: int = 32,
@@ -148,7 +143,6 @@ class AuctionService:
         rounding_attempts: int = 1,
         lp_warm_start: bool = False,
         adaptive_coalescing: bool = True,
-        mp_start_method: str = "auto",
         worker_retries: int = 1,
         max_queue: int | None = None,
         fault_plan: FaultPlan | None = None,
@@ -167,9 +161,8 @@ class AuctionService:
         distinct-heavy request stream (see :meth:`_bypass_window`).
 
         With ``executor="process"``, ``num_shards`` is the worker-process
-        count, ``mp_start_method`` picks how workers are started
-        (``"auto"`` → forkserver where available, else spawn; see
-        :mod:`repro.util.mp`), and ``worker_retries`` bounds how often a
+        count (started as :mod:`repro.util.mp` decides: forkserver where
+        available, else spawn), and ``worker_retries`` bounds how often a
         batch whose worker crashed is retried on the respawned worker
         before its futures fail.  The cache sizes and pricing/rounding
         options configure each *worker's* caches — the parent-side caches
@@ -207,8 +200,7 @@ class AuctionService:
             raise ValueError("solve_time_hint must be positive")
         self.registry = registry or SceneRegistry()
         self.executor = executor
-        self.num_shards = num_shards if executor in ("thread", "process") else 1
-        self.mp_start_method = mp_start_method
+        self.num_shards = num_shards if executor == "process" else 1
         self.worker_retries = worker_retries
         self.max_queue = max_queue
         self.fault_plan = fault_plan
@@ -226,9 +218,8 @@ class AuctionService:
         # distinct-heavy coalescing bypass (windowed counter, newest wins)
         self._recent_profiled: list[bool] = []  #: guarded-by: _state_lock
         # the engine is used purely through solve_compiled, stage-batching
-        # each coalesced group in whichever shard thread it lands on
+        # each coalesced group
         self.engine = BatchAuctionEngine(
-            executor="serial",
             rounding_attempts=rounding_attempts,
             lp_warm_start=lp_warm_start,
             structure_cache=self.structure_cache,
@@ -245,7 +236,6 @@ class AuctionService:
         self._solve_ewma: float | None = solve_time_hint  #: guarded-by: _state_lock
         self._closed = False  #: guarded-by: _state_lock, _idle
         self._dispatcher: threading.Thread | None = None
-        self._shards: list[ThreadPoolExecutor] = []
         self._pool: ProcessShardPool | None = None  # created lazily on first submit
 
     # ------------------------------------------------------------------
@@ -254,9 +244,6 @@ class AuctionService:
     def register_scene(self, structure: AnyStructure) -> str:
         """Register (or re-register) a conflict structure; returns scene id."""
         return self.registry.register(structure)
-
-    def _shard_of(self, scene_id: str) -> int:
-        return int(scene_id, 16) % self.num_shards
 
     # ------------------------------------------------------------------
     # compilation (through the service-owned caches)
@@ -468,7 +455,7 @@ class AuctionService:
         — deterministically, since only the recorded stamps matter — and
         each batch is solved inline.  ``realtime=True`` sleeps to each
         arrival stamp and submits through the queue, exercising the
-        dispatcher and shard pool under genuine open-loop load.
+        dispatcher (and process pool) under genuine open-loop load.
         """
         requests = list(trace)
         if realtime:
@@ -498,7 +485,7 @@ class AuctionService:
         return results
 
     # ------------------------------------------------------------------
-    # queued path (dispatcher + shard pool)
+    # queued path (dispatcher + process pool)
     # ------------------------------------------------------------------
     def _worker_config(self) -> dict[str, Any]:
         """The service options each pool worker's private service mirrors."""
@@ -513,23 +500,15 @@ class AuctionService:
         }
 
     def _start_locked(self) -> None:
-        """Start dispatcher + shard pool (caller holds ``_state_lock``)."""
+        """Start dispatcher + process pool (caller holds ``_state_lock``)."""
         if self._dispatcher is None:
-            if self.executor == "thread":
-                self._shards = [
-                    ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix=f"auction-shard-{i}"
-                    )
-                    for i in range(self.num_shards)
-                ]
-            elif self.executor == "process":
+            if self.executor == "process":
                 from repro.service.pool import ProcessShardPool
 
                 self._pool = ProcessShardPool(
                     self.registry,
                     self.num_shards,
                     worker_config=self._worker_config(),
-                    start_method=self.mp_start_method,
                     max_retries=self.worker_retries,
                     **self.pool_config,
                 ).start()
@@ -622,11 +601,7 @@ class AuctionService:
             for pending in batch:
                 groups.setdefault(pending.request.scene_id, []).append(pending)
             for scene_id, pendings in groups.items():
-                if self.executor == "thread":
-                    self._shards[self._shard_of(scene_id)].submit(
-                        self._run_pendings, pendings
-                    )
-                elif self.executor == "process":
+                if self.executor == "process":
                     self._submit_remote(scene_id, pendings)
                 else:
                     self._run_pendings(pendings)
@@ -827,9 +802,6 @@ class AuctionService:
         drained = self.drain(timeout=timeout)
         if dispatcher is not None:
             dispatcher.join()
-        for shard in self._shards:
-            shard.shutdown(wait=True)
-        self._shards = []
         if self._pool is not None:
             self._pool.close()  # kept for post-close stats snapshots
         return drained
@@ -846,7 +818,7 @@ class AuctionService:
     def healthy(self) -> bool:
         """Can the service accept and serve requests right now?
 
-        Serial/thread executors are healthy while open; the process
+        The serial executor is healthy while open; the process
         executor additionally requires at least one routable worker
         (circuit breakers open on every worker means submits would only
         queue and fail).
@@ -888,7 +860,6 @@ class AuctionService:
             "mechanism_pricing": self.mechanism_pricing,
             "adaptive_coalescing": self.adaptive_coalescing,
             "lp_warm_start": self.engine.solve_kwargs["lp_warm_start"],
-            "mp_start_method": self.mp_start_method,
             "worker_retries": self.worker_retries,
             "max_queue": self.max_queue,
             "degrade_headroom": self.degrade_headroom,

@@ -24,7 +24,8 @@ class LRUCache:
 
     ``get`` refreshes recency; ``put`` evicts the stalest entries once
     ``capacity`` is exceeded.  All operations hold one re-entrant lock, so
-    the cache can be shared across the service's shard threads.
+    the cache can be shared across threads (the service's dispatcher
+    and its callers).
     ``get_or_create`` runs its factory *outside* the lock (compilation can
     take milliseconds) and double-checks on insert, keeping the first
     created value on a race.

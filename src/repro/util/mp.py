@@ -1,15 +1,14 @@
-"""Multiprocessing start-method policy, shared by every process executor.
+"""Multiprocessing start-method policy for the one process pool.
 
-Two places in the system spawn worker processes — the batch engine's
-``executor="process"`` fan-out and the service's
-:class:`~repro.service.pool.ProcessShardPool` — and both need the same
-answer to "how should a worker be started?":
+One place in the system spawns worker processes — the service's
+:class:`~repro.service.pool.ProcessShardPool` — and it needs an answer to
+"how should a worker be started?":
 
 * ``fork`` is the cheapest (workers inherit the parent's imports and any
   already-registered scenes for free) but is unsafe once the parent has
-  threads — and both call sites live in code that runs threads (the
-  service's dispatcher, pytest, user frontends).  Python 3.12 deprecates
-  it in exactly that situation.
+  threads — and the pool lives in code that runs threads (the service's
+  dispatcher, pytest, user frontends).  Python 3.12 deprecates it in
+  exactly that situation.
 * ``spawn`` is always safe but pays a full interpreter start plus the
   numpy/scipy/HiGHS import cascade (~1s) *per worker*.
 * ``forkserver`` is the middle path: one clean server process is started
@@ -17,10 +16,9 @@ answer to "how should a worker be started?":
   is a cheap fork of that thread-free server.
 
 ``default_start_method`` therefore prefers ``forkserver`` where the
-platform offers it (Linux, macOS) and falls back to ``spawn``; callers
-expose a ``mp_start_method`` knob that forwards here, so ``"fork"`` can
-still be chosen explicitly by a single-threaded batch driver that wants
-the inherited-snapshot speedup.
+platform offers it (Linux, macOS) and falls back to ``spawn``, and
+:func:`mp_context` is the only way a context is made (reprolint's
+``mp-context`` and ``pool-owner`` rules).
 """
 
 from __future__ import annotations
@@ -46,17 +44,9 @@ def default_start_method() -> str:
     return "spawn"
 
 
-def mp_context(method: str | None = "auto") -> multiprocessing.context.BaseContext:
-    """A :mod:`multiprocessing` context for ``method``.
-
-    ``"auto"`` (or ``None``) resolves through :func:`default_start_method`;
-    anything else is passed to :func:`multiprocessing.get_context` verbatim,
-    so an unsupported method raises ``ValueError`` here rather than at the
-    first spawn.
-    """
-    if method in (None, "auto"):
-        method = default_start_method()
-    return mp.get_context(method)
+def mp_context() -> multiprocessing.context.BaseContext:
+    """The :mod:`multiprocessing` context for :func:`default_start_method`."""
+    return mp.get_context(default_start_method())
 
 
 # ----------------------------------------------------------------------

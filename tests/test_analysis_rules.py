@@ -42,6 +42,7 @@ def test_rule_registry_is_complete():
         "guarded-by",
         "module-state",
         "mp-context",
+        "pool-owner",
         "fork-reset",
         "float-eq",
         "kernel-mutation",
@@ -374,6 +375,59 @@ def test_mp_context_negative_via_util_mp_and_allowlist(tmp_path):
         filename="util/mp.py",
     )
     assert "mp-context" not in rules_fired(allowed)
+
+
+_POOLS = """
+    import concurrent.futures as cf
+    from concurrent.futures import ProcessPoolExecutor as Procs, ThreadPoolExecutor
+    from repro.util.mp import mp_context
+
+    def fan_out(jobs):
+        with ThreadPoolExecutor(4) as threads, Procs(2) as procs:
+            return threads, procs, cf.ThreadPoolExecutor(), mp_context()
+    """
+
+
+def test_pool_owner_positive(tmp_path):
+    findings = lint(tmp_path, _POOLS, filename="engine/batch.py")
+    flagged = [f for f in findings if f.rule == "pool-owner"]
+    # two executors in the with-statement, one attribute construction,
+    # one mp_context() call outside the pool
+    assert len(flagged) == 4
+    assert {f.line for f in flagged} == {7, 8}
+
+
+def test_pool_owner_flags_executors_even_in_the_owner(tmp_path):
+    findings = lint(tmp_path, _POOLS, filename="service/pool.py")
+    flagged = [f for f in findings if f.rule == "pool-owner"]
+    assert len(flagged) == 3
+    assert all("mp_context" not in f.message for f in flagged)
+
+
+def test_pool_owner_negative_pool_and_futures(tmp_path):
+    owner = lint(
+        tmp_path / "owner",
+        """
+        from concurrent.futures import Future
+        from repro.util.mp import mp_context
+
+        def spawn():
+            return mp_context().Process(target=print), Future()
+        """,
+        filename="service/pool.py",
+    )
+    assert "pool-owner" not in rules_fired(owner)
+    consumer = lint(
+        tmp_path / "consumer",
+        """
+        from repro.service.pool import ProcessShardPool
+
+        def serve(registry):
+            return ProcessShardPool(registry, 2)
+        """,
+        filename="service/service.py",
+    )
+    assert "pool-owner" not in rules_fired(consumer)
 
 
 def test_fork_reset_positive(tmp_path):

@@ -1,4 +1,4 @@
-"""Batch engine behavior: determinism, caching, executors, fast LP backend."""
+"""Batch engine behavior: determinism, caching, fast LP backend."""
 
 from __future__ import annotations
 
@@ -43,30 +43,19 @@ def _results_equal(a, b):
 
 class TestBatchEngine:
     def test_serial_deterministic(self, small_fleet):
-        engine = BatchAuctionEngine(executor="serial")
+        engine = BatchAuctionEngine()
         first = engine.solve_many(small_fleet, seed=17)
         second = engine.solve_many(small_fleet, seed=17)
         assert _results_equal(first, second)
 
-    def test_serial_thread_process_identical(self, small_fleet):
-        serial = BatchAuctionEngine(executor="serial").solve_many(small_fleet, seed=17)
-        thread = BatchAuctionEngine(executor="thread", max_workers=4).solve_many(
-            small_fleet, seed=17
-        )
-        assert _results_equal(serial, thread)
-        process = BatchAuctionEngine(executor="process", max_workers=2).solve_many(
-            small_fleet, seed=17
-        )
-        assert _results_equal(serial, process)
-
     def test_repeated_problems_share_lp_solves(self, small_fleet):
-        batch = BatchAuctionEngine(executor="serial").solve_many(small_fleet, seed=3)
+        batch = BatchAuctionEngine().solve_many(small_fleet, seed=3)
         assert batch.n_instances == 8
         assert batch.unique_problems == 6
         assert batch.lp_solves == 6
 
     def test_matches_individual_solver(self, small_fleet):
-        batch = BatchAuctionEngine(executor="serial").solve_many(small_fleet, seed=23)
+        batch = BatchAuctionEngine().solve_many(small_fleet, seed=23)
         seeds = np.random.SeedSequence(23).spawn(len(small_fleet))
         for problem, child, result in zip(small_fleet, seeds, batch.results):
             solo = SpectrumAuctionSolver(problem).solve(seed=child)
@@ -75,44 +64,40 @@ class TestBatchEngine:
 
     def test_spec_callables(self):
         specs = [lambda i=i: protocol_auction(10, 2, seed=7000 + i) for i in range(3)]
-        batch = BatchAuctionEngine(executor="serial").solve_many(specs, seed=5)
+        batch = BatchAuctionEngine().solve_many(specs, seed=5)
         assert batch.n_instances == 3
         assert all(r.feasible for r in batch.results)
 
     def test_generator_input(self):
-        batch = BatchAuctionEngine(executor="serial").solve_many(
+        batch = BatchAuctionEngine().solve_many(
             (protocol_auction(10, 2, seed=7100 + i) for i in range(3)), seed=5
         )
         assert batch.n_instances == 3
 
     def test_summary_fields(self, small_fleet):
-        batch = BatchAuctionEngine(executor="serial").solve_many(small_fleet, seed=2)
+        batch = BatchAuctionEngine().solve_many(small_fleet, seed=2)
         assert batch.summary["n_instances"] == 8
         assert batch.summary["total_welfare"] == pytest.approx(batch.total_welfare)
         assert 0.0 <= batch.guarantee_met_fraction <= 1.0
         assert batch.wall_time > 0
 
     def test_empty_batch(self):
-        batch = BatchAuctionEngine(executor="serial").solve_many([], seed=1)
+        batch = BatchAuctionEngine().solve_many([], seed=1)
         assert batch.n_instances == 0
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError):
-            BatchAuctionEngine(executor="gpu")
 
     def test_rejects_non_problem(self):
         with pytest.raises(TypeError):
-            BatchAuctionEngine(executor="serial").solve_many([42], seed=1)
+            BatchAuctionEngine().solve_many([42], seed=1)
 
     def test_derandomized_batch(self, small_fleet):
-        engine = BatchAuctionEngine(executor="serial", derandomize=True)
+        engine = BatchAuctionEngine(derandomize=True)
         a = engine.solve_many(small_fleet[:3], seed=None)
         b = engine.solve_many(small_fleet[:3], seed=None)
         assert _results_equal(a, b)  # deterministic even without a seed
 
     def test_weighted_batch(self):
         problems = [physical_auction(10, 2, seed=7200 + i) for i in range(3)]
-        batch = BatchAuctionEngine(executor="serial").solve_many(problems, seed=8)
+        batch = BatchAuctionEngine().solve_many(problems, seed=8)
         assert all(r.feasible for r in batch.results)
 
 

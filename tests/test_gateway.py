@@ -12,6 +12,8 @@ import dataclasses
 import http.client
 import inspect
 import json
+import socket
+import threading
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.service import (
     Scenario,
     ShedError,
     SyncGatewayClient,
+    SyncReplicaClient,
     run_scenario,
     scenario_library,
     scene_fingerprint,
@@ -184,6 +187,36 @@ class TestEndpoints:
                 response.read()
         finally:
             conn.close()
+
+
+class TestLoopThreads:
+    """The sync facades own one loop thread each, and never leak it."""
+
+    def test_failed_starts_leave_no_loop_thread(self):
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError):
+            SyncReplicaClient([])
+        service = AuctionService(executor="serial")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                with GatewayServer(service, port=taken.getsockname()[1]):
+                    pass
+        service.close()
+        assert [t.name for t in set(threading.enumerate()) - before] == []
+
+    def test_close_joins_loop_threads(self, scene):
+        before = set(threading.enumerate())
+        service = AuctionService(executor="serial", coalesce_window=0.0)
+        with GatewayServer(service) as server:
+            with SyncGatewayClient(port=server.port) as client:
+                assert client.health()
+            with SyncReplicaClient([("127.0.0.1", server.port)]) as replicas:
+                assert replicas.register_scene(scene) == scene_fingerprint(scene)
+        client.close()  # idempotent
+        service.close()
+        assert [t.name for t in set(threading.enumerate()) - before] == []
 
 
 class TestErrorStatuses:

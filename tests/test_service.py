@@ -111,18 +111,6 @@ class TestDeterminism:
         assert queued.close(timeout=60)
         assert allocations(expected) == allocations(got)
 
-    def test_threaded_shards_match_serial(self, scene):
-        serial = make_service(scene)
-        threaded = make_service(
-            scene, executor="thread", num_shards=2, coalesce_window=0.002
-        )
-        trace = make_trace(serial, num_requests=10)
-        expected = serial.run_trace(trace)
-        futures = [threaded.submit(item.request) for item in trace]
-        got = [f.result(timeout=60) for f in futures]
-        assert threaded.close(timeout=60)
-        assert allocations(expected) == allocations(got)
-
 
 class TestCoalescing:
     def test_batched_equals_one_by_one(self, scene):
@@ -241,7 +229,7 @@ class TestCacheAccounting:
 
 class TestLifecycle:
     def test_graceful_drain_on_close(self, scene):
-        service = make_service(scene, executor="thread", num_shards=2)
+        service = make_service(scene, executor="serial")
         trace = make_trace(service, num_requests=8)
         futures = [service.submit(item.request) for item in trace]
         assert service.close(timeout=60)
@@ -360,6 +348,8 @@ class TestServiceValidation:
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
             AuctionService(executor="fpga")
+        with pytest.raises(ValueError):
+            AuctionService(executor="thread")
         with pytest.raises(ValueError):
             AuctionService(num_shards=0)
         with pytest.raises(ValueError):

@@ -145,9 +145,9 @@ def test_reauction_fleet_shares_matrix_pattern():
 def test_warm_engine_matches_cold_lp_optima():
     fleet_cold = reauction_fleet(6, 15, 5, seed=42)
     fleet_warm = reauction_fleet(6, 15, 5, seed=42)
-    cold = BatchAuctionEngine(executor="serial").solve_many(fleet_cold, seed=3)
+    cold = BatchAuctionEngine().solve_many(fleet_cold, seed=3)
     before = warm_start_stats()
-    warm = BatchAuctionEngine(executor="serial", lp_warm_start=True).solve_many(
+    warm = BatchAuctionEngine(lp_warm_start=True).solve_many(
         fleet_warm, seed=3
     )
     after = warm_start_stats()
@@ -174,7 +174,7 @@ def test_warm_flag_off_is_bit_identical_to_seed_path():
     # warm flag on, but solved through fresh compiled instances one at a
     # time, alternating with an unrelated cold model load in between: the
     # warm path may or may not trigger, results must stay optimal
-    engine = BatchAuctionEngine(executor="serial", lp_warm_start=True)
+    engine = BatchAuctionEngine(lp_warm_start=True)
     r_warm = engine.solve_many(fleet_b, seed=7).results
     for a, b in zip(r_plain, r_warm):
         assert b.lp_value == pytest.approx(a.lp_value, rel=1e-9, abs=1e-9)
