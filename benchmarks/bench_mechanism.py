@@ -12,7 +12,11 @@ fast path (PR 5) against the reference (pre-fast-path) pipeline:
   recomputes the full reference mechanism — seed-era ``AuctionLP``
   rebuilds and per-bidder cold VCG solves — for every request, exactly
   the pre-PR cost.  Sampled allocations must be bit-identical between
-  the two replays and payments equal to VCG-probe tolerance.
+  the two replays and payments equal to VCG-probe tolerance.  Its
+  ``stages`` entry (:func:`bench_stages`) times the fast mechanism's two
+  stages on each distinct profile of the trace: the median
+  ``decompose_ms`` and ``vcg_ms`` per profile (``vcg_ms`` is gated by
+  check_regression.py).
 * ``truthful_n1000`` — one n=1000 metro disk truthful auction end to end
   on the fast path (LP → decomposition → payments → sample), which the
   reference pipeline cannot finish in reasonable time; the acceptance
@@ -41,11 +45,14 @@ import time
 
 import numpy as np
 
+from repro.core.auction import AuctionProblem
 from repro.core.solver import SpectrumAuctionSolver
+from repro.engine.compiled import CompiledAuction, compile_structure
 from repro.experiments.workloads import metro_disk_scene, metro_truthful_auction
-from repro.mechanism.lavi_swamy import decompose_lp_solution
+from repro.mechanism.lavi_swamy import decompose_lp_solution, default_alpha
 from repro.mechanism.truthful import TruthfulMechanism
-from repro.service import AuctionService, SceneRegistry, poisson_trace
+from repro.mechanism.vcg import vcg_payments
+from repro.service import AuctionService, SceneRegistry, TrafficTrace, poisson_trace
 
 OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_mechanism.json"
 
@@ -71,6 +78,89 @@ def _service(registry: SceneRegistry, fast: bool) -> AuctionService:
     return AuctionService(**options)
 
 
+def _truthful_trace(
+    n: int,
+    *,
+    k: int,
+    num_requests: int,
+    repeat_fraction: float,
+    unique_profiles: int,
+    bids_per_bidder: int,
+    scene_seed: int,
+    trace_seed: int,
+) -> tuple[SceneRegistry, TrafficTrace]:
+    """One metro disk scene and a truthful Poisson trace against it."""
+    registry = SceneRegistry()
+    scene_id = registry.register(metro_disk_scene(n, seed=scene_seed))
+    trace = poisson_trace(
+        registry,
+        [scene_id],
+        k=k,
+        rate=100.0,
+        num_requests=num_requests,
+        seed=trace_seed,
+        repeat_fraction=repeat_fraction,
+        unique_profiles=unique_profiles,
+        bids_per_bidder=bids_per_bidder,
+        mode="truthful",
+    )
+    return registry, trace
+
+
+def bench_stages(n: int = 300) -> dict:
+    """Per-stage times of the fast mechanism on a truthful trace's profiles.
+
+    Every distinct profile of :func:`bench_truthful_trace`'s default trace
+    at size ``n`` is prepared once as the fast service prepares it — LP,
+    compiled decomposition, warm VCG probes — with the decomposition and
+    the payments timed separately.  Reports the median milliseconds per
+    profile of each stage.
+    """
+    registry, trace = _truthful_trace(
+        n,
+        k=4,
+        num_requests=36,
+        repeat_fraction=0.85,
+        unique_profiles=6,
+        bids_per_bidder=2,
+        scene_seed=1500,
+        trace_seed=51,
+    )
+    decompose_ms: list[float] = []
+    vcg_ms: list[float] = []
+    seen: set[str] = set()
+    for item in trace:
+        request = item.request
+        if request.profile_key is not None:
+            if request.profile_key in seen:
+                continue
+            seen.add(request.profile_key)
+        structure = registry.get(request.scene_id)
+        compiled_structure = compile_structure(structure)
+        problem = AuctionProblem(structure, request.k, request.valuations)
+        solution = SpectrumAuctionSolver(
+            problem, compiled=CompiledAuction(problem, structure=compiled_structure)
+        ).solve_lp()
+        alpha = default_alpha(problem)
+        start = time.perf_counter()
+        decompose_lp_solution(
+            problem, solution, alpha=alpha, seed=0, compiled_structure=compiled_structure
+        )
+        decompose_ms.append((time.perf_counter() - start) * 1e3)
+        start = time.perf_counter()
+        vcg_payments(problem, solution, alpha, compiled_structure=compiled_structure)
+        vcg_ms.append((time.perf_counter() - start) * 1e3)
+    return {
+        "workload": (
+            f"every distinct profile of the n={n} truthful trace, prepared once; "
+            "median ms per profile"
+        ),
+        "profiles": len(vcg_ms),
+        "decompose_ms": float(np.median(decompose_ms)),
+        "vcg_ms": float(np.median(vcg_ms)),
+    }
+
+
 def bench_truthful_trace(
     n: int,
     *,
@@ -90,19 +180,15 @@ def bench_truthful_trace(
     result-preserving: sampled allocations are asserted bit-identical and
     payments equal within probe tolerance.
     """
-    registry = SceneRegistry()
-    scene_id = registry.register(metro_disk_scene(n, seed=scene_seed))
-    trace = poisson_trace(
-        registry,
-        [scene_id],
+    registry, trace = _truthful_trace(
+        n,
         k=k,
-        rate=100.0,
         num_requests=num_requests,
-        seed=trace_seed,
         repeat_fraction=repeat_fraction,
         unique_profiles=unique_profiles,
         bids_per_bidder=bids_per_bidder,
-        mode="truthful",
+        scene_seed=scene_seed,
+        trace_seed=trace_seed,
     )
     entry: dict = {
         "workload": (
@@ -254,11 +340,14 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     trace = bench_truthful_trace(300)
+    trace["stages"] = bench_stages(300)
     print(
         f"truthful trace n=300: {trace['speedup']:.2f}x "
         f"({trace['fast']['throughput_rps']:.2f} vs "
         f"{trace['baseline']['throughput_rps']:.2f} rps), "
-        f"samples identical: {trace['samples_identical']}",
+        f"samples identical: {trace['samples_identical']}; per profile: "
+        f"decompose {trace['stages']['decompose_ms']:.1f} ms, "
+        f"vcg {trace['stages']['vcg_ms']:.1f} ms",
         flush=True,
     )
     parity = bench_decomposition_parity()

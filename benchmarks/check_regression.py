@@ -11,7 +11,8 @@ closes the loop:
 1. **measure** — re-run budgeted versions of the baseline workloads
    (the n=40 engine fleets, one n=1000 scale point, the n=300 service
    smoke scenario, the n=300 process-pool smoke, the n=150
-   truthful-mechanism smoke trace, the chaos scenarios at n=120, the
+   truthful-mechanism smoke trace, the mechanism's VCG stage on the
+   n=300 truthful trace's profiles, the chaos scenarios at n=120, the
    n=300 gateway smoke over a localhost socket, every LP solver mode on
    the n=1000 metro LP; a few CPU-seconds each, best-of ``--repeats``);
 2. **compare** — each checked metric's *slowdown factor* against the
@@ -156,6 +157,9 @@ CHECKS = [
     ),
     Check("mechanism", "smoke_truthful_n150.speedup", "speedup"),
     Check("mechanism", "smoke_truthful_n150.fast.throughput_rps", "throughput"),
+    # the fast mechanism's VCG stage: median ms per distinct profile of the
+    # n=300 truthful trace (the primal probes restarted from one base basis)
+    Check("mechanism", "truthful_trace_n300.stages.vcg_ms", "seconds"),
     # chaos family: exact pins (tol=1.0) — the fault-tolerance contract is
     # a boolean, and "mostly fault-tolerant" is a regression
     Check("chaos", "crash_storm_n300.completion_rate", "rate", tol=1.0),
@@ -265,7 +269,8 @@ def measure(repeats: int = 2) -> dict:
                 unique_profiles=4,
                 scene_seed=1400,
                 trace_seed=52,
-            )
+            ),
+            "truthful_trace_n300": {"stages": bench_mechanism.bench_stages(300)},
         }
         for _ in range(repeats)
     ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.auction import Allocation, AuctionProblem
+from repro.core.auction import Allocation, AuctionProblem, Structure
 from repro.core.auction_lp import AuctionLPSolution
 from repro.core.rounding import (
     RoundingReport,
@@ -37,8 +37,12 @@ from repro.core.rounding import (
     resolve_unweighted,
     resolve_weighted_partial,
 )
+from repro.interference.base import WeightedConflictStructure
 
 __all__ = ["DerandomizedResult", "derandomize_rounding"]
+
+# the attribute a structure holds its cached earlier-κ matrix under
+_KAPPA_ATTR = "_earlier_kappa_csr"
 
 
 @dataclass
@@ -52,37 +56,43 @@ class DerandomizedResult:
     report: RoundingReport
 
 
-def _earlier_kappa(problem: AuctionProblem) -> sp.csr_matrix:
+def _build_earlier_kappa(structure: Structure) -> sp.csr_matrix:
     """Sparse ``B[v, u] = κ(u, v) · [π(u) < π(v)]`` over the conflict graph.
 
     Built from the CSR backend when the graph is sparse (no n×n densify);
     entries are identical either way, so the penalty matrix below is
     bit-equal across backends.
     """
-    pos = problem.ordering.pos
-    graph = problem.graph
+    is_weighted = isinstance(structure, WeightedConflictStructure)
+    pos = structure.ordering.pos
+    graph = structure.graph
     if graph.is_sparse:
-        src = graph.wbar_csr if problem.is_weighted else graph.csr
+        src = graph.wbar_csr if is_weighted else graph.csr
         coo = src.tocoo()
         mask = pos[coo.col] < pos[coo.row]
-        data = (
-            coo.data[mask].astype(float)
-            if problem.is_weighted
-            else np.ones(int(mask.sum()))
-        )
+        data = coo.data[mask].astype(float) if is_weighted else np.ones(int(mask.sum()))
         b = sp.csr_matrix(
             (data, (coo.row[mask], coo.col[mask])), shape=(graph.n, graph.n)
         )
     else:
-        kappa = (
-            problem.graph.wbar_matrix
-            if problem.is_weighted
-            else problem.graph.adjacency.astype(float)
-        )
+        kappa = graph.wbar_matrix if is_weighted else graph.adjacency.astype(float)
         earlier = pos[None, :] < pos[:, None]  # earlier[v, u]: π(u) < π(v)
         b = sp.csr_matrix(np.where(earlier & (kappa > 0), kappa, 0.0))
     b.sort_indices()
     return b
+
+
+def _earlier_kappa(structure: Structure) -> sp.csr_matrix:
+    """:func:`_build_earlier_kappa`, built once per structure and held by
+    the structure object itself: every pricing round of a decomposition,
+    and every auction on one scene, reuse it, and it goes when the
+    structure goes.  The weighted flag is the structure's type, so the
+    two kinds never share a matrix.  Callers must not mutate it."""
+    cached = vars(structure).get(_KAPPA_ATTR)
+    if cached is None:
+        cached = _build_earlier_kappa(structure)
+        setattr(structure, _KAPPA_ATTR, cached)
+    return cached
 
 
 class _Estimator:
@@ -124,7 +134,7 @@ class _Estimator:
             incidence = sp.csr_matrix(
                 (np.ones(m), (np.arange(m), verts)), shape=(m, problem.n)
             )
-            pairs = (incidence @ _earlier_kappa(problem) @ incidence.T).tocoo()
+            pairs = (incidence @ _earlier_kappa(problem.structure) @ incidence.T).tocoo()
             keep = (chan[pairs.row] & chan[pairs.col]).any(axis=1)
             rows, cols = pairs.row[keep], pairs.col[keep]
             data = pen * self.values[rows] * pairs.data[keep]

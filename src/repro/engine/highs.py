@@ -6,7 +6,8 @@ of a single auction that overhead is larger than the solve itself.  This
 module owns every HiGHS model in the package through one class,
 :class:`ResidentLP`: one ``Highs`` instance with one parsed options object
 and the model loaded into it, mutated in place (``set_costs``,
-``add_cols``) and re-solved from the previous basis.  Its consumers are the
+``add_cols``) and re-solved from the previous basis or a saved one
+(``basis`` / ``restore``).  Its consumers are the
 engine's packing solver below, the VCG probe model, and the Lavi–Swamy
 warm pricer and incremental master.  No other module touches the bindings
 (reprolint's ``highs-owner`` rule).
@@ -189,7 +190,8 @@ def pass_colwise_model(
 class SolveReport:
     """What one :meth:`ResidentLP.solve` did.  ``objective`` is HiGHS's
     (minimization) objective value; ``warm`` says the solve restarted from
-    the basis of the model's previous solve."""
+    a basis: the previous solve's, or one put back by
+    :meth:`ResidentLP.restore`."""
 
     mode: str
     warm: bool
@@ -207,17 +209,19 @@ class ResidentLP:
     :meth:`load` passes a column-major model (minimization over ``x ≥ 0``,
     row bounds as given); :meth:`set_costs` and :meth:`add_cols` mutate it
     in place, so the next :meth:`solve` restarts from the previous optimal
-    basis.  The first solve after a load is *cold*, every later one *warm*.
-    ``key`` is the caller's name for the loaded model (the engine's
-    warm-start record); a failed solve clears it, so nothing warm-starts off
-    a failed basis.
+    basis.  :meth:`basis` saves a solve's basis and :meth:`restore` puts it
+    back, so a sequence of changes can each restart from one saved basis.
+    The first solve after a load is *cold* unless a basis was restored,
+    every later one *warm*.  ``key`` is the caller's name for the loaded
+    model (the engine's warm-start record); a failed solve clears it, so
+    nothing warm-starts off a failed basis.
     """
 
     def __init__(self, mode: str = "simplex") -> None:
         self.mode = mode
         self.key: Hashable | None = None
         self._highs = new_highs_instance(mode)
-        self._solved = False
+        self._warm = False  # the next solve restarts from a basis
 
     def load(
         self,
@@ -233,7 +237,7 @@ class ResidentLP:
             self._highs, a, cost, np.zeros(n), np.full(n, np.inf), row_lower, row_upper
         )
         self.key = key
-        self._solved = False
+        self._warm = False
 
     def set_costs(self, idx: np.ndarray, values: np.ndarray) -> None:
         """Set the costs of columns ``idx`` (int32) to ``values``."""
@@ -249,6 +253,26 @@ class ResidentLP:
             n, cost, np.zeros(n), np.full(n, np.inf), indices.size, starts, indices, values
         )
 
+    def basis(self) -> Any:
+        """A copy of the current basis (HiGHS's ``HighsBasis``), to hand
+        back to :meth:`restore` later."""
+        return self._highs.getBasis()
+
+    def restore(self, basis: Any) -> None:
+        """Make ``basis`` (from :meth:`basis`) the basis the next solve
+        starts from.  The loaded model must have the basis's shape; HiGHS
+        rejects any other and this raises ``RuntimeError``.
+
+        The solver's other state (factorization, edge weights) is dropped
+        first, so the next solve depends only on the model and ``basis``,
+        never on what ran before it.  That solve counts as warm, so it
+        runs the certificate check."""
+        self._highs.clearSolver()
+        status = self._highs.setBasis(basis)
+        if status != _hcore.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected the basis (status {status})")
+        self._warm = True
+
     def solve(self) -> SolveReport:
         """Run HiGHS on the model.  Raises ``RuntimeError`` on a non-optimal
         status, and — on every solve but a cold dual-simplex one, the seed's
@@ -260,7 +284,7 @@ class ResidentLP:
         info = highs.getInfo()
         report = SolveReport(
             mode=self.mode,
-            warm=self._solved,
+            warm=self._warm,
             simplex_iterations=info.simplex_iteration_count,
             ipm_iterations=info.ipm_iteration_count,
             max_primal_infeasibility=info.max_primal_infeasibility,
@@ -286,7 +310,7 @@ class ResidentLP:
                 f"{report.max_primal_infeasibility:.3g}, max dual infeasibility "
                 f"{report.max_dual_infeasibility:.3g}, basis valid {report.basis_valid}"
             )
-        self._solved = True
+        self._warm = True
         return report
 
     def solution(self) -> tuple[np.ndarray, np.ndarray]:

@@ -50,10 +50,18 @@ Three implementations of the column-generation loop coexist:
 
 ``pricing="exact"`` prices with the MILP as before (small instances at any
 α above their true gap).
+
+Every oracle but the MILP rounds under the round's adjusted valuations —
+one bid per support pair, valued by the master's duals — held as one
+explicit-table :class:`~repro.valuations.profile.Profile` built from the
+support columns' (vertex, mask) arrays (:class:`_AdjustedBids`), not as n
+valuation objects per round.  The derandomizer's earlier-κ matrix is
+built once per conflict structure and reused by every round.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +74,9 @@ from repro.core.conflict_resolution import make_fully_feasible
 from repro.core.derandomize import derandomize_rounding
 from repro.engine.highs import ResidentLP, solve_packing_lp_fast
 from repro.util.rng import ensure_rng
+from repro.valuations.base import Valuation
+from repro.valuations.explicit import MASK_CHANNELS, ExplicitValuation
+from repro.valuations.profile import KIND_EXPLICIT, Profile
 
 __all__ = ["DecompositionResult", "decompose_lp_solution", "default_alpha"]
 
@@ -137,52 +148,78 @@ class DecompositionResult:
         return out
 
 
-def _adjusted_problem(
-    problem: AuctionProblem, adjusted_cols: list[Column]
-) -> AuctionProblem:
-    """The problem under the adjusted valuations (one bid per support pair,
-    duplicates keep the max) — what the derandomized rounding maximizes."""
-    from repro.valuations.explicit import ExplicitValuation
+class _AdjustedBids:
+    """The pricing columns as (vertex, mask) arrays, built once per
+    decomposition; each pricing round values them by the master's duals.
 
-    n = problem.n
-    bids: list[dict[frozenset[int], float]] = [dict() for _ in range(n)]
-    for col in adjusted_cols:
-        if col.value > 0:
-            prev = bids[col.vertex].get(col.bundle, 0.0)
-            bids[col.vertex][col.bundle] = max(prev, col.value)
-    return AuctionProblem(
-        structure=problem.structure,
-        k=problem.k,
-        valuations=[ExplicitValuation(problem.k, b) for b in bids],
-    )
+    :meth:`problem` is the problem under the adjusted valuations (one bid
+    per support pair, duplicates keep the max) — what the derandomized
+    rounding maximizes.  Its bids are an explicit-table :class:`Profile`
+    built from the arrays, with no per-bidder object; a ``k`` beyond int64
+    masks falls back to one :class:`ExplicitValuation` per bidder.
+    """
 
+    def __init__(self, problem: AuctionProblem, columns: list[Column]) -> None:
+        self.base = problem
+        self.columns = columns
+        m = len(columns)
+        self.vertex = np.fromiter((col.vertex for col in columns), np.int64, m)
+        self.masks = (
+            np.fromiter((sum(1 << j for j in col.bundle) for col in columns), np.int64, m)
+            if problem.k <= MASK_CHANNELS
+            else None
+        )
 
-def _round_adjusted(
-    problem: AuctionProblem,
-    adjusted_cols: list[Column],
-    x: np.ndarray,
-    value: float,
-    y: np.ndarray,
-    z: np.ndarray,
-) -> Allocation:
-    """Derandomized rounding (+ Algorithm 3) under adjusted valuations —
-    the shared back half of both pricing oracles."""
-    solution = AuctionLPSolution(
-        columns=adjusted_cols, x=x, value=value, y=y, z=z
-    )
-    adj_problem = _adjusted_problem(problem, adjusted_cols)
-    result = derandomize_rounding(adj_problem, solution)
-    allocation = result.allocation
-    if problem.is_weighted:
-        resolution = make_fully_feasible(adj_problem, allocation)
-        allocation = resolution.allocation
-    return dict(allocation)
+    def problem(self, values: np.ndarray) -> AuctionProblem:
+        n, k = self.base.n, self.base.k
+        valuations: Sequence[Valuation]
+        if self.masks is None:
+            bids: list[dict[frozenset[int], float]] = [dict() for _ in range(n)]
+            for col, value in zip(self.columns, values.tolist()):
+                if value > 0:
+                    prev = bids[col.vertex].get(col.bundle, 0.0)
+                    bids[col.vertex][col.bundle] = max(prev, value)
+            valuations = [ExplicitValuation(k, b) for b in bids]
+        else:
+            keep = values > 0
+            vertex, masks, values = self.vertex[keep], self.masks[keep], values[keep]
+            # by vertex, then mask, largest value first: the first of each
+            # (vertex, mask) run is the bid kept
+            order = np.lexsort((-values, masks, vertex))
+            vertex, masks, values = vertex[order], masks[order], values[order]
+            first = np.ones(vertex.size, dtype=bool)
+            first[1:] = (vertex[1:] != vertex[:-1]) | (masks[1:] != masks[:-1])
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(vertex[first], minlength=n), out=offsets[1:])
+            kinds = np.full(n, KIND_EXPLICIT, dtype=np.int8)
+            valuations = Profile(k, offsets, kinds, masks[first], values[first])
+        return AuctionProblem(structure=self.base.structure, k=k, valuations=valuations)
+
+    def round(
+        self,
+        objective: np.ndarray,
+        x: np.ndarray,
+        value: float,
+        y: np.ndarray,
+        z: np.ndarray,
+    ) -> Allocation:
+        """Derandomized rounding (+ Algorithm 3) of an LP solution under the
+        adjusted valuations ``objective`` (one per column) — the shared back
+        half of both pricing oracles."""
+        adjusted_cols = [
+            Column(col.vertex, col.bundle, obj)
+            for col, obj in zip(self.columns, objective.tolist())
+        ]
+        solution = AuctionLPSolution(columns=adjusted_cols, x=x, value=value, y=y, z=z)
+        adj_problem = self.problem(objective)
+        allocation = derandomize_rounding(adj_problem, solution).allocation
+        if self.base.is_weighted:
+            allocation = make_fully_feasible(adj_problem, allocation).allocation
+        return dict(allocation)
 
 
 def _integral_allocation_for(
-    problem: AuctionProblem,
-    lp: AuctionLP,
-    objective: np.ndarray,
+    lp: AuctionLP, bids: _AdjustedBids, objective: np.ndarray
 ) -> Allocation:
     """The reference pricing oracle: rebuild LP (1)/(4) on its binding
     rows and cold-solve it under the adjusted valuations `objective` (one
@@ -191,12 +228,8 @@ def _integral_allocation_for(
     from repro.core.lp import solve_packing_lp
 
     sol = solve_packing_lp(objective, a, b)
-    adjusted_cols = [
-        Column(col.vertex, col.bundle, float(obj))
-        for col, obj in zip(lp.columns, objective)
-    ]
-    y, z = scatter_duals(sol.duals, rows, problem.n, problem.k)
-    return _round_adjusted(problem, adjusted_cols, sol.x, sol.value, y, z)
+    y, z = scatter_duals(sol.duals, rows, bids.base.n, bids.base.k)
+    return bids.round(objective, sol.x, sol.value, y, z)
 
 
 class _CompiledPricer:
@@ -224,8 +257,7 @@ class _CompiledPricer:
     ) -> None:
         from repro.engine.compiled import CompiledAuction, compile_structure
 
-        self._problem = problem
-        self._columns = columns
+        self._bids = _AdjustedBids(problem, columns)
         compiled = CompiledAuction(
             problem,
             structure=compiled_structure or compile_structure(problem.structure),
@@ -249,12 +281,8 @@ class _CompiledPricer:
             value = -lp.solve().objective  # -: HiGHS minimizes
             x, row_dual = lp.solution()
             duals = np.maximum(-row_dual, 0.0)
-        adjusted_cols = [
-            Column(col.vertex, col.bundle, float(obj))
-            for col, obj in zip(self._columns, objective)
-        ]
-        y, z = scatter_duals(duals, self._rows, self._problem.n, self._problem.k)
-        return _round_adjusted(self._problem, adjusted_cols, x, value, y, z)
+        y, z = scatter_duals(duals, self._rows, self._bids.base.n, self._bids.base.k)
+        return self._bids.round(objective, x, value, y, z)
 
 
 def _solve_master(
@@ -402,7 +430,8 @@ def decompose_lp_solution(
     if pricing == "reference":
         lp = AuctionLP(problem, columns=support_cols)
         columns = lp.columns
-        price = lambda objective: _integral_allocation_for(problem, lp, objective)  # noqa: E731
+        bids = _AdjustedBids(problem, columns)
+        price = lambda objective: _integral_allocation_for(lp, bids, objective)  # noqa: E731
         master = lambda pool: _solve_master(pool, pairs, r)  # noqa: E731
     else:
         columns = support_cols

@@ -20,16 +20,21 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   Removing bidder v's columns changes the optimal *value* exactly as
   zeroing their objective coefficients does (zero-cost columns never help
   and never hurt a packing LP), so each probe is ``set_costs(v's columns
-  → 0)`` + a restart from the previous optimal basis + a cost restore —
-  instead of rebuilding an ``AuctionLP`` and cold-solving ``linprog`` per
-  bidder.  The model runs in the mode :func:`~repro.engine.highs.choose_solver`
-  picks for its row count, and every probe passes the resident model's
-  certificate check.  Optimal LP *values* are unique, so unlike
-  warm-started *pricing* this reuse is safe wherever payments are
-  consumed; the floats can differ from the cold path only within solver
-  tolerance.  The model holds only the rows that can bind for the full
-  column set (``CompiledAuction.matrices_csc``); zeroing a bidder's costs
-  removes no column, so those rows stay exactly the ones every probe needs.
+  → 0)`` + a re-solve + a cost restore — instead of rebuilding an
+  ``AuctionLP`` and cold-solving ``linprog`` per bidder.  The model always
+  runs primal simplex: a cost-only change leaves the full LP's optimal
+  basis primal feasible, so primal restarts from it, whatever the LP's
+  size (no probe re-runs IPM).  The full LP is solved once and its basis
+  saved; every probe restores that base basis first
+  (:meth:`~repro.engine.highs.ResidentLP.restore`), so its value depends
+  only on the model and the base basis — never on which probe ran before
+  it — and every probe passes the resident model's certificate check.
+  Optimal LP *values* are unique, so unlike warm-started *pricing* this
+  reuse is safe wherever payments are consumed; the floats can differ
+  from the cold path only within solver tolerance.  The model holds only
+  the rows that can bind for the full column set
+  (``CompiledAuction.matrices_csc``); zeroing a bidder's costs removes no
+  column, so those rows stay exactly the ones every probe needs.
 
   Before probing, bidders are screened with the dual bound: dropping v
   keeps ``(y, z without z_v)`` feasible for the reduced dual, so
@@ -52,7 +57,7 @@ import numpy as np
 
 from repro.core.auction import AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution
-from repro.engine.highs import ResidentLP, choose_solver
+from repro.engine.highs import ResidentLP
 
 __all__ = ["FractionalVCG", "vcg_payments"]
 
@@ -82,7 +87,8 @@ def _warm_values_without(
     probe_vertices: list[int],
     compiled_structure=None,
 ) -> dict[int, float]:
-    """All "LP without v" optima via cost-zeroing warm re-solves."""
+    """All "LP without v" optima via cost-zeroing primal re-solves, each
+    restarted from the full LP's optimal basis."""
     from repro.engine.compiled import CompiledAuction, compile_structure
 
     if not probe_vertices:  # everything screened: no model to build
@@ -93,21 +99,25 @@ def _warm_values_without(
         columns=list(solution.columns),
     )
     a, b, c = compiled.matrices_csc()
-    m, ncol = a.shape
+    m = a.shape[0]
     cost = -c  # HiGHS minimizes
-    lp = ResidentLP(choose_solver(m, ncol))
+    lp = ResidentLP("primal")
     lp.load(a, cost, np.full(m, -np.inf), b)
-    lp.solve()  # establish the full-LP optimal basis once
+    lp.solve()  # the full LP's optimal basis, every probe's restart point
+    base = lp.basis()
 
-    verts = np.fromiter(
-        (col.vertex for col in solution.columns), dtype=np.intp, count=ncol
-    )
+    # column indices grouped by vertex (ascending within each group)
+    verts = compiled.cols.vertex
+    by_vertex = np.argsort(verts, kind="stable").astype(np.int32)
+    offsets = np.zeros(problem.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(verts, minlength=problem.n), out=offsets[1:])
     out: dict[int, float] = {}
     for v in probe_vertices:
-        idx = np.flatnonzero(verts == v).astype(np.int32)
+        idx = by_vertex[offsets[v] : offsets[v + 1]]
         if idx.size == 0:
             out[v] = float(solution.value)
             continue
+        lp.restore(base)
         lp.set_costs(idx, np.zeros(idx.size))
         out[v] = -lp.solve().objective
         lp.set_costs(idx, cost[idx])

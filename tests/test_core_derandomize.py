@@ -200,3 +200,58 @@ class TestDerandomizeWeighted:
         result = derandomize_rounding(weighted_problem, lp, split=False)
         assert len(result.estimator_values) == 1
         assert check_condition5(weighted_problem, result.allocation)
+
+
+class TestEarlierKappaCache:
+    """The earlier-κ matrix is built once per structure and held by it."""
+
+    @staticmethod
+    def _same_bits(a, b) -> bool:
+        return (
+            a.shape == b.shape
+            and a.indptr.tobytes() == b.indptr.tobytes()
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.data.tobytes() == b.data.tobytes()
+        )
+
+    def test_cached_equals_fresh_build(self, protocol_structure, physical_structure):
+        from repro.core.derandomize import _build_earlier_kappa, _earlier_kappa
+
+        for structure in (protocol_structure, physical_structure):
+            cached = _earlier_kappa(structure)
+            assert _earlier_kappa(structure) is cached
+            assert self._same_bits(cached, _build_earlier_kappa(structure))
+
+    def test_no_entry_is_shared(self, links12):
+        import dataclasses
+
+        from repro.core.derandomize import _build_earlier_kappa, _earlier_kappa
+        from repro.interference.physical import linear_power, physical_model_structure
+        from repro.interference.protocol import protocol_model
+
+        unweighted = protocol_model(links12, delta=1.0)
+        weighted = physical_model_structure(links12, linear_power(links12, 3.0))
+        twin = dataclasses.replace(unweighted)  # equal content, another object
+        other = protocol_model(links12, delta=2.0)
+        structures = [unweighted, weighted, twin, other]
+        matrices = [_earlier_kappa(s) for s in structures]
+        assert len({id(m) for m in matrices}) == len(structures)
+        for structure, matrix in zip(structures, matrices):
+            assert self._same_bits(matrix, _build_earlier_kappa(structure))
+        assert set(matrices[0].data.tolist()) == {1.0}  # κ = 1 unweighted
+        assert set(matrices[1].data.tolist()) != {1.0}  # κ = w̄ weighted
+        assert matrices[3].nnz > matrices[0].nnz  # a larger δ, more conflicts
+
+    def test_entry_goes_with_its_structure(self, links12):
+        import gc
+        import weakref
+
+        from repro.core.derandomize import _earlier_kappa
+        from repro.interference.protocol import protocol_model
+
+        structure = protocol_model(links12, delta=1.0)
+        matrix = weakref.ref(_earlier_kappa(structure))
+        assert matrix() is not None
+        del structure
+        gc.collect()
+        assert matrix() is None

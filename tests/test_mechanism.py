@@ -7,11 +7,13 @@ import pytest
 
 from repro.core.auction import AuctionProblem
 from repro.core.solver import SpectrumAuctionSolver
+from repro.engine.compiled import CompiledAuction
+from repro.experiments.workloads import metro_truthful_auction
 from repro.geometry.links import random_links
 from repro.interference.protocol import protocol_model
 from repro.mechanism.lavi_swamy import decompose_lp_solution, default_alpha
 from repro.mechanism.truthful import TruthfulMechanism
-from repro.mechanism.vcg import vcg_payments
+from repro.mechanism.vcg import _warm_values_without, vcg_payments
 from repro.valuations.explicit import XORValuation
 from repro.valuations.generators import random_xor_valuations
 
@@ -154,6 +156,25 @@ class TestDecompositionWithColumnGeneration:
         for pair, target in dec.target.items():
             assert mass[pair] == pytest.approx(target, abs=1e-7)
 
+    def test_decomposes_beyond_int64_bundle_masks(self):
+        """k = 64 channels: the adjusted bids fall back from the array
+        profile to one explicit table per bidder."""
+        from repro.core.column_generation import solve_with_column_generation
+        from repro.valuations.generators import random_additive_valuations
+
+        links = random_links(8, seed=85, length_range=(0.04, 0.12))
+        problem = AuctionProblem(
+            protocol_model(links, delta=1.0), 64, random_additive_valuations(8, 64, seed=86)
+        )
+        cg = solve_with_column_generation(problem)
+        assert cg.converged
+        dec = decompose_lp_solution(problem, cg.solution, seed=22)
+        mass = dec.pair_mass()
+        for pair, target in dec.target.items():
+            assert mass[pair] == pytest.approx(target, abs=1e-7)
+        for alloc in dec.allocations:
+            assert problem.is_feasible(alloc)
+
 
 class TestVCG:
     def test_payments_nonnegative_and_ir(self, small_setup):
@@ -177,6 +198,43 @@ class TestVCG:
         for v in range(problem.n):
             if vcg.contributions[v] == 0:
                 assert vcg.payments[v] == 0
+
+
+class TestVCGProbes:
+    """The warm probe loop: primal re-solves, each restarted from the full
+    LP's optimal basis."""
+
+    def test_probe_values_do_not_depend_on_probe_order(self):
+        problem = metro_truthful_auction(300, 4, seed=1)
+        solution = CompiledAuction(problem).solve_lp()
+        probes = sorted({col.vertex for col, _ in solution.support()})
+        assert len(probes) > 100
+        shuffled = list(probes)
+        np.random.default_rng(7).shuffle(shuffled)
+        in_order = _warm_values_without(problem, solution, probes)
+        for order in (probes[::-1], shuffled):
+            values = _warm_values_without(problem, solution, order)
+            assert all(values[v] == in_order[v] for v in probes)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "physical"])
+    def test_payments_match_the_reference_rebuild(self, weighted):
+        if weighted:
+            from repro.interference.physical import linear_power, physical_model_structure
+
+            links = random_links(30, seed=83, length_range=(0.05, 0.2))
+            structure = physical_model_structure(links, linear_power(links, 3.0))
+            vals = random_xor_valuations(30, 3, seed=84, bids_per_bidder=2)
+            problem = AuctionProblem(structure, 3, vals)
+        else:
+            problem = metro_truthful_auction(120, 4, seed=3)
+        solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
+        alpha = default_alpha(problem)
+        warm = vcg_payments(problem, solution, alpha, method="warm")
+        reference = vcg_payments(problem, solution, alpha, method="reference")
+        assert (reference.payments > 0).sum() >= 20
+        np.testing.assert_allclose(
+            warm.payments, reference.payments, rtol=1e-9, atol=1e-9 * solution.value / alpha
+        )
 
 
 class TestTruthfulMechanism:

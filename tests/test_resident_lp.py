@@ -1,6 +1,6 @@
 """ResidentLP, the single owner of HiGHS models: its load/mutate/solve
-cycle, the certificate check on every trusted solve, and the VCG model's
-solver band."""
+cycle, saved and restored bases, the certificate check on every trusted
+solve, and the VCG model's solver mode."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from repro.engine.compiled import CompiledAuction
 from repro.engine.highs import ResidentLP, fast_backend_available
 from repro.experiments.workloads import (
     metro_disk_auction,
+    metro_truthful_auction,
     protocol_auction,
     reauction_fleet,
 )
@@ -109,15 +110,26 @@ def test_failed_solve_clears_the_key():
     assert lp.key is None
 
 
-def test_vcg_model_takes_the_solver_band(monkeypatch):
-    """The n=500 metro LP keeps 1837 rows, inside the primal band: the VCG
-    model runs primal simplex, and its payments equal the reference
-    rebuild's.  The reference is checked on a sample of the probed bidders
-    (one rebuild per bidder; the full set takes about 100 s)."""
+def test_vcg_model_runs_primal_simplex_at_every_size(monkeypatch):
+    """The VCG model runs primal simplex whatever the LP's size: on the
+    n=300 truthful LP, inside the engine's dual-simplex band, and on the
+    n=500 metro LP (1837 kept rows, inside the primal band).  One cold base
+    solve, then only warm probes, and the n=500 payments equal the
+    reference rebuild's.  The reference is checked on a sample of the
+    probed bidders (one rebuild per bidder; the full set takes about
+    100 s)."""
+    small = metro_truthful_auction(300, 4, seed=1)
+    small_solution = CompiledAuction(small).solve_lp()
+    assert highs.choose_solver(*CompiledAuction(small).matrices_csc()[0].shape) == "simplex"
+    reports = record_reports(monkeypatch)
+    vcg_payments(small, small_solution, small.approximation_bound(), method="warm")
+    assert {r.mode for r in reports} == {"primal"}
+    assert [r.warm for r in reports].count(False) == 1
+
     problem = metro_disk_auction(500, 6, seed=42)
     solution = CompiledAuction(problem).solve_lp()
     alpha = problem.approximation_bound()
-    reports = record_reports(monkeypatch)
+    reports.clear()
     warm = vcg_payments(problem, solution, alpha, method="warm")
     assert {r.mode for r in reports} == {"primal"}
     assert [r.warm for r in reports].count(False) == 1  # one load, then probes
@@ -160,3 +172,61 @@ def test_certificate_guards_every_trusted_solve(tight_case, monkeypatch):
     fresh = metro_disk_auction(80, 4, seed=12)
     cold = CompiledAuction(fresh).solve_lp()
     assert cold.value == pytest.approx(AuctionLP(fresh).solve().value, rel=1e-12)
+
+
+def test_restored_optimal_basis_resolves_in_zero_iterations():
+    a, b, c = CompiledAuction(protocol_auction(12, 4, seed=3))._build_csc()
+    lp = ResidentLP("primal")
+    _load_packing(lp, a, b, c)
+    first = lp.solve()
+    base = lp.basis()
+    x, _ = lp.solution()
+    idx = np.flatnonzero(x > 0).astype(np.int32)
+    lp.set_costs(idx, np.zeros(idx.size))  # move the model off the saved basis...
+    assert lp.solve().simplex_iterations > 0
+    lp.set_costs(idx, -c[idx])  # ...and back to the original costs
+    lp.restore(base)
+    again = lp.solve()
+    assert again.warm
+    assert again.simplex_iterations == 0
+    assert again.objective == first.objective
+
+
+def test_restore_then_cost_change_passes_the_certificate(monkeypatch):
+    """A restored basis makes the next solve warm, so the certificate is
+    checked even on a freshly loaded dual-simplex model."""
+    a, b, c = CompiledAuction(protocol_auction(12, 4, seed=3))._build_csc()
+    lp = ResidentLP()
+    _load_packing(lp, a, b, c)
+    lp.solve()
+    base = lp.basis()
+    idx = np.arange(3, dtype=np.int32)
+    lp.restore(base)
+    lp.set_costs(idx, np.zeros(3))
+    report = lp.solve()
+    assert report.warm and report.basis_valid
+    assert report.max_primal_infeasibility <= highs.MAX_INFEASIBILITY
+    assert report.max_dual_infeasibility <= highs.MAX_INFEASIBILITY
+    zeroed = c.copy()
+    zeroed[:3] = 0.0
+    assert -report.objective == pytest.approx(solve_packing_lp(zeroed, a, b).value, rel=1e-9)
+
+    fresh = ResidentLP()
+    _load_packing(fresh, a, b, c)
+    fresh.restore(base)
+    monkeypatch.setattr(highs, "MAX_INFEASIBILITY", -1.0)
+    with pytest.raises(RuntimeError, match="no certified optimal basis"):
+        fresh.solve()
+
+
+def test_restore_into_a_model_of_another_shape_raises():
+    a, b, c = CompiledAuction(protocol_auction(12, 4, seed=3))._build_csc()
+    lp = ResidentLP("primal")
+    _load_packing(lp, a, b, c)
+    lp.solve()
+    base = lp.basis()
+    other = ResidentLP("primal")
+    other.load(sp.csc_matrix(np.eye(3)), -np.ones(3), np.full(3, -np.inf), np.ones(3))
+    with pytest.raises(RuntimeError, match="rejected the basis"):
+        other.restore(base)
+    assert other.solve().objective == pytest.approx(-3.0)  # the model is untouched
