@@ -5,12 +5,11 @@ option string, and re-validates the model on each call — for the small LPs
 of a single auction that overhead is larger than the solve itself.  This
 module owns every HiGHS model in the package through one class,
 :class:`ResidentLP`: one ``Highs`` instance with one parsed options object
-and the model loaded into it, mutated in place (``set_costs``,
-``add_cols``) and re-solved from the previous basis or a saved one
-(``basis`` / ``restore``).  Its consumers are the
-engine's packing solver below, the VCG probe model, and the Lavi–Swamy
-warm pricer and incremental master.  No other module touches the bindings
-(reprolint's ``highs-owner`` rule).
+and the model loaded into it, its costs mutated in place (``set_costs``)
+and re-solved from the previous basis or a saved one (``basis`` /
+``restore``).  Its consumers are the engine's packing solver below and
+the VCG probe model.  No other module touches the bindings (reprolint's
+``highs-owner`` rule).
 
 Every :meth:`ResidentLP.solve` raises on a non-optimal status and checks
 HiGHS's own certificate — max primal and dual infeasibility within
@@ -207,10 +206,10 @@ class ResidentLP:
     """One ``Highs`` instance and the model loaded into it.
 
     :meth:`load` passes a column-major model (minimization over ``x ≥ 0``,
-    row bounds as given); :meth:`set_costs` and :meth:`add_cols` mutate it
-    in place, so the next :meth:`solve` restarts from the previous optimal
-    basis.  :meth:`basis` saves a solve's basis and :meth:`restore` puts it
-    back, so a sequence of changes can each restart from one saved basis.
+    row bounds as given); :meth:`set_costs` mutates it in place, so the
+    next :meth:`solve` restarts from the previous optimal basis.
+    :meth:`basis` saves a solve's basis and :meth:`restore` puts it back,
+    so a sequence of changes can each restart from one saved basis.
     The first solve after a load is *cold* unless a basis was restored,
     every later one *warm*.  ``key`` is the caller's name for the loaded
     model (the engine's warm-start record); a failed solve clears it, so
@@ -242,16 +241,6 @@ class ResidentLP:
     def set_costs(self, idx: np.ndarray, values: np.ndarray) -> None:
         """Set the costs of columns ``idx`` (int32) to ``values``."""
         self._highs.changeColsCost(idx.size, idx, values)
-
-    def add_cols(
-        self, cost: np.ndarray, starts: np.ndarray, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Append columns ``x ≥ 0`` given column-major (int32 ``starts``
-        into ``indices`` / ``values``)."""
-        n = cost.size
-        self._highs.addCols(
-            n, cost, np.zeros(n), np.full(n, np.inf), indices.size, starts, indices, values
-        )
 
     def basis(self) -> Any:
         """A copy of the current basis (HiGHS's ``HighsBasis``), to hand

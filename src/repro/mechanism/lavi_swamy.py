@@ -22,7 +22,7 @@ channel feasibility); what the decomposition uses is only that the
 algorithm outputs **feasible** allocations whose value is within α of the
 *fractional* optimum, which our rounding algorithms provide.
 
-Three implementations of the column-generation loop coexist:
+Two implementations of the column-generation loop coexist:
 
 * ``pricing="approx"`` (default) — the engine-compiled hot path.  The
   support columns are compiled once into a
@@ -34,16 +34,6 @@ Three implementations of the column-generation loop coexist:
   vertex — and therefore the whole decomposition: pool, weights, keep
   probabilities, samples — bit-identical to ``"reference"``
   (pinned by ``tests/test_mechanism_parity.py``).
-* ``pricing="warm"`` — maximum throughput: the pricer owns a resident
-  model (:class:`~repro.engine.highs.ResidentLP`) whose objective alone is
-  mutated per iteration (previous-basis simplex restart), and the master
-  grows its own resident model by the new allocations' columns
-  (:class:`_IncrementalMaster`).  Both return optimal
-  solutions, but on the degenerate LPs of the decomposition possibly a
-  different optimal vertex / dual than a cold solve — so the pool can
-  legitimately differ from the reference while carrying the *same* exact
-  marginals.  Like the engine's ``lp_warm_start``, this profile is opt-in
-  and never used where bit-parity is pinned.
 * ``pricing="reference"`` — the seed-era loop kept verbatim (fresh
   ``AuctionLP`` build + ``linprog`` per iteration): the baseline
   ``BENCH_mechanism.json`` measures against, and the parity anchor.
@@ -72,7 +62,7 @@ from repro.core.auction import Allocation, AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution, Column, scatter_duals
 from repro.core.conflict_resolution import make_fully_feasible
 from repro.core.derandomize import derandomize_rounding
-from repro.engine.highs import ResidentLP, solve_packing_lp_fast
+from repro.engine.highs import solve_packing_lp_fast
 from repro.util.rng import ensure_rng
 from repro.valuations.base import Valuation
 from repro.valuations.explicit import MASK_CHANNELS, ExplicitValuation
@@ -80,7 +70,7 @@ from repro.valuations.profile import KIND_EXPLICIT, Profile
 
 __all__ = ["DecompositionResult", "decompose_lp_solution", "default_alpha"]
 
-PRICING_MODES = ("approx", "warm", "exact", "reference")
+PRICING_MODES = ("approx", "exact", "reference")
 
 
 def default_alpha(problem: AuctionProblem) -> float:
@@ -239,20 +229,16 @@ class _CompiledPricer:
     iterations — only the objective (the master's duals ``w``) does — so
     the matrix is assembled once through :class:`CompiledAuction` (shared
     structure compilation, vectorized CSC assembly, the rows that can
-    bind — the same rows the reference oracle keeps).  With ``warm=True``
-    the pricer owns a :class:`~repro.engine.highs.ResidentLP`: every solve
-    after the first only sets the costs and restarts from the previous
-    basis.  With ``warm=False`` each solve re-passes the model cold through
-    :func:`~repro.engine.highs.solve_packing_lp_fast` — bit-identical to
-    the reference oracle's ``linprog`` (only the scipy/AuctionLP rebuild
-    overhead is gone).
+    bind — the same rows the reference oracle keeps).  Each solve re-passes
+    the model cold through :func:`~repro.engine.highs.solve_packing_lp_fast`
+    — bit-identical to the reference oracle's ``linprog`` (only the
+    scipy/AuctionLP rebuild overhead is gone).
     """
 
     def __init__(
         self,
         problem: AuctionProblem,
         columns: list[Column],
-        warm: bool = False,
         compiled_structure=None,
     ) -> None:
         from repro.engine.compiled import CompiledAuction, compile_structure
@@ -265,24 +251,11 @@ class _CompiledPricer:
         )
         self._a, self._b, _ = compiled.matrices_csc()
         self._rows = compiled.binding_rows()
-        self._resident = None
-        if warm:
-            m, n = self._a.shape
-            self._resident = ResidentLP()
-            self._resident.load(self._a, np.zeros(n), np.full(m, -np.inf), self._b)
 
     def price(self, objective: np.ndarray) -> Allocation:
-        if self._resident is None:
-            sol = solve_packing_lp_fast(objective, self._a, self._b, solver="simplex")
-            x, value, duals = sol.x, sol.value, sol.duals
-        else:
-            lp = self._resident
-            lp.set_costs(np.arange(objective.size, dtype=np.int32), -objective)
-            value = -lp.solve().objective  # -: HiGHS minimizes
-            x, row_dual = lp.solution()
-            duals = np.maximum(-row_dual, 0.0)
-        y, z = scatter_duals(duals, self._rows, self._bids.base.n, self._bids.base.k)
-        return self._bids.round(objective, x, value, y, z)
+        sol = solve_packing_lp_fast(objective, self._a, self._b, solver="simplex")
+        y, z = scatter_duals(sol.duals, self._rows, self._bids.base.n, self._bids.base.k)
+        return self._bids.round(objective, sol.x, sol.value, y, z)
 
 
 def _solve_master(
@@ -343,50 +316,6 @@ def _solve_master_fast(
     return sol.x, float(-sol.value), sol.duals
 
 
-class _IncrementalMaster:
-    """The decomposition master on a resident incremental-column model.
-
-    Rows (one ≥-covering constraint per support pair) are fixed at
-    construction; each iteration only *appends* the pricing oracle's new
-    allocations via ``add_cols`` and re-solves from the previous basis —
-    the classic column-generation warm start — instead of rebuilding the
-    LP from the whole pool and cold-solving it.
-    """
-
-    def __init__(
-        self, pairs: list[tuple[int, frozenset[int]]], r: np.ndarray
-    ) -> None:
-        self._pair_index = {p: i for i, p in enumerate(pairs)}
-        self._added = 0
-        m = len(pairs)
-        self._lp = ResidentLP()
-        self._lp.load(sp.csc_matrix((m, 0)), np.empty(0), np.asarray(r, float), np.full(m, np.inf))
-
-    def solve(
-        self, pool: list[Allocation]
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        """Append the pool's allocations added since the last solve, then
-        re-solve; returns (λ, μ, duals w ≥ 0)."""
-        starts: list[int] = []
-        indices: list[int] = []
-        for alloc in pool[self._added :]:
-            starts.append(len(indices))
-            indices.extend(
-                sorted(self._pair_index[key] for key in alloc.items() if key in self._pair_index)
-            )
-        if starts:
-            self._lp.add_cols(
-                np.ones(len(starts)),
-                np.asarray(starts, dtype=np.int32),
-                np.asarray(indices, dtype=np.int32),
-                np.ones(len(indices)),
-            )
-            self._added = len(pool)
-        mu = self._lp.solve().objective
-        lam, row_dual = self._lp.solution()
-        return lam, mu, np.maximum(row_dual, 0.0)
-
-
 def decompose_lp_solution(
     problem: AuctionProblem,
     solution: AuctionLPSolution,
@@ -405,9 +334,7 @@ def decompose_lp_solution(
     the engine-compiled fast path, bit-identical to ``"reference"`` — the
     same oracle on the seed-era rebuild-per-iteration pipeline (the
     benchmark baseline; parity is pinned by
-    ``tests/test_mechanism_parity.py``).  ``"warm"`` trades that parity
-    for warm-started pricing re-solves and an incremental-column master
-    (optimal but not vertex-pinned — see the module docstring).
+    ``tests/test_mechanism_parity.py``).
     ``"exact"`` prices with the MILP of :mod:`repro.core.exact`, letting
     small instances decompose at *any* α down to their true integrality
     gap (used by experiment E8 to run the mechanism at practical scales).
@@ -436,15 +363,9 @@ def decompose_lp_solution(
     else:
         columns = support_cols
         price = _CompiledPricer(
-            problem,
-            support_cols,
-            warm=pricing == "warm",
-            compiled_structure=compiled_structure,
+            problem, support_cols, compiled_structure=compiled_structure
         ).price
-        if pricing == "warm":
-            master = _IncrementalMaster(pairs, r).solve
-        else:
-            master = lambda pool: _solve_master_fast(pool, pairs, r)  # noqa: E731
+        master = lambda pool: _solve_master_fast(pool, pairs, r)  # noqa: E731
 
     # Seed pool: the true-valuation allocation plus per-pair singletons
     # (every single (v, T) is feasible on its own), guaranteeing the master

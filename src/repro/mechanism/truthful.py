@@ -83,9 +83,8 @@ class TruthfulMechanism:
         :func:`~repro.mechanism.lavi_swamy.decompose_lp_solution`):
         ``"approx"`` — the engine-compiled fast path, bit-identical to
         ``"reference"`` (the seed-era pipeline, kept as the benchmark
-        baseline); ``"warm"`` — warm-started pricing, maximum throughput,
-        not vertex-pinned; ``"exact"`` — MILP pricing for small instances
-        at sub-gap α.  The reference mode also keeps the per-bidder
+        baseline); ``"exact"`` — MILP pricing for small instances at
+        sub-gap α.  The reference mode also keeps the per-bidder
         rebuild VCG loop, so it is the complete pre-fast-path pipeline.
 
         ``compiled_structure`` injects an existing engine compilation of

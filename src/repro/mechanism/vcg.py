@@ -15,7 +15,7 @@ verify.
 
 Two evaluation strategies for the n "LP without bidder v" terms:
 
-* ``method="warm"`` (the default, ``"auto"``) — one resident model
+* ``method="auto"`` (the default) — one resident model
   (:class:`~repro.engine.highs.ResidentLP`), then warm re-solves.
   Removing bidder v's columns changes the optimal *value* exactly as
   zeroing their objective coefficients does (zero-cost columns never help
@@ -29,7 +29,7 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   (:meth:`~repro.engine.highs.ResidentLP.restore`), so its value depends
   only on the model and the base basis — never on which probe ran before
   it — and every probe passes the resident model's certificate check.
-  Optimal LP *values* are unique, so unlike warm-started *pricing* this
+  Optimal LP *values* are unique, so unlike a warm-started *vertex* this
   reuse is safe wherever payments are consumed; the floats can differ
   from the cold path only within solver tolerance.  The model holds only
   the rows that can bind for the full column set
@@ -61,7 +61,7 @@ from repro.engine.highs import ResidentLP
 
 __all__ = ["FractionalVCG", "vcg_payments"]
 
-VCG_METHODS = ("auto", "warm", "reference")
+VCG_METHODS = ("auto", "reference")
 
 
 @dataclass
@@ -133,9 +133,9 @@ def vcg_payments(
 ) -> FractionalVCG:
     """Compute scaled fractional VCG payments for every bidder.
 
-    ``method="auto"`` and ``"warm"`` run the warm-started probe loop,
-    ``"reference"`` the per-bidder rebuild.  ``compiled_structure``
-    forwards an existing engine compilation to the warm path.
+    ``method="auto"`` runs the warm-started probe loop, ``"reference"``
+    the per-bidder rebuild.  ``compiled_structure`` forwards an existing
+    engine compilation to the warm path.
     """
     if method not in VCG_METHODS:
         raise ValueError(f"method must be one of {VCG_METHODS}, got {method!r}")

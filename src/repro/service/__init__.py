@@ -78,9 +78,7 @@ from repro.service.wire import (
     WIRE_ERROR_CODES,
     AuctionRequest,
     AuctionResponse,
-    decode_valuation,
     default_idempotency_key,
-    encode_valuation,
     error_from_wire,
     error_to_wire,
     http_status_for,
@@ -94,8 +92,6 @@ __all__ = [
     "AuctionService",
     "SCHEMA_VERSION",
     "WIRE_ERROR_CODES",
-    "encode_valuation",
-    "decode_valuation",
     "request_to_wire",
     "request_from_wire",
     "error_to_wire",

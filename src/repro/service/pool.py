@@ -123,12 +123,7 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     plan = config.get("fault_plan")
     if plan is not None and plan.fires("pool.worker.spawn", generation=generation):
         os._exit(4)  # injected spawn failure: die before serving anything
-    service = AuctionService(
-        executor="serial",
-        coalesce_window=0.0,
-        adaptive_coalescing=False,
-        **config,
-    )
+    service = AuctionService(executor="serial", coalesce_window=0.0, **config)
     for structure in scenes.values():
         service.registry.register(structure)
     try:

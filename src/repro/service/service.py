@@ -97,6 +97,13 @@ _EXECUTORS = ("serial", "process")
 _REQUEST_MODES = ("allocate", "truthful")
 
 
+def _check_modes(requests: Sequence[AuctionRequest]) -> None:
+    """Reject a request whose ``mode`` the service does not serve."""
+    bad = [r.mode for r in requests if r.mode not in _REQUEST_MODES]
+    if bad:
+        raise ValueError(f"mode must be one of {_REQUEST_MODES}, got {bad[0]!r}")
+
+
 def _valuations_of(request: AuctionRequest) -> Sequence[Valuation]:
     """The request's valuations for an :class:`AuctionProblem`: a
     :class:`Profile` as is (problems treat it as immutable), any other
@@ -140,9 +147,6 @@ class AuctionService:
         problem_cache_size: int = 256,
         mechanism_cache_size: int = 64,
         mechanism_pricing: str = "approx",
-        rounding_attempts: int = 1,
-        lp_warm_start: bool = False,
-        adaptive_coalescing: bool = True,
         worker_retries: int = 1,
         max_queue: int | None = None,
         fault_plan: FaultPlan | None = None,
@@ -156,16 +160,16 @@ class AuctionService:
         ``(scene_id, k, profile_key)``; 0 disables it — every truthful
         request then recomputes its decomposition, the benchmark's
         baseline.  ``mechanism_pricing`` forwards the decomposition's
-        pricing mode.  ``adaptive_coalescing`` lets the service skip the
-        batching window when it cannot pay off — caches disabled, or a
-        distinct-heavy request stream (see :meth:`_bypass_window`).
+        pricing mode.  The service skips the batching window when it
+        cannot pay off — caches disabled, or a distinct-heavy request
+        stream (see :meth:`_bypass_window`).
 
         With ``executor="process"``, ``num_shards`` is the worker-process
         count (started as :mod:`repro.util.mp` decides: forkserver where
         available, else spawn), and ``worker_retries`` bounds how often a
         batch whose worker crashed is retried on the respawned worker
-        before its futures fail.  The cache sizes and pricing/rounding
-        options configure each *worker's* caches — the parent-side caches
+        before its futures fail.  The cache sizes and the pricing mode
+        configure each *worker's* caches — the parent-side caches
         stay idle, since compilation happens where the solving does.
         ``pool_config`` forwards extra keyword arguments to
         :class:`~repro.service.pool.ProcessShardPool` (respawn backoff and
@@ -188,7 +192,7 @@ class AuctionService:
             raise ValueError("need at least one shard")
         if coalesce_window < 0 or max_batch < 1:
             raise ValueError("coalesce_window must be >= 0 and max_batch >= 1")
-        if mechanism_pricing not in ("approx", "warm", "reference"):
+        if mechanism_pricing not in ("approx", "reference"):
             raise ValueError(f"unknown mechanism pricing {mechanism_pricing!r}")
         if worker_retries < 0:
             raise ValueError("worker_retries must be non-negative")
@@ -208,7 +212,6 @@ class AuctionService:
         self.pool_config = dict(pool_config or {})
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
-        self.adaptive_coalescing = adaptive_coalescing
         self.mechanism_pricing = mechanism_pricing
         self.metrics = metrics or ServiceMetrics()
         self.structure_cache = LRUCache(structure_cache_size, name="structures")
@@ -219,11 +222,7 @@ class AuctionService:
         self._recent_profiled: list[bool] = []  #: guarded-by: _state_lock
         # the engine is used purely through solve_compiled, stage-batching
         # each coalesced group
-        self.engine = BatchAuctionEngine(
-            rounding_attempts=rounding_attempts,
-            lp_warm_start=lp_warm_start,
-            structure_cache=self.structure_cache,
-        )
+        self.engine = BatchAuctionEngine(structure_cache=self.structure_cache)
         self._queue: queue.SimpleQueue[_Pending] = queue.SimpleQueue()
         # SimpleQueue.qsize is unreliable; _queued tracks depth explicitly.
         # _idle shares _state_lock, so either name satisfies the guard.
@@ -299,11 +298,6 @@ class AuctionService:
         with their own seeds — either way a request's result is
         independent of the batch it landed in.
         """
-        bad = [r.mode for r in requests if r.mode not in _REQUEST_MODES]
-        if bad:
-            raise ValueError(
-                f"mode must be one of {_REQUEST_MODES}, got {bad[0]!r}"
-            )
         self._inject_solve_faults(requests)
         results: list[Any] = [None] * len(requests)
         alloc = [(i, r) for i, r in enumerate(requests) if r.mode == "allocate"]
@@ -329,7 +323,7 @@ class AuctionService:
             )
             del self._recent_profiled[:-64]
 
-    def _bypass_window(self, head: AuctionRequest | None = None) -> bool:
+    def _bypass_window(self, head: AuctionRequest) -> bool:
         """Should the coalescing window be skipped for this batch?
 
         Coalescing pays off when batched requests share cached state
@@ -340,26 +334,14 @@ class AuctionService:
         the service adapts per batch instead of making the operator tune
         the window per trace.
         """
-        if not self.adaptive_coalescing:
-            return False
-        # a disabled cache means batching the head's mode cannot pay off;
-        # without a head, bypass only when no mode could benefit
-        if head is None:
-            caches_off = (
-                self.problem_cache.capacity == 0
-                and self.mechanism_cache.capacity == 0
-            )
-        elif head.mode == "truthful":
-            caches_off = self.mechanism_cache.capacity == 0
-        else:
-            caches_off = self.problem_cache.capacity == 0
-        if caches_off:
+        # a disabled cache means batching the head's mode cannot pay off
+        cache = self.mechanism_cache if head.mode == "truthful" else self.problem_cache
+        if cache.capacity == 0:
             return True
         with self._state_lock:
             recent = list(self._recent_profiled[-32:])
-        if head is not None:
-            recent.append(head.profile_key is not None)
-        return bool(recent) and sum(recent) / len(recent) < 0.25
+        recent.append(head.profile_key is not None)
+        return sum(recent) / len(recent) < 0.25
 
     def _inject_solve_faults(self, requests: list[AuctionRequest]) -> None:
         """Evaluate the ``"service.solve"`` fault site for one scene group.
@@ -425,11 +407,7 @@ class AuctionService:
         ones — and every request's latency is recorded from batch start
         (the queue-based path records from its actual submit instead).
         """
-        bad = [r.mode for r in requests if r.mode not in _REQUEST_MODES]
-        if bad:  # reject before any metrics or work, mirroring submit()
-            raise ValueError(
-                f"mode must be one of {_REQUEST_MODES}, got {bad[0]!r}"
-            )
+        _check_modes(requests)  # before any metrics or work, as in submit()
         start = self.metrics.record_submit()
         for _ in requests[1:]:
             self.metrics.record_submit(start)
@@ -494,8 +472,6 @@ class AuctionService:
             "problem_cache_size": self.problem_cache.capacity,
             "mechanism_cache_size": self.mechanism_cache.capacity,
             "mechanism_pricing": self.mechanism_pricing,
-            "rounding_attempts": self.engine.solve_kwargs["rounding_attempts"],
-            "lp_warm_start": self.engine.solve_kwargs["lp_warm_start"],
             "fault_plan": self.fault_plan,
         }
 
@@ -526,10 +502,7 @@ class AuctionService:
         """
         if request.scene_id not in self.registry:
             raise KeyError(f"unknown scene {request.scene_id!r}; register it first")
-        if request.mode not in _REQUEST_MODES:
-            raise ValueError(
-                f"mode must be one of {_REQUEST_MODES}, got {request.mode!r}"
-            )
+        _check_modes([request])
         if request.deadline is not None and request.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {request.deadline}")
         # converted once here, on the caller's clock: everything downstream
@@ -858,8 +831,6 @@ class AuctionService:
             "problem_cache_capacity": self.problem_cache.capacity,
             "mechanism_cache_capacity": self.mechanism_cache.capacity,
             "mechanism_pricing": self.mechanism_pricing,
-            "adaptive_coalescing": self.adaptive_coalescing,
-            "lp_warm_start": self.engine.solve_kwargs["lp_warm_start"],
             "worker_retries": self.worker_retries,
             "max_queue": self.max_queue,
             "degrade_headroom": self.degrade_headroom,

@@ -16,9 +16,11 @@ Two mix axes, matching how real request streams repeat themselves:
   fresh profile; only the scene's compiled structure is reusable.
 
 Traces are plain data (arrival stamp + :class:`AuctionRequest`) and
-serialize to JSON for record/replay, so a captured production mix can be
-re-driven against a new build — the same shape
-`benchmarks/bench_service.py` uses for its regression scenarios.
+serialize to JSON for record/replay — each request in its wire form
+(:func:`~repro.service.wire.request_to_wire`), so a captured production mix
+can be re-driven against a new build, bit-identically and under the same
+idempotency keys — the same shape `benchmarks/bench_service.py` uses for
+its regression scenarios.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.service.scenes import SceneRegistry
-from repro.service.wire import AuctionRequest, decode_valuation, encode_valuation
+from repro.service.wire import AuctionRequest, request_from_wire, request_to_wire
 from repro.util.rng import SeedLike, ensure_rng
 from repro.valuations.base import Valuation
 from repro.valuations.generators import random_xor_valuations
@@ -267,27 +269,18 @@ def burst_trace(
 # ----------------------------------------------------------------------
 # record / replay
 # ----------------------------------------------------------------------
-# trace files use the wire layer's order-preserving valuation encoding
-# (bid order is LP column order; see repro.service.wire.encode_valuation)
+# each entry is the request's wire dict (request_to_wire: columnar profile
+# in bid order, metadata and idempotency key included) plus its arrival
 
 
 def save_trace(trace: TrafficTrace, path: str | pathlib.Path) -> pathlib.Path:
-    """Serialize a trace to JSON (valuations via the io-layer schema)."""
+    """Serialize a trace to JSON, each request in its wire form.  Raises
+    ``TypeError`` for valuations without a bid list (the additive
+    family), as :func:`~repro.service.wire.request_to_wire` does."""
     payload = {
         "meta": trace.meta,
         "requests": [
-            {
-                "arrival": item.arrival,
-                "scene_id": item.request.scene_id,
-                "k": item.request.k,
-                "seed": item.request.seed,
-                "profile_key": item.request.profile_key,
-                "mode": item.request.mode,
-                "deadline": item.request.deadline,
-                "valuations": [
-                    encode_valuation(v) for v in item.request.valuations
-                ],
-            }
+            {"arrival": item.arrival, "request": request_to_wire(item.request)}
             for item in trace.requests
         ],
     }
@@ -297,22 +290,14 @@ def save_trace(trace: TrafficTrace, path: str | pathlib.Path) -> pathlib.Path:
 
 
 def load_trace(path: str | pathlib.Path) -> TrafficTrace:
-    """Load a trace written by :func:`save_trace` for replay."""
+    """Load a trace written by :func:`save_trace` for replay; each
+    request's valuations come back as one
+    :class:`~repro.valuations.profile.Profile`."""
     payload = json.loads(pathlib.Path(path).read_text())
     requests = [
         TrafficRequest(
             arrival=float(entry["arrival"]),
-            request=AuctionRequest(
-                scene_id=entry["scene_id"],
-                k=int(entry["k"]),
-                valuations=[
-                    decode_valuation(v) for v in entry["valuations"]
-                ],
-                seed=entry["seed"],
-                profile_key=entry["profile_key"],
-                mode=entry.get("mode", "allocate"),  # pre-mechanism traces
-                deadline=entry.get("deadline"),  # pre-deadline traces
-            ),
+            request=request_from_wire(entry["request"]),
         )
         for entry in payload["requests"]
     ]

@@ -26,6 +26,8 @@ Design rules, in decreasing order of importance:
   and decode straight back into a validated profile, with no per-bidder
   objects on the way.  Only bid-list valuations (XOR, explicit,
   single-minded) have this form; the additive family stays in-process.
+  Trace files (:func:`~repro.service.traffic.save_trace`) store each
+  request in this same form.
 * **Key order is load order.**  Nothing here sorts keys; the canonical
   sorted encoder lives in :mod:`repro.io` only.  Decoding is, however,
   insensitive to key order, so payloads re-serialized by a client with
@@ -68,7 +70,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.result import SolverResult
-from repro.io import _valuation_from_dict, _valuation_to_dict
 from repro.service.errors import (
     DeadlineExceeded,
     InjectedFaultError,
@@ -76,7 +77,6 @@ from repro.service.errors import (
     ShedError,
 )
 from repro.service.pool import WorkerCrashError
-from repro.valuations.explicit import ExplicitValuation, XORValuation
 from repro.valuations.profile import Profile
 
 if TYPE_CHECKING:
@@ -89,8 +89,6 @@ __all__ = [
     "WIRE_ERROR_CODES",
     "AuctionRequest",
     "AuctionResponse",
-    "encode_valuation",
-    "decode_valuation",
     "default_idempotency_key",
     "request_to_wire",
     "request_from_wire",
@@ -128,35 +126,6 @@ def _encode_float(value: float) -> float | str:
 
 def _decode_float(value: Any) -> float:
     return float(value)  # float("inf"/"-inf"/"nan") parses the sentinels
-
-
-# ----------------------------------------------------------------------
-# valuations: order-preserving encoding
-# ----------------------------------------------------------------------
-def encode_valuation(v: Valuation) -> dict[str, Any]:
-    """Like :func:`repro.io._valuation_to_dict` but order-preserving.
-
-    The io layer canonicalizes explicit-style bids by sorting them;
-    trace files (:func:`repro.service.traffic.save_trace`) must keep the
-    original bid order instead, because LP column order follows it and a
-    reordered (degenerate) LP can round to a different — equally optimal
-    — allocation.  Preserving order keeps replays bit-identical.  Exact type
-    checks: subclasses (``SingleMindedValuation``: one bid, so
-    order-trivial) keep their own io encoding and round-trip to their
-    own type.
-    """
-    if type(v) in (XORValuation, ExplicitValuation):
-        return {
-            "type": "xor" if type(v) is XORValuation else "explicit",
-            "k": v.k,
-            "bids": [[sorted(bundle), value] for bundle, value in v.bids.items()],
-        }
-    return _valuation_to_dict(v)
-
-
-def decode_valuation(data: dict[str, Any]) -> Valuation:
-    """Inverse of :func:`encode_valuation` (io-layer schema superset)."""
-    return _valuation_from_dict(data)
 
 
 # ----------------------------------------------------------------------

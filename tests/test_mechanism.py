@@ -229,7 +229,7 @@ class TestVCGProbes:
             problem = metro_truthful_auction(120, 4, seed=3)
         solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
         alpha = default_alpha(problem)
-        warm = vcg_payments(problem, solution, alpha, method="warm")
+        warm = vcg_payments(problem, solution, alpha)
         reference = vcg_payments(problem, solution, alpha, method="reference")
         assert (reference.payments > 0).sum() >= 20
         np.testing.assert_allclose(

@@ -5,9 +5,7 @@ distribution as the seed-era pipeline (``pricing="reference"``): the
 exact-marginal guarantee  E[𝟙(v gets T)] = x*_{v,T}/α  holds on both, and
 the pool, convex weights, keep probabilities — and therefore the sampled
 allocations for fixed seeds — are bit-identical across disk, protocol,
-weighted (physical), and distance-2 conflict models.  The ``"warm"``
-profile is exempt from bit-parity by design (warm-started solves are not
-vertex-pinned) but must keep the exact-marginal guarantee.
+weighted (physical), and distance-2 conflict models.
 """
 
 from __future__ import annotations
@@ -95,15 +93,6 @@ class TestExactMarginalGuarantee:
             for pair, target in dec.target.items():
                 assert mass[pair] == pytest.approx(target, abs=1e-9)
 
-    def test_warm_profile_keeps_guarantee(self, case):
-        problem, solution, _, _ = case
-        warm = decompose_lp_solution(problem, solution, seed=5, pricing="warm")
-        mass = warm.pair_mass()
-        for pair, target in warm.target.items():
-            assert mass[pair] == pytest.approx(target, abs=1e-7)
-        for alloc in warm.allocations:
-            assert problem.is_feasible(alloc)
-
 
 class TestForcedPricingIterations:
     """Sub-gap α forces the pricing loop to run; parity must survive it."""
@@ -156,7 +145,7 @@ class TestMechanismEndToEnd:
         problem = build_problem("disk")
         solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
         alpha = default_alpha(problem)
-        warm = vcg_payments(problem, solution, alpha, method="warm")
+        warm = vcg_payments(problem, solution, alpha)
         reference = vcg_payments(problem, solution, alpha, method="reference")
         np.testing.assert_allclose(warm.payments, reference.payments, atol=1e-6)
         np.testing.assert_allclose(

@@ -77,24 +77,6 @@ def test_cold_then_warm_cost_changes_match_cold_solves():
         assert np.all(row_dual <= 1e-9)  # ≤-rows of a minimization
 
 
-def test_add_cols_grows_the_model():
-    # min x0 + x1 s.t. x0 ≥ 1, x1 ≥ 2; then a column covering both rows
-    lp = ResidentLP()
-    lp.load(sp.csc_matrix(np.eye(2)), np.ones(2), np.array([1.0, 2.0]), np.full(2, np.inf))
-    assert lp.solve().objective == pytest.approx(3.0)
-    lp.add_cols(
-        np.ones(1),
-        np.array([0], dtype=np.int32),
-        np.array([0, 1], dtype=np.int32),
-        np.ones(2),
-    )
-    report = lp.solve()
-    assert report.warm
-    assert report.objective == pytest.approx(2.0)
-    x, _ = lp.solution()
-    assert x.shape == (3,)
-
-
 def test_failed_solve_clears_the_key():
     lp = ResidentLP()
     # x ≥ 2 and x ≤ 1: infeasible
@@ -122,7 +104,7 @@ def test_vcg_model_runs_primal_simplex_at_every_size(monkeypatch):
     small_solution = CompiledAuction(small).solve_lp()
     assert highs.choose_solver(*CompiledAuction(small).matrices_csc()[0].shape) == "simplex"
     reports = record_reports(monkeypatch)
-    vcg_payments(small, small_solution, small.approximation_bound(), method="warm")
+    vcg_payments(small, small_solution, small.approximation_bound())
     assert {r.mode for r in reports} == {"primal"}
     assert [r.warm for r in reports].count(False) == 1
 
@@ -130,7 +112,7 @@ def test_vcg_model_runs_primal_simplex_at_every_size(monkeypatch):
     solution = CompiledAuction(problem).solve_lp()
     alpha = problem.approximation_bound()
     reports.clear()
-    warm = vcg_payments(problem, solution, alpha, method="warm")
+    warm = vcg_payments(problem, solution, alpha)
     assert {r.mode for r in reports} == {"primal"}
     assert [r.warm for r in reports].count(False) == 1  # one load, then probes
     probed = [
@@ -153,15 +135,13 @@ def test_vcg_model_runs_primal_simplex_at_every_size(monkeypatch):
 
 def test_certificate_guards_every_trusted_solve(tight_case, monkeypatch):
     """With a certificate no solve can pass, every solve but a cold
-    dual-simplex one raises: the VCG probes, the warm decomposition, and a
-    warm engine re-solve.  The parity paths still succeed."""
+    dual-simplex one raises: the VCG probes and a warm engine re-solve.
+    The parity paths still succeed."""
     problem, solution, alpha = tight_case
     fleet = reauction_fleet(2, 12, 4, seed=5)
     monkeypatch.setattr(highs, "MAX_INFEASIBILITY", -1.0)
     with pytest.raises(RuntimeError, match="no certified optimal basis"):
-        vcg_payments(problem, solution, alpha, method="warm")
-    with pytest.raises(RuntimeError, match="no certified optimal basis"):
-        decompose_lp_solution(problem, solution, alpha=alpha, seed=5, pricing="warm")
+        vcg_payments(problem, solution, alpha)
     with pytest.raises(RuntimeError, match="no certified optimal basis"):
         BatchAuctionEngine(lp_warm_start=True).solve_many(fleet, seed=1)
 

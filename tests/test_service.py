@@ -9,6 +9,8 @@ from repro.service import (
     AuctionRequest,
     AuctionService,
     SceneRegistry,
+    TrafficRequest,
+    TrafficTrace,
     burst_trace,
     load_trace,
     poisson_trace,
@@ -311,9 +313,10 @@ class TestTraffic:
                 seed=1,
             )
 
-    def test_encode_valuation_preserves_bid_order(self):
-        from repro.io import _valuation_from_dict
-        from repro.service.wire import encode_valuation
+    def test_encode_valuation_preserves_bid_order(self, tmp_path):
+        # a trace stores each request in its wire form: the round trip keeps
+        # every bidder's bid order (LP column order follows it)
+        from repro.valuations.additive import AdditiveValuation
         from repro.valuations.explicit import (
             ExplicitValuation,
             SingleMindedValuation,
@@ -321,16 +324,40 @@ class TestTraffic:
         )
 
         bids = {frozenset({2}): 5.0, frozenset({0, 1}): 3.0}  # not sorted
-        for cls in (XORValuation, ExplicitValuation):
-            encoded = encode_valuation(cls(3, bids))
-            assert encoded["bids"] == [[[2], 5.0], [[0, 1], 3.0]]
-            decoded = _valuation_from_dict(encoded)
-            assert type(decoded) is cls
-            assert list(decoded.bids) == list(bids)
-        single = SingleMindedValuation(3, frozenset({1, 2}), 4.0)
-        assert type(_valuation_from_dict(encode_valuation(single))) is (
-            SingleMindedValuation
+        valuations = [
+            XORValuation(3, bids),
+            ExplicitValuation(3, bids),
+            SingleMindedValuation(3, frozenset({1, 2}), 4.0),
+        ]
+        trace = TrafficTrace(
+            requests=[TrafficRequest(0.0, AuctionRequest("s" * 16, 3, valuations))]
         )
+        [loaded] = load_trace(save_trace(trace, tmp_path / "bids.json"))
+        for original, decoded in zip(valuations, loaded.request.valuations):
+            assert type(decoded) is type(original)
+            assert list(decoded.bids.items()) == list(original.bids.items())
+        # the additive family has no wire form, so no trace file either
+        additive = AuctionRequest("s" * 16, 3, [AdditiveValuation([1.0, 2.0, 3.0])])
+        with pytest.raises(TypeError):
+            save_trace(
+                TrafficTrace(requests=[TrafficRequest(0.0, additive)]),
+                tmp_path / "additive.json",
+            )
+
+    def test_trace_keeps_metadata_and_idempotency_key(self, tmp_path):
+        request = AuctionRequest(
+            "s" * 16,
+            K,
+            random_xor_valuations(4, K, seed=5, bids_per_bidder=2),
+            seed=3,
+            metadata={"tenant": "metro-east"},
+            idempotency_key="renewal:42:3",
+        )
+        trace = TrafficTrace(requests=[TrafficRequest(0.25, request)])
+        [loaded] = load_trace(save_trace(trace, tmp_path / "keys.json"))
+        assert loaded.arrival == 0.25
+        assert loaded.request.metadata == {"tenant": "metro-east"}
+        assert loaded.request.idempotency_key == "renewal:42:3"
 
     def test_save_load_replay_bit_identical(self, scene, tmp_path):
         recorder = make_service(scene)
@@ -496,11 +523,15 @@ class TestTruthfulRequests:
         )
         assert service._bypass_window(truthful) is True
         assert service._bypass_window(allocate) is False
-        assert service._bypass_window() is False  # headless: conservative
+        other = make_service(scene, problem_cache_size=0)
+        assert other._bypass_window(truthful) is False
+        assert other._bypass_window(allocate) is True
 
     def test_invalid_mechanism_pricing_rejected(self):
         with pytest.raises(ValueError):
             AuctionService(mechanism_pricing="psychic")
+        with pytest.raises(ValueError):
+            AuctionService(mechanism_pricing="warm")
 
     def test_trace_mode_round_trips_through_json(self, scene, tmp_path):
         service = make_service(scene)
@@ -565,7 +596,12 @@ class TestAdaptiveCoalescing:
         service = make_service(
             scene, problem_cache_size=0, mechanism_cache_size=0
         )
-        assert service._bypass_window() is True
+        [scene_id] = service.registry.ids()
+        vals = random_xor_valuations(N, K, seed=904, bids_per_bidder=2)
+        for mode in ("allocate", "truthful"):
+            # a repeat-profile head: only the disabled caches call for bypass
+            head = AuctionRequest(scene_id, K, vals, profile_key="p", mode=mode)
+            assert service._bypass_window(head) is True
 
     def test_distinct_stream_bypasses_window(self, scene):
         service = make_service(scene, coalesce_window=0.05, max_batch=8)
@@ -584,25 +620,9 @@ class TestAdaptiveCoalescing:
         service.run_trace(trace)
         assert service.metrics_snapshot()["mean_batch_size"] > 1.0
 
-    def test_opt_out_restores_fixed_window(self, scene):
-        service = make_service(
-            scene,
-            coalesce_window=10.0,
-            max_batch=4,
-            adaptive_coalescing=False,
-            problem_cache_size=0,
-            mechanism_cache_size=0,
-        )
-        assert service._bypass_window() is False
-        trace = make_trace(service, num_requests=4, repeat_fraction=0.0)
-        service.run_trace(trace)
-        assert service.metrics_snapshot()["mean_batch_size"] == 4.0
-
     def test_results_unchanged_by_bypass(self, scene):
         adaptive = make_service(scene, coalesce_window=0.05, max_batch=8)
-        fixed = make_service(
-            scene, coalesce_window=0.05, max_batch=8, adaptive_coalescing=False
-        )
+        fixed = make_service(scene, coalesce_window=0.05, max_batch=1)
         trace = make_trace(
             adaptive, num_requests=8, repeat_fraction=0.0, unique_profiles=0
         )

@@ -22,9 +22,7 @@ from repro.service.wire import (
     WIRE_ERROR_CODES,
     AuctionRequest,
     AuctionResponse,
-    decode_valuation,
     default_idempotency_key,
-    encode_valuation,
     error_from_wire,
     error_to_wire,
     http_status_for,
@@ -115,16 +113,13 @@ class TestRequestRoundTrip:
         assert decoded.deadline == request.deadline
         assert decoded.metadata == request.metadata
         assert decoded.idempotency_key == request.idempotency_key
-        assert [encode_valuation(v) for v in decoded.valuations] == [
-            encode_valuation(v) for v in request.valuations
-        ]
+        assert decoded.valuations == Profile.of(request.valuations)
 
     def test_bid_order_is_preserved(self):
-        [valuation, _] = make_valuations()
-        encoded = encode_valuation(valuation)
-        assert encoded["bids"] == [[[0, 2], 5.0], [[1], 3.5], [[0], 1.25]]
-        redecoded = encode_valuation(decode_valuation(encoded))
-        assert redecoded == encoded
+        decoded = request_from_wire(request_to_wire(make_request()))
+        for original, valuation in zip(make_valuations(), decoded.valuations):
+            assert type(valuation) is XORValuation
+            assert list(valuation.bids.items()) == list(original.bids.items())
 
     def test_optional_fields_default(self):
         wire = {
@@ -180,7 +175,7 @@ class TestColumnarRequests:
             "schema_version": 1,
             "scene_id": "b" * 16,
             "k": 3,
-            "valuations": [encode_valuation(v) for v in make_valuations()],
+            "valuations": [{"type": "xor", "k": 3, "bids": [[[0, 2], 5.0]]}],
         }
         with pytest.raises(ValueError, match="schema_version 1"):
             request_from_wire(wire)
