@@ -25,12 +25,12 @@ chaos", and "The serving edge"):
   stdlib-asyncio HTTP/1.1 front-end serving the wire schema over
   localhost sockets (plus :class:`GatewayServer`, its sync wrapper);
 * :mod:`repro.service.client` — :class:`GatewayClient` (asyncio,
-  pooled keep-alive connections, typed-error reconstruction,
-  :class:`RetryPolicy` retries + hedging), :class:`ReplicaSet`
-  (multi-replica failover with probe-driven eviction), and their sync
-  facades :class:`SyncGatewayClient` / :class:`SyncReplicaClient`
-  (future-based ``submit``, mirroring the in-process service), which
-  share one loop-thread bridge (:mod:`repro.service._loop`);
+  over one or more gateway endpoints: pooled keep-alive connections,
+  typed-error reconstruction, :class:`RetryPolicy` retries + hedging,
+  failover as a retry with passive endpoint health) and its sync facade
+  :class:`SyncGatewayClient` (future-based ``submit``, mirroring the
+  in-process service) on the loop-thread bridge
+  (:mod:`repro.service._loop`);
 * :mod:`repro.service.traffic` — open-loop Poisson/burst/replay traffic
   over the metro workload family;
 * :mod:`repro.service.metrics` — throughput, latency percentiles, cache
@@ -47,10 +47,8 @@ chaos", and "The serving edge"):
 from repro.service.chaos import ChaosReport, run_matrix, run_scenario
 from repro.service.client import (
     GatewayClient,
-    ReplicaSet,
     RetryPolicy,
     SyncGatewayClient,
-    SyncReplicaClient,
 )
 from repro.service.errors import (
     DeadlineExceeded,
@@ -102,9 +100,7 @@ __all__ = [
     "GatewayServer",
     "GatewayClient",
     "RetryPolicy",
-    "ReplicaSet",
     "SyncGatewayClient",
-    "SyncReplicaClient",
     "ProcessShardPool",
     "WorkerCrashError",
     "SceneRegistry",

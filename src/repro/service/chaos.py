@@ -215,6 +215,7 @@ def run_scenario(
         snapshot = service.metrics_snapshot()
         gateway_counters = {} if server is None else server.gateway.counters()
         client_stats = {} if client is None else client.stats()
+        client_stats.pop("endpoints", None)  # counters only: endpoints name run-local ports
     finally:
         if client is not None:
             client.close()

@@ -1,13 +1,13 @@
 """Clients for the auction gateway (wire schema over HTTP/1.1).
 
-:class:`GatewayClient` is the asyncio client: a keep-alive connection
-pool over :func:`asyncio.open_connection`, one coroutine per in-flight
-request, decoding success payloads to
-:class:`~repro.service.wire.AuctionResponse` and error payloads back to
-the *typed exception* the in-process API would have raised
-(:func:`~repro.service.wire.error_from_wire`) — so ``try/except
-ShedError`` works identically whether the service is local or across
-the network.
+:class:`GatewayClient` is the asyncio client, over one gateway endpoint
+or several: per endpoint a keep-alive connection pool over
+:func:`asyncio.open_connection`, one coroutine per in-flight request,
+decoding success payloads to :class:`~repro.service.wire.AuctionResponse`
+and error payloads back to the *typed exception* the in-process API
+would have raised (:func:`~repro.service.wire.error_from_wire`) — so
+``try/except ShedError`` works identically whether the service is local
+or across the network.
 
 **Resilience** (DESIGN.md → "Resilient edge"):
 
@@ -15,7 +15,8 @@ the network.
   *deterministic seeded jitter* (drawn from the request's idempotency
   key, so two replays of a trace sleep identically).  Retryable
   failures are transport errors (``OSError``/``EOFError``: resets,
-  refused connections, truncated responses) and the retryable 5xx set
+  refused connections, truncated responses; and an exchange that
+  outlives ``request_timeout``) and the retryable 5xx set
   ``{500, 502, 503}``; 400/404 are the caller's bug and 504 means the
   deadline is spent either way — retrying any of them cannot help.
   The default policy makes **zero** retries (``max_attempts=1``):
@@ -29,20 +30,21 @@ the network.
   gateway's keyed fault draws are per-attempt, and carries the
   request's idempotency key so a retried request replays from the
   gateway journal instead of re-solving.
-* :class:`ReplicaSet` — the same solve API over N gateway endpoints,
-  with probe-driven eviction after ``failure_threshold`` consecutive
-  failures and half-open re-admission after ``cooldown`` (mirroring the
-  worker pool's circuit-breaker semantics).  Failover happens on
-  *transport* errors only: a typed wire error came from a live replica
-  and resending it elsewhere would just duplicate load.
+* **Failover is a retry.**  With ``replicas``, each attempt goes to the
+  least-loaded live endpoint, preferring one this solve has not tried,
+  so a transport error spends one attempt and the next lands elsewhere;
+  a typed wire error came from a live gateway and is never re-sent.
+  Endpoint health is *passive* — eviction on consecutive transport
+  failures, half-open re-admission on the next pick after a cooldown —
+  so no background probe ever runs.
 
-:class:`SyncGatewayClient` / :class:`SyncReplicaClient` wrap the async
-clients for synchronous callers by running them on one daemon loop thread
-(:class:`~repro.service._loop.LoopThread`) and share every method body;
-``submit`` mirrors :meth:`AuctionService.submit`'s future-based
-contract (``submit(request) -> concurrent.futures.Future``), which is
-what lets the chaos harness and the open-loop benchmark drive a gateway
-exactly like an in-process service.
+:class:`SyncGatewayClient` runs a :class:`GatewayClient` for synchronous
+callers on one daemon loop thread
+(:class:`~repro.service._loop.LoopThread`); ``submit`` mirrors
+:meth:`AuctionService.submit`'s future-based contract (``submit(request)
+-> concurrent.futures.Future``), which is what lets the chaos harness
+and the open-loop benchmark drive a gateway exactly like an in-process
+service.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ import hashlib
 import json
 import time
 from collections import deque
-from collections.abc import Callable, Coroutine
+from collections.abc import Sequence
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -73,21 +75,16 @@ if TYPE_CHECKING:
     from repro.service.faults import FaultPlan
     from repro.service.wire import AuctionRequest
 
-__all__ = [
-    "GatewayClient",
-    "ReplicaSet",
-    "RetryPolicy",
-    "SyncGatewayClient",
-    "SyncReplicaClient",
-]
+__all__ = ["GatewayClient", "RetryPolicy", "SyncGatewayClient"]
 
 _Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 # failures of the transport itself, as opposed to typed wire errors:
-# always retryable, and the only failures a ReplicaSet fails over on.
-# (TimeoutError ⊂ OSError, ConnectionError ⊂ OSError,
-# IncompleteReadError ⊂ EOFError.)
-_TRANSPORT_ERRORS = (OSError, EOFError)
+# always retryable, and the failures that count against an endpoint's
+# health.  ConnectionError ⊂ OSError and IncompleteReadError ⊂ EOFError;
+# asyncio.TimeoutError (an exchange past request_timeout) is the builtin
+# TimeoutError ⊂ OSError from Python 3.11 on, but its own class on 3.10.
+_TRANSPORT_ERRORS = (OSError, EOFError, asyncio.TimeoutError)
 
 _TOKEN_MASK = (1 << 63) - 1
 
@@ -166,14 +163,48 @@ class RetryPolicy:
         return base * (1.0 - self.jitter * fraction)
 
 
-class GatewayClient:
-    """Asyncio client for one gateway endpoint, pooling keep-alive
-    connections up to ``max_connections`` (back-pressure beyond that is a
-    semaphore wait, not a connect storm).
+class _Endpoint:
+    """One gateway endpoint: its idle keep-alive connections, its
+    connection gate, and its passive health state."""
 
-    ``retry`` arms a :class:`RetryPolicy` for ``solve`` (default: none);
-    ``fault_plan`` arms ``client.connect`` injection sites for chaos
-    runs.  ``stats()`` surfaces attempt/retry/hedge counters.
+    def __init__(self, host: str, port: int, max_connections: int) -> None:
+        self.host = host
+        self.port = port
+        self.idle: list[_Connection] = []
+        self.gate = asyncio.Semaphore(max_connections)
+        self.live = True
+        self.failures = 0  # consecutive transport failures
+        self.down_since = 0.0  # eviction, or the last half-open trial
+        self.inflight = 0
+
+    async def checkout(self) -> _Connection:
+        while self.idle:
+            reader, writer = self.idle.pop()
+            if not writer.is_closing():
+                return reader, writer
+            writer.close()
+        return await asyncio.open_connection(self.host, self.port)
+
+
+class GatewayClient:
+    """Asyncio client for one or more gateway endpoints.
+
+    ``host``/``port`` is the first endpoint and ``replicas`` adds more;
+    each pools keep-alive connections up to ``max_connections``
+    (back-pressure beyond that is a semaphore wait, not a connect
+    storm).  ``retry`` arms a :class:`RetryPolicy` for ``solve``
+    (default: none); ``fault_plan`` arms ``client.connect`` injection
+    sites for chaos runs.  ``request_timeout`` bounds every exchange: an
+    endpoint that dies with pooled keep-alive connections open would
+    otherwise hang a request forever instead of failing it over.
+
+    An endpoint is evicted after ``failure_threshold`` consecutive
+    transport failures, unless it is the last live one — with nowhere
+    to fail over to, eviction could only turn a retryable failure into
+    a refusal.  After ``cooldown`` seconds the next pick tries it once,
+    half-open: success re-admits it, failure restarts the cooldown.
+    ``stats()`` surfaces attempt/retry/hedge/eviction counters and each
+    endpoint's state.
     """
 
     def __init__(
@@ -182,15 +213,25 @@ class GatewayClient:
         port: int = 8080,
         max_connections: int = 128,
         *,
+        replicas: Sequence[tuple[str, int]] = (),
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
+        failure_threshold: int = 3,
+        cooldown: float = 0.5,
+        request_timeout: float = 60.0,
     ) -> None:
-        self.host = host
-        self.port = port
+        if max_connections < 1 or failure_threshold < 1:
+            raise ValueError("max_connections and failure_threshold must be >= 1")
+        if cooldown < 0 or request_timeout <= 0:
+            raise ValueError("cooldown must be >= 0 and request_timeout > 0")
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
-        self._idle: list[_Connection] = []
-        self._gate = asyncio.Semaphore(max_connections)
+        self.failure_threshold = failure_threshold
+        self.cooldown = cooldown
+        self.request_timeout = request_timeout
+        self._endpoints = [
+            _Endpoint(h, p, max_connections) for h, p in [(host, port), *replicas]
+        ]
         self._closed = False
         self._latency_window: deque[float] = deque(maxlen=512)
         self._stats: dict[str, int] = {
@@ -199,23 +240,61 @@ class GatewayClient:
             "hedges_launched": 0,
             "hedges_won": 0,
             "connect_faults": 0,
+            "evictions": 0,
+            "readmissions": 0,
         }
 
-    def stats(self) -> dict[str, int]:
-        """Attempt/retry/hedge/fault counters since construction."""
-        return dict(self._stats)
+    def stats(self) -> dict[str, Any]:
+        """Attempt/retry/hedge/fault/eviction counters since construction,
+        plus each endpoint's health under ``"endpoints"``."""
+        snapshot: dict[str, Any] = dict(self._stats)
+        snapshot["endpoints"] = [
+            {
+                "endpoint": f"{endpoint.host}:{endpoint.port}",
+                "live": endpoint.live,
+                "failures": endpoint.failures,
+                "inflight": endpoint.inflight,
+            }
+            for endpoint in self._endpoints
+        ]
+        return snapshot
 
     # ------------------------------------------------------------------
-    # transport
+    # transport and endpoint health
     # ------------------------------------------------------------------
+    def _pick(self, tried: set[_Endpoint]) -> _Endpoint:
+        """The endpoint for the next exchange.
+
+        An evicted endpoint whose cooldown has passed gets the pick, once
+        (picking it restarts its cooldown, so one trial runs at a time);
+        otherwise the least-loaded live endpoint, preferring ones not in
+        ``tried``.  Some endpoint is always live: the last is never
+        evicted.
+        """
+        now = time.monotonic()
+        for endpoint in self._endpoints:
+            if (
+                not endpoint.live
+                and endpoint not in tried
+                and now - endpoint.down_since >= self.cooldown
+            ):
+                endpoint.down_since = now
+                return endpoint
+        live = [endpoint for endpoint in self._endpoints if endpoint.live]
+        fresh = [endpoint for endpoint in live if endpoint not in tried] or live
+        return min(fresh, key=lambda endpoint: endpoint.inflight)
+
     async def _exchange(
         self,
+        endpoint: _Endpoint,
         method: str,
         path: str,
         body: dict[str, Any] | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, Any]]:
-        """One HTTP exchange on a pooled connection; returns (status, payload)."""
+        """One HTTP exchange with ``endpoint`` under ``request_timeout``,
+        fed into its health: any answer (even a typed error) proves it
+        alive, a transport error counts against it."""
         if self._closed:
             raise RuntimeError("client is closed")
         payload = b"" if body is None else json.dumps(body).encode()
@@ -224,14 +303,42 @@ class GatewayClient:
         )
         request = (
             f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
+            f"Host: {endpoint.host}:{endpoint.port}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"{extra}"
             "\r\n"
         ).encode("latin-1") + payload
-        async with self._gate:
-            reader, writer = await self._checkout()
+        endpoint.inflight += 1
+        try:
+            answer = await asyncio.wait_for(
+                self._roundtrip(endpoint, request), self.request_timeout
+            )
+        except _TRANSPORT_ERRORS:
+            endpoint.failures += 1
+            if not endpoint.live:
+                endpoint.down_since = time.monotonic()  # failed trial: re-cool
+            elif endpoint.failures >= self.failure_threshold and any(
+                other.live for other in self._endpoints if other is not endpoint
+            ):
+                endpoint.live = False
+                endpoint.down_since = time.monotonic()
+                self._stats["evictions"] += 1
+            raise
+        finally:
+            endpoint.inflight -= 1
+        endpoint.failures = 0
+        if not endpoint.live:
+            endpoint.live = True
+            self._stats["readmissions"] += 1
+        return answer
+
+    async def _roundtrip(
+        self, endpoint: _Endpoint, request: bytes
+    ) -> tuple[int, dict[str, Any]]:
+        """Send ``request`` on a pooled connection; returns (status, payload)."""
+        async with endpoint.gate:
+            reader, writer = await endpoint.checkout()
             try:
                 writer.write(request)
                 await writer.drain()
@@ -239,22 +346,28 @@ class GatewayClient:
             except BaseException:
                 writer.close()  # a half-used connection cannot be pooled
                 raise
-            self._checkin((reader, writer))
+            if self._closed or writer.is_closing():
+                writer.close()
+            else:
+                endpoint.idle.append((reader, writer))
         return status, response
 
-    async def _checkout(self) -> _Connection:
-        while self._idle:
-            reader, writer = self._idle.pop()
-            if not writer.is_closing():
-                return reader, writer
-            writer.close()
-        return await asyncio.open_connection(self.host, self.port)
-
-    def _checkin(self, conn: _Connection) -> None:
-        if self._closed or conn[1].is_closing():
-            conn[1].close()
-        else:
-            self._idle.append(conn)
+    async def _broadcast(
+        self, method: str, path: str, body: dict[str, Any] | None = None
+    ) -> list[tuple[int, dict[str, Any]]]:
+        """The same exchange with every endpoint; the answers, or the last
+        transport error when no endpoint answered."""
+        answers: list[tuple[int, dict[str, Any]]] = []
+        error: BaseException | None = None
+        for endpoint in self._endpoints:
+            try:
+                answers.append(await self._exchange(endpoint, method, path, body))
+            except _TRANSPORT_ERRORS as exc:  # repro: allow[silent-except] -- counted against the endpoint in _exchange; raised below if none answers
+                error = exc
+        if not answers:
+            assert error is not None
+            raise error
+        return answers
 
     async def _read_response(
         self, reader: asyncio.StreamReader
@@ -283,39 +396,48 @@ class GatewayClient:
     # API
     # ------------------------------------------------------------------
     async def health(self) -> bool:
-        status, _payload = await self._exchange("GET", "/v1/health")
-        return status == 200
+        """True when any endpoint answers its health check with 200."""
+        answers = await self._broadcast("GET", "/v1/health")
+        return any(status == 200 for status, _payload in answers)
 
     async def metrics(self) -> dict[str, Any]:
-        _status, payload = await self._exchange("GET", "/v1/metrics")
+        _status, payload = await self._exchange(self._pick(set()), "GET", "/v1/metrics")
         return self._raise_if_error(payload)
 
     async def register_scene(self, structure: AnyStructure) -> str:
-        """Register a conflict structure; returns its fingerprint scene id."""
-        _status, payload = await self._exchange(
+        """Register a conflict structure on every endpoint (each gateway
+        may back its own service); returns its fingerprint scene id,
+        which is content-derived and therefore the same on each."""
+        answers = await self._broadcast(
             "POST", "/v1/scenes", {"structure": _structure_to_dict(structure)}
         )
-        return str(self._raise_if_error(payload)["scene_id"])
+        scene_ids = [str(self._raise_if_error(payload)["scene_id"]) for _, payload in answers]
+        return scene_ids[0]
 
     async def solve(self, request: AuctionRequest) -> AuctionResponse:
         """Solve one request under the retry policy; typed error on failure.
 
         Every attempt resends the same idempotency key (derived from
         the request when the envelope carries none), so a retry after a
-        lost response replays from the gateway journal instead of
-        re-solving.  A ``request.deadline`` travels as the
-        ``X-Auction-Deadline`` header and is enforced server-side by
-        the service's EWMA triage.
+        lost response — on the same endpoint or another — replays from
+        the gateway journal instead of re-solving.  A
+        ``request.deadline`` travels as the ``X-Auction-Deadline``
+        header and is enforced server-side by the service's EWMA triage.
         """
         policy = self.retry
         key = request.idempotency_key or default_idempotency_key(request)
         token = _jitter_token(key)
+        tried: set[_Endpoint] = set()
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self._stats["retries"] += 1
                 await asyncio.sleep(policy.delay_before(attempt - 1, token))
             try:
-                return await self._attempt_or_hedged(request, key, attempt, policy)
+                if policy.hedge:
+                    delay = self._hedge_delay(policy)
+                    if delay is not None:
+                        return await self._hedged(request, key, attempt, tried, delay)
+                return await self._solve_attempt(request, key, attempt, tried)
             except _WireError as exc:
                 if (
                     attempt >= policy.max_attempts
@@ -326,15 +448,6 @@ class GatewayClient:
                 if attempt >= policy.max_attempts:
                     raise
         raise RuntimeError("unreachable: retry loop neither returned nor raised")
-
-    async def _attempt_or_hedged(
-        self, request: AuctionRequest, key: str, attempt: int, policy: RetryPolicy
-    ) -> AuctionResponse:
-        if policy.hedge:
-            delay = self._hedge_delay(policy)
-            if delay is not None:
-                return await self._hedged(request, key, attempt, policy, delay)
-        return await self._solve_attempt(request, key, attempt)
 
     def _hedge_delay(self, policy: RetryPolicy) -> float | None:
         """The p99-based hedge trigger, or ``None`` while under-sampled."""
@@ -349,53 +462,56 @@ class GatewayClient:
         request: AuctionRequest,
         key: str,
         attempt: int,
-        policy: RetryPolicy,
+        tried: set[_Endpoint],
         delay: float,
     ) -> AuctionResponse:
         """Race a second attempt against a primary slower than ``delay``.
 
         The hedge's attempt ordinal is offset by ``max_attempts`` so its
         fault draws and backoff jitter never collide with a plain
-        retry's.  Same idempotency key on both: the gateway coalesces
-        them onto one solve.
+        retry's, and it prefers an endpoint the primary is not on.  Same
+        idempotency key on both: the gateway coalesces them onto one
+        solve.
         """
-        primary = asyncio.ensure_future(self._solve_attempt(request, key, attempt))
+        primary = asyncio.ensure_future(self._solve_attempt(request, key, attempt, tried))
+        tasks: set[asyncio.Future[AuctionResponse]] = {primary}
         try:
-            return await asyncio.wait_for(asyncio.shield(primary), delay)
-        except TimeoutError:  # repro: allow[silent-except] -- not a failure: the primary is slow, launch the hedge
-            pass
-        self._stats["hedges_launched"] += 1
-        hedge = asyncio.ensure_future(
-            self._solve_attempt(request, key, policy.max_attempts + attempt)
-        )
-        pending: set[asyncio.Task[AuctionResponse]] = {primary, hedge}
-        failure: BaseException | None = None
-        try:
+            done, _ = await asyncio.wait(tasks, timeout=delay)
+            if not done:  # the primary is slower than p99: launch the hedge
+                self._stats["hedges_launched"] += 1
+                ordinal = self.retry.max_attempts + attempt
+                tasks.add(
+                    asyncio.ensure_future(self._solve_attempt(request, key, ordinal, tried))
+                )
+            pending = set(tasks)
+            failure: BaseException | None = None
             while pending:
                 done, pending = await asyncio.wait(
                     pending, return_when=asyncio.FIRST_COMPLETED
                 )
                 for task in done:
                     if task.exception() is None:
-                        if task is hedge:
+                        if task is not primary:
                             self._stats["hedges_won"] += 1
                         return task.result()
                     failure = task.exception()
             assert failure is not None
             raise failure
         finally:
-            for task in (primary, hedge):
+            for task in tasks:
                 if not task.done():
                     task.cancel()
-            losers, _ = await asyncio.wait({primary, hedge})
-            for task in losers:
+            await asyncio.wait(tasks)
+            for task in tasks:
                 if not task.cancelled():
                     task.exception()  # observed: a loser must not warn at GC
 
     async def _solve_attempt(
-        self, request: AuctionRequest, key: str, attempt: int
+        self, request: AuctionRequest, key: str, attempt: int, tried: set[_Endpoint]
     ) -> AuctionResponse:
         """One wire exchange, stamped with its attempt ordinal."""
+        endpoint = self._pick(tried)
+        tried.add(endpoint)
         self._stats["attempts"] += 1
         await self._inject_connect_faults(request, attempt)
         headers = {"X-Auction-Attempt": str(attempt)}
@@ -404,7 +520,7 @@ class GatewayClient:
         wire = request_to_wire(request)
         wire["idempotency_key"] = key
         started = time.perf_counter()
-        status, payload = await self._exchange("POST", "/v1/solve", wire, headers)
+        status, payload = await self._exchange(endpoint, "POST", "/v1/solve", wire, headers)
         self._latency_window.append(time.perf_counter() - started)
         if payload.get("status") == "error":
             raise _WireError(status, error_from_wire(payload))
@@ -434,6 +550,7 @@ class GatewayClient:
         the typed exception *instances* in request order (mirroring how
         the in-process API fails futures individually)."""
         _status, payload = await self._exchange(
+            self._pick(set()),
             "POST",
             "/v1/solve-batch",
             {"requests": [request_to_wire(r) for r in requests]},
@@ -448,9 +565,10 @@ class GatewayClient:
 
     async def close(self) -> None:
         self._closed = True
-        while self._idle:
-            _reader, writer = self._idle.pop()
-            writer.close()
+        for endpoint in self._endpoints:
+            while endpoint.idle:
+                _reader, writer = endpoint.idle.pop()
+                writer.close()
 
     async def __aenter__(self) -> "GatewayClient":
         return self
@@ -459,353 +577,68 @@ class GatewayClient:
         await self.close()
 
 
-class _Replica:
-    """One endpoint's client plus its health-tracking state."""
-
-    def __init__(self, client: GatewayClient, index: int) -> None:
-        self.client = client
-        self.index = index
-        self.live = True
-        self.failures = 0
-        self.down_since = 0.0
-        self.inflight = 0
-
-    @property
-    def endpoint(self) -> str:
-        return f"{self.client.host}:{self.client.port}"
-
-
-class ReplicaSet:
-    """The solve API over N gateway replicas with failover.
-
-    Requests go to the live replica with the fewest in-flight solves.
-    A replica accumulating ``failure_threshold`` consecutive transport
-    failures (from traffic or from the background health probe) is
-    evicted; after ``cooldown`` seconds the probe loop re-tries it
-    half-open and re-admits on success — the same breaker shape the
-    worker pool uses for crashed workers.  Failover re-sends only on
-    *transport* errors: a typed wire error (shed, deadline, bad
-    request) came from a live replica and is returned as-is.
-
-    ``request_timeout`` bounds every exchange: a replica that dies with
-    pooled keep-alive connections open would otherwise hang a request
-    forever instead of failing it over.
-    """
-
-    def __init__(
-        self,
-        endpoints: list[tuple[str, int]],
-        *,
-        max_connections: int = 128,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        probe_interval: float = 0.1,
-        probe_timeout: float = 1.0,
-        failure_threshold: int = 3,
-        cooldown: float = 0.5,
-        request_timeout: float = 60.0,
-    ) -> None:
-        if not endpoints:
-            raise ValueError("ReplicaSet needs at least one endpoint")
-        self.probe_interval = probe_interval
-        self.probe_timeout = probe_timeout
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self.request_timeout = request_timeout
-        self._replicas = [
-            _Replica(
-                GatewayClient(
-                    host,
-                    port,
-                    max_connections,
-                    retry=retry,
-                    fault_plan=fault_plan,
-                ),
-                index,
-            )
-            for index, (host, port) in enumerate(endpoints)
-        ]
-        self._closed = False
-        self._probe_task: asyncio.Task[None] | None = None
-        self._stats: dict[str, int] = {
-            "failovers": 0,
-            "evictions": 0,
-            "readmissions": 0,
-            "probe_failures": 0,
-        }
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> "ReplicaSet":
-        """Arm the background health-probe loop."""
-        if self._probe_task is None:
-            self._probe_task = asyncio.ensure_future(self._probe_loop())
-        return self
-
-    async def close(self) -> None:
-        self._closed = True
-        task = self._probe_task
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:  # repro: allow[silent-except] -- our own cancellation completing
-                pass
-            self._probe_task = None
-        for replica in self._replicas:
-            await replica.client.close()
-
-    async def __aenter__(self) -> "ReplicaSet":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    # ------------------------------------------------------------------
-    # health probing
-    # ------------------------------------------------------------------
-    async def _probe_loop(self) -> None:
-        # bounded by _closed (flipped in close()), not an unbounded spin
-        while not self._closed:
-            await asyncio.sleep(self.probe_interval)
-            for replica in self._replicas:
-                if self._closed:
-                    return
-                if not replica.live and not self._cooled_down(replica):
-                    continue  # evicted and still cooling: no half-open yet
-                if await self._probe(replica):
-                    self._mark_healthy(replica)
-                else:
-                    self._mark_failure(replica)
-
-    def _cooled_down(self, replica: _Replica) -> bool:
-        return time.perf_counter() - replica.down_since >= self.cooldown
-
-    async def _probe(self, replica: _Replica) -> bool:
-        try:
-            return await asyncio.wait_for(
-                replica.client.health(), self.probe_timeout
-            )
-        except _TRANSPORT_ERRORS + (ValueError,):  # repro: allow[silent-except] -- an unreachable replica is the probe's finding, counted below
-            self._stats["probe_failures"] += 1
-            return False
-
-    def _mark_healthy(self, replica: _Replica) -> None:
-        if not replica.live:
-            replica.live = True
-            self._stats["readmissions"] += 1
-        replica.failures = 0
-
-    def _mark_failure(self, replica: _Replica) -> None:
-        replica.failures += 1
-        if replica.live and replica.failures >= self.failure_threshold:
-            replica.live = False
-            replica.down_since = time.perf_counter()
-            self._stats["evictions"] += 1
-        elif not replica.live:
-            replica.down_since = time.perf_counter()  # failed half-open: re-cool
-
-    # ------------------------------------------------------------------
-    # API
-    # ------------------------------------------------------------------
-    def _pick(self, tried: set[int]) -> _Replica | None:
-        """Least-loaded live replica, preferring ones not yet tried."""
-        live = [r for r in self._replicas if r.live]
-        pool = [r for r in live if r.index not in tried] or live
-        if not pool:
-            return None
-        return min(pool, key=lambda r: (r.inflight, r.index))
-
-    async def solve(self, request: AuctionRequest) -> AuctionResponse:
-        """Solve on the healthiest replica, failing over on transport loss."""
-        last_error: BaseException | None = None
-        tried: set[int] = set()
-        for _sweep in range(self.failure_threshold * len(self._replicas)):
-            replica = self._pick(tried)
-            if replica is None:
-                break
-            tried.add(replica.index)
-            replica.inflight += 1
-            try:
-                return await asyncio.wait_for(
-                    replica.client.solve(request), self.request_timeout
-                )
-            except _TRANSPORT_ERRORS as exc:  # repro: allow[silent-except] -- failover: counted, next replica tries
-                last_error = exc
-                self._mark_failure(replica)
-                self._stats["failovers"] += 1
-            finally:
-                replica.inflight -= 1
-        if last_error is not None:
-            raise last_error
-        raise RuntimeError("no live gateway replicas")
-
-    async def register_scene(self, structure: AnyStructure) -> str:
-        """Register on every replica (each gateway may back its own
-        service); returns the fingerprint scene id, which is content-
-        derived and therefore identical across replicas."""
-        scene_id: str | None = None
-        last_error: BaseException | None = None
-        for replica in self._replicas:
-            try:
-                scene_id = await asyncio.wait_for(
-                    replica.client.register_scene(structure), self.request_timeout
-                )
-            except _TRANSPORT_ERRORS as exc:  # repro: allow[silent-except] -- replica down: marked, registration proceeds on the rest
-                last_error = exc
-                self._mark_failure(replica)
-        if scene_id is None:
-            raise last_error if last_error is not None else RuntimeError(
-                "no live gateway replicas"
-            )
-        return scene_id
-
-    async def health(self) -> bool:
-        """True when any replica answers its health check."""
-        for replica in self._replicas:
-            if replica.live and await self._probe(replica):
-                return True
-        return False
-
-    def stats(self) -> dict[str, Any]:
-        """Failover/eviction counters plus per-replica state."""
-        snapshot: dict[str, Any] = dict(self._stats)
-        snapshot["replicas"] = [
-            {
-                "endpoint": replica.endpoint,
-                "live": replica.live,
-                "failures": replica.failures,
-                "inflight": replica.inflight,
-                "client": replica.client.stats(),
-            }
-            for replica in self._replicas
-        ]
-        return snapshot
-
-
-S = TypeVar("S", bound="_SyncFacade")
-
-
-class _SyncFacade:
-    """The synchronous methods both facades share: each forwards to the
-    async target (a :class:`GatewayClient` or a :class:`ReplicaSet`)
-    running on a private :class:`~repro.service._loop.LoopThread`."""
-
-    _target: GatewayClient | ReplicaSet
-
-    def __init__(
-        self,
-        name: str,
-        setup: Callable[[], Coroutine[Any, Any, GatewayClient | ReplicaSet]],
-    ) -> None:
-        # the target is built on the loop, so its asyncio state binds there
-        self._runner, self._target = LoopThread.start(name, setup)
-
-    def submit(self, request: AuctionRequest) -> Future[AuctionResponse]:
-        """Start one solve; returns a future (typed error on failure)."""
-        return self._runner.submit(self._target.solve(request))
-
-    def solve(self, request: AuctionRequest) -> AuctionResponse:
-        return self.submit(request).result()
-
-    def register_scene(self, structure: AnyStructure) -> str:
-        return self._runner.run(self._target.register_scene(structure), timeout=60)
-
-    def health(self) -> bool:
-        return self._runner.run(self._target.health(), timeout=30)
-
-    def stats(self) -> dict[str, Any]:
-        """The target's counters (loop-thread safe)."""
-        return self._target.stats()
-
-    def close(self) -> None:
-        if self._runner.loop.is_closed():
-            return
-        try:
-            self._runner.run(self._target.close(), timeout=30)
-        finally:
-            self._runner.stop()
-
-    def __enter__(self: S) -> S:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class SyncGatewayClient(_SyncFacade):
+class SyncGatewayClient:
     """Synchronous facade: :class:`GatewayClient` on a daemon loop thread.
 
-    ``submit(request)`` returns a :class:`concurrent.futures.Future`
-    resolving to an :class:`~repro.service.wire.AuctionResponse` or
-    failing with the typed error — the same contract as
-    :meth:`AuctionService.submit`, so open-loop drivers and the chaos
-    harness can target a gateway without changing shape.  (One
-    difference is inherent to the network boundary: admission-control
-    sheds arrive asynchronously as a failed future, not as a synchronous
-    ``ShedError`` from ``submit``.)
+    Takes :class:`GatewayClient`'s arguments (``options`` are its
+    keywords).  ``submit(request)``
+    returns a :class:`concurrent.futures.Future` resolving to an
+    :class:`~repro.service.wire.AuctionResponse` or failing with the
+    typed error — the same contract as :meth:`AuctionService.submit`, so
+    open-loop drivers and the chaos harness can target a gateway without
+    changing shape.  (One difference is inherent to the network
+    boundary: admission-control sheds arrive asynchronously as a failed
+    future, not as a synchronous ``ShedError`` from ``submit``.)
     """
-
-    _target: GatewayClient
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 8080,
         max_connections: int = 128,
-        *,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
+        **options: Any,
     ) -> None:
         async def make_client() -> GatewayClient:
-            return GatewayClient(
-                host, port, max_connections, retry=retry, fault_plan=fault_plan
-            )
+            return GatewayClient(host, port, max_connections, **options)
 
-        super().__init__("gateway-client-loop", make_client)
+        # the client is built on the loop, so its asyncio state binds there
+        self._runner, self._client = LoopThread.start("gateway-client-loop", make_client)
+
+    def submit(self, request: AuctionRequest) -> Future[AuctionResponse]:
+        """Start one solve; returns a future (typed error on failure)."""
+        return self._runner.submit(self._client.solve(request))
+
+    def solve(self, request: AuctionRequest) -> AuctionResponse:
+        return self.submit(request).result()
 
     def solve_batch(
         self, requests: list[AuctionRequest]
     ) -> list[AuctionResponse | Exception]:
-        return self._runner.run(self._target.solve_batch(requests))
+        return self._runner.run(self._client.solve_batch(requests))
+
+    def register_scene(self, structure: AnyStructure) -> str:
+        return self._runner.run(self._client.register_scene(structure), timeout=60)
+
+    def health(self) -> bool:
+        return self._runner.run(self._client.health(), timeout=30)
 
     def metrics(self) -> dict[str, Any]:
-        return self._runner.run(self._target.metrics(), timeout=30)
+        return self._runner.run(self._client.metrics(), timeout=30)
 
+    def stats(self) -> dict[str, Any]:
+        """The client's counters (loop-thread safe)."""
+        return self._client.stats()
 
-class SyncReplicaClient(_SyncFacade):
-    """Synchronous facade: :class:`ReplicaSet` on a daemon loop thread,
-    probe loop armed — the multi-replica counterpart of
-    :class:`SyncGatewayClient` with the same ``submit`` contract."""
+    def close(self) -> None:
+        if self._runner.loop.is_closed():
+            return
+        try:
+            self._runner.run(self._client.close(), timeout=30)
+        finally:
+            self._runner.stop()
 
-    _target: ReplicaSet
+    def __enter__(self) -> "SyncGatewayClient":
+        return self
 
-    def __init__(
-        self,
-        endpoints: list[tuple[str, int]],
-        *,
-        max_connections: int = 128,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        probe_interval: float = 0.1,
-        probe_timeout: float = 1.0,
-        failure_threshold: int = 3,
-        cooldown: float = 0.5,
-        request_timeout: float = 60.0,
-    ) -> None:
-        async def make_set() -> ReplicaSet:
-            replica_set = ReplicaSet(
-                endpoints,
-                max_connections=max_connections,
-                retry=retry,
-                fault_plan=fault_plan,
-                probe_interval=probe_interval,
-                probe_timeout=probe_timeout,
-                failure_threshold=failure_threshold,
-                cooldown=cooldown,
-                request_timeout=request_timeout,
-            )
-            return await replica_set.start()
-
-        super().__init__("replica-client-loop", make_set)
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -293,8 +293,9 @@ class AuctionGateway:
 
         Must run on the gateway's event loop.  Unlike a graceful drain,
         clients see their in-flight exchanges die with a reset/EOF — the
-        failure a :class:`~repro.service.client.ReplicaSet` fails over
-        on.
+        transport failure a multi-endpoint
+        :class:`~repro.service.client.GatewayClient` retries on another
+        endpoint.
         """
         for writer in list(self._open_writers):
             writer.close()
@@ -381,7 +382,10 @@ class AuctionGateway:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not raw_length.isdecimal():  # "abc", "-5": no body length to trust
+            raise _HttpError("bad-request", f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > self.max_body_bytes:
             raise _HttpError(
                 "payload-too-large",
@@ -729,8 +733,8 @@ class GatewayServer:
         ``close()`` is a graceful drain: the listener stops but live
         keep-alive connections finish their exchanges.  ``kill()`` also
         slams every open connection, so clients see resets/EOF on their
-        in-flight requests — the signal that drives
-        :class:`~repro.service.client.ReplicaSet` eviction.
+        in-flight requests — the signal that drives endpoint eviction
+        in :class:`~repro.service.client.GatewayClient`.
         """
         runner, server = self._runner, self._server
         if runner is not None and server is not None:

@@ -32,7 +32,6 @@ from repro.service import (
     Scenario,
     ShedError,
     SyncGatewayClient,
-    SyncReplicaClient,
     run_scenario,
     scenario_library,
     scene_fingerprint,
@@ -195,7 +194,7 @@ class TestLoopThreads:
     def test_failed_starts_leave_no_loop_thread(self):
         before = set(threading.enumerate())
         with pytest.raises(ValueError):
-            SyncReplicaClient([])
+            SyncGatewayClient(max_connections=0)
         service = AuctionService(executor="serial")
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
@@ -212,8 +211,8 @@ class TestLoopThreads:
         with GatewayServer(service) as server:
             with SyncGatewayClient(port=server.port) as client:
                 assert client.health()
-            with SyncReplicaClient([("127.0.0.1", server.port)]) as replicas:
-                assert replicas.register_scene(scene) == scene_fingerprint(scene)
+            with SyncGatewayClient(port=server.port) as client:
+                assert client.register_scene(scene) == scene_fingerprint(scene)
         client.close()  # idempotent
         service.close()
         assert [t.name for t in set(threading.enumerate()) - before] == []
@@ -334,6 +333,28 @@ class TestErrorStatuses:
         )
         assert status == 400
         assert payload["error_code"] == "bad-request"
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_typed_400(self, served, length):
+        server, _, _ = served
+        before = server.gateway.counters()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=60) as sock:
+            sock.sendall(
+                "POST /v1/solve HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+            )
+            raw = b""
+            while chunk := sock.recv(65536):  # the gateway closes after answering
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        payload = json.loads(body)
+        assert payload["status"] == "error"
+        assert payload["error_code"] == "bad-request"
+        after = server.gateway.counters()
+        assert after["requests"] == before["requests"] + 1
+        assert after["responses_error"] == before["responses_error"] + 1
 
 
 class TestSizeCaps:

@@ -11,13 +11,16 @@ Every test drives a real localhost gateway.  The contracts pinned here
 * a hedged request races its primary under the same idempotency key,
   so hedging buys tail latency without duplicate work;
 * killing one of two gateway replicas mid-trace loses no accepted
-  request — the ReplicaSet evicts the dead replica and drains onto the
-  survivor while the backing service stays healthy.
+  request — the client evicts the dead endpoint and drains onto the
+  survivor while the backing service stays healthy;
+* an evicted endpoint is re-admitted passively, by the first request
+  after its cooldown, with no background traffic while the client idles.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import socket
 import time
 
 import pytest
@@ -33,7 +36,6 @@ from repro.service import (
     GatewayServer,
     RetryPolicy,
     SyncGatewayClient,
-    SyncReplicaClient,
     run_scenario,
     scenario_library,
 )
@@ -332,10 +334,10 @@ class TestReplicaFailover:
         scene_id = service.register_scene(scene)
         server_a = GatewayServer(service).start()
         server_b = GatewayServer(service).start()
-        client = SyncReplicaClient(
-            [("127.0.0.1", server_a.port), ("127.0.0.1", server_b.port)],
+        client = SyncGatewayClient(
+            port=server_a.port,
+            replicas=[("127.0.0.1", server_b.port)],
             retry=RetryPolicy(max_attempts=2, backoff_base=0.002),
-            probe_interval=0.05,
             failure_threshold=2,
             cooldown=30.0,  # the dead replica must stay out for this test
             request_timeout=10.0,
@@ -351,7 +353,7 @@ class TestReplicaFailover:
             assert all(isinstance(r, AuctionResponse) for r in results)
 
             stats = client.stats()
-            dead = [r for r in stats["replicas"] if not r["live"]]
+            dead = [r for r in stats["endpoints"] if not r["live"]]
             assert len(dead) == 1
             assert dead[0]["endpoint"].endswith(f":{server_a.port}")
             assert stats["evictions"] == 1
@@ -368,6 +370,43 @@ class TestReplicaFailover:
             server_a.close()
             service.close()
 
-    def test_replica_set_requires_endpoints(self):
-        with pytest.raises(ValueError, match="endpoint"):
-            SyncReplicaClient([])
+    def test_evicted_endpoint_is_readmitted_by_traffic_not_probes(self, scene):
+        service = AuctionService(executor="serial", coalesce_window=0.0)
+        scene_id = service.register_scene(scene)
+        server_b = GatewayServer(service).start()
+        reserved = socket.socket()  # bound, never listening: connects are refused
+        reserved.bind(("127.0.0.1", 0))
+        port_a = reserved.getsockname()[1]
+        client = SyncGatewayClient(
+            port=port_a,
+            replicas=[("127.0.0.1", server_b.port)],
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.001),
+            failure_threshold=2,
+            cooldown=0.3,
+        )
+        server_a = None
+        try:
+            for seed in (1, 2):  # each tries A first, is refused, lands on B
+                assert client.solve(make_request(scene_id, seed=seed)).seed == seed
+            stats = client.stats()
+            assert stats["evictions"] == 1
+            assert [e["live"] for e in stats["endpoints"]] == [False, True]
+
+            reserved.close()
+            server_a = GatewayServer(service, port=port_a).start()
+            time.sleep(0.5)  # idle past the cooldown: nothing may reach A
+            assert server_a.gateway.counters()["requests"] == 0
+
+            response = client.solve(make_request(scene_id, seed=3))
+            stats = client.stats()
+            assert response.seed == 3
+            assert stats["readmissions"] == 1
+            assert [e["live"] for e in stats["endpoints"]] == [True, True]
+            assert server_a.gateway.counters()["requests"] == 1  # the half-open trial
+        finally:
+            client.close()
+            reserved.close()
+            if server_a is not None:
+                server_a.close()
+            server_b.close()
+            service.close()
