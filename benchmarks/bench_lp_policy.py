@@ -2,37 +2,42 @@
 
 Times every backend mode of :func:`repro.engine.highs.solve_packing_lp_fast`
 (``simplex`` = HiGHS's default dual simplex, the seed-parity path;
-``primal`` = primal simplex; ``ipm`` = interior point + crossover), each
-with HiGHS presolve on and off, on the LP (1)/(4) of metro disk-model
-auctions (k=6, 4 bids per bidder) over a grid of n, and records what the
-``solver="auto"`` policy (:func:`repro.engine.highs.choose_solver`) picks
-at each point.  The LP is the one every solve runs: the rows that can
-bind (``CompiledAuction.matrices_csc``).  The band edges in
-``engine/highs.py`` are in those kept rows and are read off this grid,
-as is whether a mode runs with presolve off (only if "off" is no slower
-at every point of the mode's band).  A metro protocol-model family at
-n ∈ {300, 1000} is recorded beside it, to show whether the edges carry
-over off the disk model.
+``primal`` = primal simplex from the greedy basis; ``ipm`` = interior
+point + crossover) as the backend runs it — a cold
+:class:`~repro.engine.highs.ResidentLP` load + solve — on the LP (1)/(4)
+of metro disk-model auctions (k=6, 4 bids per bidder) over a grid of n,
+and records what the ``solver="auto"`` policy
+(:func:`repro.engine.highs.choose_solver`) picks at each point.  Dual
+simplex and IPM are timed with HiGHS presolve on and off; primal once,
+since HiGHS skips presolve on a model with a basis set.  Beside them runs
+one raw primal instance from HiGHS's own all-slack basis
+(``primal_slack_ms``), the reference for the greedy start, and both
+starts' simplex iterations (``primal_iterations``).  The LP is the one
+every solve runs: the rows that can bind
+(``CompiledAuction.matrices_csc``).  The band edge in ``engine/highs.py``
+is in those kept rows and is read off this grid, as is whether a mode
+runs with presolve off (only if "off" is no slower at every point).  A
+metro protocol-model family at n ∈ {300, 1000} is recorded beside it, to
+show whether the edge carries over off the disk model.
 
-Per grid point the mode/presolve variants run interleaved (one solve of
-each per repeat, so drift on a shared box hits every variant alike) and
-each variant's median wall time is recorded: a cold model load + run on
-one instance per variant, configured as the backend configures that mode
-(the shape of the backend's cold path).  The full and the kept LP's rows
-and nnz are recorded too.  ``median_ms`` holds each mode under the
-presolve setting the backend uses.  Every variant's objective, and the
-full LP's (solved once), must agree to 1e-9 relative.  Dual simplex is
-skipped from n=2000 up.
+Per grid point the variants run interleaved (one solve of each per
+repeat, so drift on a shared box hits every variant alike) and each
+variant's median wall time is recorded, on one model per variant.  The
+full and the kept LP's rows and nnz are recorded too.  ``median_ms``
+holds each mode under the presolve setting the backend uses.  Every
+variant's objective, and the full LP's (solved once), must agree to 1e-9
+relative.  Dual simplex is skipped from n=2000 up.
 
-``policy_n1000`` is the self-normalizing figure the CI gate
-(``check_regression.py``) re-measures: fastest median over the chosen
-mode's median at n=1000, so 1.0 means the policy picked the fastest mode.
-It also carries the kept-row count of that LP, which the gate pins
-exactly: losing the row pruning fails CI.
+``policy_n1000`` is what the CI gate (``check_regression.py``)
+re-measures at n=1000: the fastest median over the chosen mode's, so 1.0
+means the policy picked the fastest mode; the kept-row count, which the
+gate pins exactly (losing the row pruning fails CI); and the greedy
+start's primal iterations over the slack start's, a ratio of
+deterministic counts that the gate pins too (losing the start fails CI).
 
 Run from the repository root:
 
-    PYTHONPATH=src python benchmarks/bench_lp_policy.py             # ~5 min
+    PYTHONPATH=src python benchmarks/bench_lp_policy.py             # ~3 min
     PYTHONPATH=src python benchmarks/bench_lp_policy.py --repeats 5
 """
 
@@ -52,9 +57,9 @@ import scipy
 
 from repro.engine.compiled import CompiledAuction
 from repro.engine.highs import (
-    IPM_MIN_ROWS,
-    PRIMAL_MAX_ROWS,
+    PRIMAL_MIN_ROWS,
     SOLVER_MODES,
+    ResidentLP,
     choose_solver,
     fast_backend_available,
     highs_core,
@@ -78,22 +83,46 @@ PRESOLVE = ("on", "off")
 
 
 def backend_presolve(mode: str) -> str:
-    """The presolve setting the backend runs ``mode`` with."""
+    """The presolve setting the backend runs ``mode`` with: ``"n/a"`` for
+    primal, whose model starts from the greedy basis (HiGHS skips presolve
+    once a basis is set)."""
+    if mode == "primal":
+        return "n/a"
     _status, value = new_highs_instance(mode).getOptionValue("presolve")
     return "off" if value == "off" else "on"
 
 
-def variant_instance(mode: str, presolve: str):
-    """A ``Highs`` instance configured as the backend configures ``mode``,
-    with ``presolve`` forced."""
-    highs = new_highs_instance(mode)
-    highs.setOptionValue("presolve", presolve)
-    return highs
+def presolve_settings(mode: str) -> tuple[str, ...]:
+    """The presolve settings timed for ``mode`` (one for primal, where
+    the axis does not apply)."""
+    return ("on",) if mode == "primal" else PRESOLVE
 
 
-def timed_solve(highs, a, b, c) -> tuple[float, float]:
-    """Seconds for one cold model load + run of ``max c·x, a x ≤ b`` on
-    ``highs`` (as the backend's cold path does), and the optimum."""
+def variant_model(mode: str, presolve: str) -> ResidentLP:
+    """A backend model for ``mode``: as the backend configures it for
+    ``"on"`` (HiGHS's default, presolve runs), with presolve off for
+    ``"off"``."""
+    lp = ResidentLP(mode)
+    if presolve == "off":
+        lp._highs.setOptionValue("presolve", "off")  # the grid's one extra knob
+    return lp
+
+
+def timed_solve(lp: ResidentLP, a, b, c) -> tuple[float, float, int]:
+    """Seconds for one cold load + solve of ``max c·x, a x ≤ b`` through
+    the backend's model (greedy start included for primal), the optimum,
+    and the simplex iterations."""
+    row_lower = np.full(a.shape[0], -np.inf)
+    t0 = time.perf_counter()
+    lp.load(a, -c, row_lower, b)
+    report = lp.solve()
+    return time.perf_counter() - t0, -report.objective, report.simplex_iterations
+
+
+def timed_slack_solve(highs, a, b, c) -> tuple[float, float, int]:
+    """:func:`timed_solve` for a raw primal instance started, as HiGHS
+    starts it, from the all-slack basis: the reference the greedy start
+    is measured against."""
     core = highs_core()
     m, ncol = a.shape
     zeros, inf, neginf = np.zeros(ncol), np.full(ncol, np.inf), np.full(m, -np.inf)
@@ -104,35 +133,44 @@ def timed_solve(highs, a, b, c) -> tuple[float, float]:
     status = highs.getModelStatus()
     if status != core.HighsModelStatus.kOptimal:
         raise AssertionError(f"LP solve failed: {highs.modelStatusToString(status)}")
-    return seconds, -highs.getInfo().objective_function_value
+    info = highs.getInfo()
+    return seconds, -info.objective_function_value, info.simplex_iteration_count
 
 
 def measure_point(
     n: int, repeats: int = 3, seed: int = SCENE_SEED, family: str = "metro_disk"
 ) -> dict:
-    """Median solve time per mode and presolve setting on one LP, interleaved."""
+    """Median solve time per mode and presolve setting on one LP, plus the
+    all-slack primal reference, interleaved."""
     compiled = CompiledAuction(FAMILIES[family](n, K, seed=seed))
     a, b, c = compiled.matrices_csc()
     a_full, b_full, _ = compiled.build()
     rows, cols = a.shape
     modes = [m for m in SOLVER_MODES if m != "simplex" or n <= DUAL_MAX_N]
-    seconds: dict[str, dict[str, list[float]]] = {
-        mode: {p: [] for p in PRESOLVE} for mode in modes
-    }
-    instances = {(mode, p): variant_instance(mode, p) for mode in modes for p in PRESOLVE}
+    variants = [(mode, p) for mode in modes for p in presolve_settings(mode)]
+    models = {variant: variant_model(*variant) for variant in variants}
+    slack = new_highs_instance("primal")
+    seconds: dict[tuple[str, str], list[float]] = {variant: [] for variant in variants}
+    slack_seconds: list[float] = []
     objective: dict[str, float] = {}
+    iterations: dict[str, int] = {}
     for _ in range(repeats):
-        for mode in modes:
-            for presolve in PRESOLVE:
-                dt, value = timed_solve(instances[mode, presolve], a, b, c)
-                seconds[mode][presolve].append(dt)
-                objective[f"{mode}/presolve-{presolve}"] = value
+        for mode, presolve in variants:
+            dt, value, its = timed_solve(models[mode, presolve], a, b, c)
+            seconds[mode, presolve].append(dt)
+            objective[f"{mode}/presolve-{presolve}"] = value
+            if mode == "primal":
+                iterations["greedy"] = its
+        dt, value, its = timed_slack_solve(slack, a, b, c)
+        slack_seconds.append(dt)
+        objective["primal_slack"] = value
+        iterations["slack"] = its
     full_value = solve_packing_lp_fast(c, a_full, b_full).value
+    ms = {variant: 1e3 * statistics.median(t) for variant, t in seconds.items()}
     presolve_ms = {
-        mode: {p: 1e3 * statistics.median(t) for p, t in by.items()}
-        for mode, by in seconds.items()
+        mode: {p: ms[mode, p] for p in PRESOLVE} for mode in modes if mode != "primal"
     }
-    median_ms = {mode: presolve_ms[mode][backend_presolve(mode)] for mode in modes}
+    median_ms = {mode: ms[mode, "on"] for mode in modes}  # the backend's own model
     rel_diff = max(
         abs(value - full_value) / max(1.0, abs(full_value)) for value in objective.values()
     )
@@ -152,6 +190,8 @@ def measure_point(
         "nnz": int(a.nnz),
         "median_ms": median_ms,
         "presolve_ms": presolve_ms,
+        "primal_slack_ms": 1e3 * statistics.median(slack_seconds),
+        "primal_iterations": iterations,
         "objective": objective,
         "full_objective": full_value,
         "objective_max_rel_diff": rel_diff,
@@ -161,13 +201,17 @@ def measure_point(
 
 
 def policy_entry(point: dict) -> dict:
-    """How close the policy's pick at one grid point is to the fastest mode."""
+    """How close the policy's pick at one grid point is to the fastest
+    mode, and how many primal iterations the greedy start leaves of the
+    all-slack start's."""
     chosen, fastest = point["chosen"], point["fastest"]
+    its = point["primal_iterations"]
     return {
         "n": point["n"],
         "chosen": chosen,
         "fastest": fastest,
         "fastest_over_chosen": point["median_ms"][fastest] / point["median_ms"][chosen],
+        "greedy_iteration_ratio": its["greedy"] / its["slack"],
         "kept_rows": point["rows"],
         "full_rows": point["full_rows"],
     }
@@ -189,9 +233,12 @@ def main(argv=None) -> int:
         times = ", ".join(
             f"{m} {ms['on']:.0f}/{ms['off']:.0f}ms" for m, ms in point["presolve_ms"].items()
         )
+        its = point["primal_iterations"]
         print(
             f"{family} n={n} ({point['full_rows']} -> {point['rows']} rows, "
-            f"{point['nnz']} nnz): presolve on/off {times}; "
+            f"{point['nnz']} nnz): presolve on/off {times}; primal "
+            f"{point['median_ms']['primal']:.0f}ms/{its['greedy']} it "
+            f"(slack start {point['primal_slack_ms']:.0f}ms/{its['slack']} it); "
             f"auto -> {point['chosen']}, fastest {point['fastest']}",
             flush=True,
         )
@@ -212,7 +259,7 @@ def main(argv=None) -> int:
             "scipy": scipy.__version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
-        "band_edges": {"IPM_MIN_ROWS": IPM_MIN_ROWS, "PRIMAL_MAX_ROWS": PRIMAL_MAX_ROWS},
+        "band_edges": {"PRIMAL_MIN_ROWS": PRIMAL_MIN_ROWS},
         "backend_presolve": {mode: backend_presolve(mode) for mode in SOLVER_MODES},
         "grid": grid,
         "policy_n1000": policy,

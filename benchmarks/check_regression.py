@@ -34,7 +34,10 @@ size, not a time: lower is better, it does not depend on the host, and
 it carries its own pinned 1.25x.  The kept-row count of the n=1000 metro
 LP (the rows that can bind, which is all any solve runs) is a count from
 a deterministic rule: lower is better and it carries a pinned 1.0x, so
-losing the row pruning fails the gate.  Absolute wall-clock metrics
+losing the row pruning fails the gate.  The greedy start's primal
+iterations over the all-slack start's on that LP are a ratio of
+deterministic counts: lower is better with a pinned 1.25x, so losing the
+greedy start fails the gate.  Absolute wall-clock metrics
 depend on the host, so they get a looser default (``--time-tolerance``,
 2.5x) that still catches order-of-magnitude rot.  Chaos-invariant metrics (completion
 rate under the seeded crash storm, invariant verdicts, the
@@ -76,6 +79,7 @@ SPEEDUP_TOLERANCE = 1.5
 SECONDS_TOLERANCE = 2.5
 IPC_BYTES_TOLERANCE = 1.25
 LP_ROWS_TOLERANCE = 1.0
+GREEDY_ITERATION_TOLERANCE = 1.25
 # check kinds whose slowdown is measured / baseline (best-of is the min)
 LOWER_IS_BETTER = ("seconds", "bytes", "count")
 
@@ -191,6 +195,15 @@ CHECKS = [
     # LP rows: the n=1000 metro LP keeps only the rows that can bind; the
     # count is deterministic, so any increase fails and no flag loosens it
     Check("lp", "policy_n1000.kept_rows", "count", tol=LP_ROWS_TOLERANCE),
+    # LP start: primal iterations from the greedy basis over those from the
+    # all-slack basis at n=1000 — a ratio, so a scipy whose HiGHS iterates
+    # differently still compares; losing the greedy start fails CI
+    Check(
+        "lp",
+        "policy_n1000.greedy_iteration_ratio",
+        "count",
+        tol=GREEDY_ITERATION_TOLERANCE,
+    ),
 ]
 
 

@@ -531,7 +531,7 @@ class CompiledAuction:
         not vertex-pinned — callers opt in via the engine flag.  ``solver``
         forwards the backend mode (``"auto"`` applies the row-count policy
         of :func:`repro.engine.highs.choose_solver`: seed-parity simplex,
-        then primal simplex, then IPM as the LP grows).
+        then primal simplex as the LP grows).
         """
         with self._lock:
             if self._raw is not None:

@@ -18,13 +18,21 @@ simplex solve: that is the seed's ``linprog`` path, whose primal/dual
 solutions the equivalence tests pin bit for bit against
 :func:`repro.core.lp.solve_packing_lp`.
 
+A ``"primal"`` model is always a packing LP (``a ≥ 0``, ``a x ≤ b``,
+``b ≥ 0``), so every feasible integral allocation is a primal-feasible
+point of it.  Its cold solve therefore starts from the basis of one such
+allocation, :func:`greedy_start` (the Lehmann–O'Callaghan–Shoham greedy,
+triangular and so nonsingular by construction), instead of HiGHS's
+all-slack basis: on the metro n=1000 LP that halves the primal simplex
+iterations.  A set basis also makes HiGHS skip presolve.
+
 :func:`solve_packing_lp_fast` keeps one resident model per thread and per
 solver mode.  Which HiGHS algorithm runs is the ``solver="auto"`` policy
 (:func:`choose_solver`), measured on metro LPs in BENCH_lp.json: the
-seed's dual simplex below :data:`IPM_MIN_ROWS` rows (bit-identical to the
-seed), primal simplex up to :data:`PRIMAL_MAX_ROWS`, IPM with crossover
-above.  The row count is that of the LP as solved: callers pass the rows
-that can bind (``CompiledAuction.matrices_csc``).
+seed's dual simplex below :data:`PRIMAL_MIN_ROWS` rows (bit-identical to
+the seed), primal simplex from there up; IPM with crossover stays an
+explicit mode.  The row count is that of the LP as solved: callers pass
+the rows that can bind (``CompiledAuction.matrices_csc``).
 
 On top of the persistent models sits an opt-in **warm-start** path for
 re-solve sequences (``warm_key``): when consecutive solves under the same
@@ -48,6 +56,7 @@ constructing a :class:`ResidentLP` raises.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -62,6 +71,7 @@ from repro.util.mp import register_fork_reset
 __all__ = [
     "ResidentLP",
     "SolveReport",
+    "greedy_start",
     "solve_packing_lp_fast",
     "fast_backend_available",
     "warm_start_stats",
@@ -69,8 +79,7 @@ __all__ = [
     "choose_solver",
     "highs_core",
     "new_highs_instance",
-    "IPM_MIN_ROWS",
-    "PRIMAL_MAX_ROWS",
+    "PRIMAL_MIN_ROWS",
     "SOLVER_MODES",
     "LP_COUNTERS",
 ]
@@ -81,20 +90,19 @@ __all__ = [
 # return an optimal *basic* solution.
 SOLVER_MODES = ("simplex", "primal", "ipm")
 
-# The "auto" policy's band edges, in the rows an LP is solved with — the
-# rows that can bind (CompiledAuction.matrices_csc; a metro k=6 LP keeps
-# about half of its 7n rows) — read off BENCH_lp.json
-# (benchmarks/bench_lp_policy.py).  Below IPM_MIN_ROWS every LP keeps the
-# seed-parity dual simplex; the edge sits where IPM starts to beat dual
-# simplex (n=300, 1106 rows, to n=400, 1562 rows), as in the two-band rule
-# that named it.  From there up to PRIMAL_MAX_ROWS primal simplex wins: a
-# packing LP's slack basis is primal feasible, so primal starts at a
-# vertex.  The two tie at n=3000 (11.8k rows), and IPM's near-linear
-# growth wins above it.  Every mode runs with HiGHS presolve on: the
-# grid also times "off", which across repeated grid runs was not faster
-# at every point of either fast band (DESIGN.md, LP policy).
-IPM_MIN_ROWS = 1500
-PRIMAL_MAX_ROWS = 11000
+# The "auto" policy's one band edge, in the rows an LP is solved with —
+# the rows that can bind (CompiledAuction.matrices_csc; a metro k=6 LP
+# keeps about half of its 7n rows) — read off BENCH_lp.json
+# (benchmarks/bench_lp_policy.py).  Below PRIMAL_MIN_ROWS every LP keeps
+# the seed-parity dual simplex, although primal is faster there too; the
+# edge sits between n=300 (1106 rows) and n=400 (1562 rows), where the
+# earlier rules left the parity band.  From there up primal simplex from
+# the greedy basis beats IPM at every grid point, to n=5000 (20k rows), so
+# no size picks IPM.
+# Dual simplex and IPM run with HiGHS presolve on (the grid also times
+# "off", which was not faster at every point); primal skips presolve, as
+# HiGHS does for any model with a basis set (DESIGN.md, LP policy).
+PRIMAL_MIN_ROWS = 1500
 
 # Optimality evidence for every solve but a cold dual-simplex one: the
 # unscaled model's largest primal/dual infeasibility must stay within this.
@@ -185,6 +193,80 @@ def pass_colwise_model(
     highs.passModel(lp)
 
 
+def greedy_start(
+    a: sp.csc_matrix, value: np.ndarray, row_upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A primal-feasible starting basis for ``max value·x s.t. a x ≤
+    row_upper, x ≥ 0`` with ``a ≥ 0`` and ``row_upper ≥ 0``: the basic
+    columns and, pairwise, the row each one makes tight (nonbasic at its
+    upper bound); every other column sits at 0 and every other row's slack
+    stays basic.
+
+    The columns with ``value > 0`` are visited in descending
+    ``value / sqrt(nnz)`` order, ties in column order — the ranking of the
+    Lehmann–O'Callaghan–Shoham greedy (JACM 2002).  Each is raised as far
+    as its rows' remaining room allows (a ratio test over its positive
+    entries); a positive step makes it basic and its blocking row tight.
+    A row whose room reaches zero then rejects every later column that
+    touches it, so no later basic column has an entry in an earlier pivot
+    row: the basic columns are lower triangular on their pivot rows, with
+    positive diagonal.  The basis is therefore nonsingular, and its
+    solution is the greedy's ``x``, which satisfies ``a x ≤ row_upper``.
+    """
+    indptr = a.indptr
+    nnz = np.diff(indptr)
+    value = np.asarray(value, dtype=float)
+    candidates = np.flatnonzero((value > 0) & (nnz > 0))
+    key = value[candidates] / np.sqrt(nnz[candidates])
+    order = candidates[np.argsort(-key, kind="stable")]
+    # plain lists: per-entry Python arithmetic beats per-column numpy calls
+    starts, indices, data = indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    room = np.asarray(row_upper, dtype=float).tolist()
+    cols: list[int] = []
+    rows: list[int] = []
+    for j in order.tolist():
+        begin, end = starts[j], starts[j + 1]
+        step, pivot = math.inf, -1
+        for p in range(begin, end):
+            if data[p] > 0:
+                ratio = room[indices[p]] / data[p]
+                if ratio < step:
+                    step, pivot = ratio, indices[p]
+                    if ratio <= 0:
+                        break
+        if not step > 0 or pivot < 0:
+            continue  # blocked by a tight row (or no positive entry)
+        for p in range(begin, end):
+            if data[p] > 0:
+                left = room[indices[p]] - step * data[p]
+                room[indices[p]] = left if left > 0 else 0.0
+        room[pivot] = 0.0
+        cols.append(j)
+        rows.append(pivot)
+    return np.array(cols, dtype=np.intp), np.array(rows, dtype=np.intp)
+
+
+def _greedy_basis(a: sp.csc_matrix, cost: np.ndarray, row_upper: np.ndarray) -> Any:
+    """:func:`greedy_start` for ``min cost·x`` as HiGHS's ``HighsBasis``:
+    basic columns ``kBasic``, their pivot rows ``kUpper``, every other
+    column ``kLower`` (at 0) and every other row ``kBasic`` (its slack)."""
+    m, n = a.shape
+    cols, rows = greedy_start(a, -np.asarray(cost, dtype=float), row_upper)
+    status = _hcore.HighsBasisStatus
+    col_status = [status.kLower] * n
+    row_status = [status.kBasic] * m
+    for j in cols.tolist():
+        col_status[j] = status.kBasic
+    for i in rows.tolist():
+        row_status[i] = status.kUpper
+    basis = _hcore.HighsBasis()
+    basis.col_status = col_status
+    basis.row_status = row_status
+    basis.valid = True
+    basis.alien = False  # nonsingular by construction: HiGHS needs no rank check
+    return basis
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """What one :meth:`ResidentLP.solve` did.  ``objective`` is HiGHS's
@@ -211,9 +293,12 @@ class ResidentLP:
     :meth:`basis` saves a solve's basis and :meth:`restore` puts it back,
     so a sequence of changes can each restart from one saved basis.
     The first solve after a load is *cold* unless a basis was restored,
-    every later one *warm*.  ``key`` is the caller's name for the loaded
-    model (the engine's warm-start record); a failed solve clears it, so
-    nothing warm-starts off a failed basis.
+    every later one *warm*.  A cold ``"primal"`` solve starts from
+    :func:`greedy_start`'s basis: the packing LP's greedy allocation is a
+    feasible vertex, and the basis is triangular on its tight rows.
+    ``key`` is the caller's name for the loaded model (the engine's
+    warm-start record); a failed solve clears it, so nothing warm-starts
+    off a failed basis.
     """
 
     def __init__(self, mode: str = "simplex") -> None:
@@ -230,11 +315,25 @@ class ResidentLP:
         row_upper: np.ndarray,
         key: Hashable | None = None,
     ) -> None:
-        """Load ``min cost·x s.t. row_lower ≤ a x ≤ row_upper, x ≥ 0``."""
+        """Load ``min cost·x s.t. row_lower ≤ a x ≤ row_upper, x ≥ 0``.
+
+        A ``"primal"`` model must be a packing LP (``a ≥ 0``, no finite
+        row lower bound, ``row_upper ≥ 0``; ``ValueError`` otherwise), and
+        its first solve starts from :func:`greedy_start`'s basis."""
         n = a.shape[1]
+        if self.mode == "primal" and not (
+            np.all(a.data >= 0) and np.all(row_lower == -np.inf) and np.all(row_upper >= 0)
+        ):
+            raise ValueError(
+                "a primal model must be a packing LP: a ≥ 0, rows -inf ≤ a x ≤ b, b ≥ 0"
+            )
         pass_colwise_model(
             self._highs, a, cost, np.zeros(n), np.full(n, np.inf), row_lower, row_upper
         )
+        if self.mode == "primal":
+            status = self._highs.setBasis(_greedy_basis(a, cost, row_upper))
+            if status != _hcore.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected the greedy basis (status {status})")
         self.key = key
         self._warm = False
 
@@ -314,13 +413,11 @@ class ResidentLP:
 
 def choose_solver(m: int, n: int) -> str:
     """The ``solver="auto"`` policy, on the LP's row count ``m`` alone:
-    simplex below :data:`IPM_MIN_ROWS` (bit-compatible with the seed
-    pipeline's linprog), primal simplex below :data:`PRIMAL_MAX_ROWS`,
-    interior point with crossover above.  ``n`` (columns) is accepted for
-    the call shape; the measured edges did not depend on it."""
-    if m < IPM_MIN_ROWS:
-        return "simplex"
-    return "primal" if m < PRIMAL_MAX_ROWS else "ipm"
+    simplex below :data:`PRIMAL_MIN_ROWS` (bit-compatible with the seed
+    pipeline's linprog), primal simplex from there up.  ``n`` (columns)
+    is accepted for the call shape; the measured edge did not depend on
+    it."""
+    return "simplex" if m < PRIMAL_MIN_ROWS else "primal"
 
 
 def _thread_state() -> dict[str, ResidentLP]:

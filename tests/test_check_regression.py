@@ -72,12 +72,15 @@ class TestCompare:
     def test_slowdown_within_tolerance_passes(self, gate, baselines):
         """1.2x degradation passes the noise-tolerant perf checks — but
         the exact pins (tol 1.0x: chaos rates, LP kept rows) fail on any
-        drop at all."""
+        drop at all, while the greedy-start iteration ratio's 1.25x pin
+        still holds."""
         rows = gate.compare(_slowed(gate, baselines, 1.2), baselines)
         by_kind = {row["kind"]: row["ok"] for row in rows}
+        by_name = {row["check"]: row["ok"] for row in rows}
         assert all(row["ok"] for row in rows if row["kind"] not in ("rate", "count"))
         assert by_kind["rate"] is False
-        assert by_kind["count"] is False
+        assert by_name["lp:policy_n1000.kept_rows"] is False
+        assert by_name["lp:policy_n1000.greedy_iteration_ratio"] is True
 
     def test_speedup_tolerance_tighter_than_time_tolerance(self, gate, baselines):
         rows = gate.compare(_slowed(gate, baselines, 2.0), baselines)
@@ -122,8 +125,9 @@ class TestCompare:
     def test_lp_kept_rows_pinned_exactly(self, gate, baselines):
         """The n=1000 metro LP's kept-row count: one more row fails, fewer
         rows pass, and the pin is 1.0x."""
-        [rows_check] = [chk for chk in gate.CHECKS if chk.kind == "count"]
+        [rows_check] = [chk for chk in gate.CHECKS if chk.path == "policy_n1000.kept_rows"]
         assert rows_check.name == "lp:policy_n1000.kept_rows"
+        assert rows_check.kind == "count"
         assert rows_check.guard is None
         assert rows_check.tol == gate.LP_ROWS_TOLERANCE == 1.0
         base = gate._lookup(baselines["lp"], "policy_n1000.kept_rows")
@@ -134,6 +138,22 @@ class TestCompare:
             gate._assign(measured["lp"], rows_check.path, got)
             rows = {row["check"]: row for row in gate.compare(measured, baselines)}
             assert rows[rows_check.name]["ok"] is ok, got
+
+    def test_greedy_iteration_ratio_is_pinned_and_lower_is_better(self, gate, baselines):
+        """Greedy-start over all-slack primal iterations at n=1000: a
+        lower ratio passes, and 1.25x the baseline is the bound."""
+        [ratio] = [
+            chk for chk in gate.CHECKS if chk.path == "policy_n1000.greedy_iteration_ratio"
+        ]
+        assert (ratio.source, ratio.kind, ratio.guard) == ("lp", "count", None)
+        assert ratio.tol == gate.GREEDY_ITERATION_TOLERANCE == 1.25
+        base = gate._lookup(baselines["lp"], ratio.path)
+        assert base < 1.0  # the baseline was recorded with the greedy start on
+        for factor, ok in ((0.5, True), (1.2, True), (1.3, False), (1.0 / base, False)):
+            measured = _as_measured(gate, baselines)
+            gate._assign(measured["lp"], ratio.path, base * factor)
+            rows = {row["check"]: row for row in gate.compare(measured, baselines)}
+            assert rows[ratio.name]["ok"] is ok, factor
 
     def test_missing_metric_is_a_failure(self, gate, baselines):
         measured = _as_measured(gate, baselines)

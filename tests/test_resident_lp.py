@@ -1,6 +1,7 @@
 """ResidentLP, the single owner of HiGHS models: its load/mutate/solve
 cycle, saved and restored bases, the certificate check on every trusted
-solve, and the VCG model's solver mode."""
+solve, the greedy start of every cold primal solve, and the VCG model's
+solver mode."""
 
 from __future__ import annotations
 
@@ -13,10 +14,12 @@ from repro.core.lp import solve_packing_lp
 from repro.core.solver import SpectrumAuctionSolver
 from repro.engine import BatchAuctionEngine, highs
 from repro.engine.compiled import CompiledAuction
-from repro.engine.highs import ResidentLP, fast_backend_available
+from repro.engine.highs import ResidentLP, fast_backend_available, greedy_start
 from repro.experiments.workloads import (
     metro_disk_auction,
+    metro_protocol_auction,
     metro_truthful_auction,
+    physical_auction,
     protocol_auction,
     reauction_fleet,
 )
@@ -210,3 +213,86 @@ def test_restore_into_a_model_of_another_shape_raises():
     with pytest.raises(RuntimeError, match="rejected the basis"):
         other.restore(base)
     assert other.solve().objective == pytest.approx(-3.0)  # the model is untouched
+
+
+PACKING_LPS = {
+    "metro_disk_500": lambda: metro_disk_auction(500, 6, seed=42),
+    # a weighted physical-model LP: fractional κ coefficients and ρ > 1
+    "physical_40": lambda: physical_auction(40, 4, seed=4002),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKING_LPS))
+def test_greedy_start_is_a_feasible_triangular_basis(name):
+    a, b, c = CompiledAuction(PACKING_LPS[name]()).matrices_csc()
+    cols, rows = greedy_start(a, c, b)
+    assert cols.size == rows.size > 0
+    assert np.unique(rows).size == rows.size  # distinct pivot rows
+    assert np.unique(cols).size == cols.size
+    assert np.all(c[cols] > 0)
+    block = a[:, cols].toarray()[rows]  # pivot rows x basic columns, in order
+    assert np.all(np.diag(block) > 0)
+    # no later basic column has an entry in an earlier pivot row
+    assert not np.any(np.triu(block, k=1))
+    x = np.zeros(a.shape[1])
+    x[cols] = np.linalg.solve(block, b[rows])
+    assert np.all(x >= -1e-12)
+    assert np.all(a @ x <= b + 1e-9)
+    assert np.allclose(a[rows] @ x, b[rows], rtol=1e-12, atol=1e-12)  # pivot rows tight
+
+
+def test_greedy_start_skips_columns_without_value_or_room():
+    # column 3 (key 5/sqrt(2)) goes first and fills row 1, column 0 (key 3)
+    # fills row 0, column 1 then finds both tight, column 2 has no value
+    a = sp.csc_matrix(
+        np.array(
+            [
+                [1.0, 2.0, 0.0, 0.0],
+                [0.0, 1.0, 1.0, 1.0],
+                [0.0, 0.0, 0.0, 2.0],
+            ]
+        )
+    )
+    cols, rows = greedy_start(a, np.array([3.0, 3.0, 0.0, 5.0]), np.array([1.0, 1.0, 4.0]))
+    assert cols.tolist() == [3, 0]
+    assert rows.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: metro_disk_auction(1000, 6, seed=42),
+        lambda: metro_protocol_auction(1000, 6, seed=42),
+        lambda: physical_auction(40, 4, seed=4002),
+    ],
+    ids=["metro_disk_1000", "metro_protocol_1000", "physical_40"],
+)
+def test_primal_greedy_start_matches_linprog(build):
+    """A cold primal solve from the greedy basis reaches linprog's optimum
+    and passes the certificate."""
+    a, b, c = CompiledAuction(build()).matrices_csc()
+    lp = ResidentLP("primal")
+    _load_packing(lp, a, b, c)
+    report = lp.solve()
+    assert (report.mode, report.warm, report.basis_valid) == ("primal", False, True)
+    assert report.max_primal_infeasibility <= highs.MAX_INFEASIBILITY
+    assert report.max_dual_infeasibility <= highs.MAX_INFEASIBILITY
+    reference = solve_packing_lp(c, a, b).value
+    assert -report.objective == pytest.approx(reference, rel=1e-9)
+    x, _ = lp.solution()
+    assert np.all(a @ x <= b + 1e-9)
+
+
+def test_primal_load_rejects_a_non_packing_model():
+    lp = ResidentLP("primal")
+    a = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    negative = sp.csc_matrix(np.array([[1.0, -1.0], [0.0, 1.0]]))
+    cost = -np.ones(2)
+    with pytest.raises(ValueError, match="packing"):
+        lp.load(negative, cost, np.full(2, -np.inf), np.ones(2))
+    with pytest.raises(ValueError, match="packing"):
+        lp.load(a, cost, np.array([0.5, -np.inf]), np.ones(2))
+    with pytest.raises(ValueError, match="packing"):
+        lp.load(a, cost, np.full(2, -np.inf), np.array([1.0, -1.0]))
+    lp.load(a, cost, np.full(2, -np.inf), np.ones(2))  # the packing form loads
+    assert lp.solve().objective == pytest.approx(-1.0)

@@ -9,8 +9,7 @@ from repro.core.lp import solve_packing_lp
 from repro.engine import BatchAuctionEngine, highs, warm_start_stats
 from repro.engine.compiled import CompiledAuction
 from repro.engine.highs import (
-    IPM_MIN_ROWS,
-    PRIMAL_MAX_ROWS,
+    PRIMAL_MIN_ROWS,
     choose_solver,
     fast_backend_available,
     solve_packing_lp_fast,
@@ -27,16 +26,17 @@ pytestmark = pytest.mark.skipif(
 
 
 def test_choose_solver_policy():
-    # three bands on the (kept) row count: seed-parity simplex, primal, IPM
-    assert (IPM_MIN_ROWS, PRIMAL_MAX_ROWS) == (1500, 11000)
+    # two bands on the (kept) row count: seed-parity simplex, then primal
+    # at every size (IPM is an explicit mode only)
+    assert PRIMAL_MIN_ROWS == 1500
     assert choose_solver(1, 10) == "simplex"
-    assert choose_solver(IPM_MIN_ROWS - 1, 10) == "simplex"
-    assert choose_solver(IPM_MIN_ROWS, 10) == "primal"
-    assert choose_solver(PRIMAL_MAX_ROWS - 1, 10) == "primal"
-    assert choose_solver(PRIMAL_MAX_ROWS, 10) == "ipm"
-    # the columns do not move an edge
-    assert choose_solver(IPM_MIN_ROWS, 10**6) == "primal"
-    assert choose_solver(PRIMAL_MAX_ROWS - 1, 1) == "primal"
+    assert choose_solver(PRIMAL_MIN_ROWS - 1, 10) == "simplex"
+    assert choose_solver(PRIMAL_MIN_ROWS, 10) == "primal"
+    assert choose_solver(11000, 10) == "primal"
+    assert choose_solver(10**6, 10) == "primal"
+    # the columns do not move the edge
+    assert choose_solver(PRIMAL_MIN_ROWS, 10**6) == "primal"
+    assert choose_solver(PRIMAL_MIN_ROWS - 1, 1) == "simplex"
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def metro_lp():
     """A metro n=500, k=6 LP: 3500 rows, of which 1837 can bind — inside
     the primal band."""
     a, b, c = CompiledAuction(metro_disk_auction(500, 6, seed=42))._build_csc()
-    assert IPM_MIN_ROWS <= a.shape[0] < PRIMAL_MAX_ROWS
+    assert PRIMAL_MIN_ROWS <= a.shape[0]
     return a, b, c
 
 
