@@ -2,38 +2,47 @@
 
 Times every backend mode of :func:`repro.engine.highs.solve_packing_lp_fast`
 (``simplex`` = HiGHS's default dual simplex, the seed-parity path;
-``primal`` = primal simplex from the greedy basis; ``ipm`` = interior
-point + crossover) as the backend runs it — a cold
-:class:`~repro.engine.highs.ResidentLP` load + solve — on the LP (1)/(4)
-of metro disk-model auctions (k=6, 4 bids per bidder) over a grid of n,
-and records what the ``solver="auto"`` policy
+``primal`` = row-generated primal simplex from the greedy basis; ``ipm`` =
+interior point + crossover) as the backend runs it, on the LP (1)/(4) of
+metro disk-model auctions (k=6, 4 bids per bidder) over a grid of n, and
+records what the ``solver="auto"`` policy
 (:func:`repro.engine.highs.choose_solver`) picks at each point.  Dual
-simplex and IPM are timed with HiGHS presolve on and off; primal once,
-since HiGHS skips presolve on a model with a basis set.  Beside them runs
-one raw primal instance from HiGHS's own all-slack basis
-(``primal_slack_ms``), the reference for the greedy start, and both
-starts' simplex iterations (``primal_iterations``).  The LP is the one
-every solve runs: the rows that can bind
+simplex and IPM are timed as a cold
+:class:`~repro.engine.highs.ResidentLP` load + solve, with HiGHS presolve
+on and off.  Primal is timed through ``solve_packing_lp_fast`` itself —
+the engine's path: solve on the seed rows, add the rows the solution
+breaks, re-solve with dual simplex, until every row holds — and its seed
+rows, final rows and rounds are recorded (``row_generation``).  Beside it
+run the full-row primal model (``primal_full_rows_ms``: a ``ResidentLP``
+load + solve from the greedy basis on every kept row, the VCG probe
+model's cold solve) and one raw primal instance from HiGHS's own
+all-slack basis (``primal_slack_ms``), the reference for the greedy
+start; ``primal_iterations`` holds the simplex iterations of all three.
+The LP is the one every solve runs: the rows that can bind
 (``CompiledAuction.matrices_csc``).  The band edge in ``engine/highs.py``
 is in those kept rows and is read off this grid, as is whether a mode
 runs with presolve off (only if "off" is no slower at every point).  A
-metro protocol-model family at n ∈ {300, 1000} is recorded beside it, to
-show whether the edge carries over off the disk model.
+metro protocol-model family at n ∈ {300, 1000} and a fixed-power
+physical-model (weighted) family at n ∈ {100, 200} are recorded beside
+it, to show whether the edge and the row generation carry over off the
+disk model.
 
 Per grid point the variants run interleaved (one solve of each per
 repeat, so drift on a shared box hits every variant alike) and each
 variant's median wall time is recorded, on one model per variant.  The
 full and the kept LP's rows and nnz are recorded too.  ``median_ms``
-holds each mode under the presolve setting the backend uses.  Every
-variant's objective, and the full LP's (solved once), must agree to 1e-9
-relative.  Dual simplex is skipped from n=2000 up.
+holds each mode as the backend runs it.  Every variant's objective, and
+the full LP's (solved once), must agree to 1e-9 relative.  Dual simplex
+is skipped from n=2000 up.
 
 ``policy_n1000`` is what the CI gate (``check_regression.py``)
 re-measures at n=1000: the fastest median over the chosen mode's, so 1.0
 means the policy picked the fastest mode; the kept-row count, which the
-gate pins exactly (losing the row pruning fails CI); and the greedy
-start's primal iterations over the slack start's, a ratio of
-deterministic counts that the gate pins too (losing the start fails CI).
+gate pins exactly (losing the row pruning fails CI); the greedy start's
+primal iterations over the slack start's, a ratio of deterministic
+counts that the gate pins too (losing the start fails CI); and the row
+generation's final rows over the kept rows, also deterministic and
+pinned (a seed rule or loop that loads many more rows fails CI).
 
 Run from the repository root:
 
@@ -65,15 +74,26 @@ from repro.engine.highs import (
     highs_core,
     new_highs_instance,
     pass_colwise_model,
+    seed_rows,
     solve_packing_lp_fast,
+    warm_start_stats,
 )
-from repro.experiments.workloads import metro_disk_auction, metro_protocol_auction
+from repro.experiments.workloads import (
+    metro_disk_auction,
+    metro_protocol_auction,
+    physical_auction,
+)
 
 OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_lp.json"
 
 GRID = (300, 400, 500, 1000, 2000, 2500, 3000, 4000, 5000)
 PROTOCOL_GRID = (300, 1000)
-FAMILIES = {"metro_disk": metro_disk_auction, "metro_protocol": metro_protocol_auction}
+PHYSICAL_GRID = (100, 200)  # at n=300 the physical structure build hit its B&B node limit
+FAMILIES = {
+    "metro_disk": metro_disk_auction,
+    "metro_protocol": metro_protocol_auction,
+    "physical": physical_auction,
+}
 DUAL_MAX_N = 1000  # dual simplex is skipped above this n
 K = 6
 SCENE_SEED = 42
@@ -84,7 +104,7 @@ PRESOLVE = ("on", "off")
 
 def backend_presolve(mode: str) -> str:
     """The presolve setting the backend runs ``mode`` with: ``"n/a"`` for
-    primal, whose model starts from the greedy basis (HiGHS skips presolve
+    primal, whose models start from the greedy basis (HiGHS skips presolve
     once a basis is set)."""
     if mode == "primal":
         return "n/a"
@@ -93,8 +113,8 @@ def backend_presolve(mode: str) -> str:
 
 
 def presolve_settings(mode: str) -> tuple[str, ...]:
-    """The presolve settings timed for ``mode`` (one for primal, where
-    the axis does not apply)."""
+    """The presolve settings timed for a ``ResidentLP`` in ``mode`` (one
+    for primal, where the axis does not apply)."""
     return ("on",) if mode == "primal" else PRESOLVE
 
 
@@ -119,6 +139,18 @@ def timed_solve(lp: ResidentLP, a, b, c) -> tuple[float, float, int]:
     return time.perf_counter() - t0, -report.objective, report.simplex_iterations
 
 
+def timed_row_generated_solve(a, b, c) -> tuple[float, float, dict]:
+    """:func:`timed_solve` for the engine's primal path,
+    ``solve_packing_lp_fast(..., solver="primal")`` (cold, no warm key),
+    with its counters' change: simplex iterations, rounds, rows added."""
+    before = warm_start_stats()
+    t0 = time.perf_counter()
+    value = solve_packing_lp_fast(c, a, b, solver="primal").value
+    seconds = time.perf_counter() - t0
+    after = warm_start_stats()
+    return seconds, value, {key: after[key] - before[key] for key in after}
+
+
 def timed_slack_solve(highs, a, b, c) -> tuple[float, float, int]:
     """:func:`timed_solve` for a raw primal instance started, as HiGHS
     starts it, from the all-slack basis: the reference the greedy start
@@ -140,17 +172,20 @@ def timed_slack_solve(highs, a, b, c) -> tuple[float, float, int]:
 def measure_point(
     n: int, repeats: int = 3, seed: int = SCENE_SEED, family: str = "metro_disk"
 ) -> dict:
-    """Median solve time per mode and presolve setting on one LP, plus the
-    all-slack primal reference, interleaved."""
+    """Median solve time per mode (and presolve setting) on one LP, plus the
+    full-row primal model and the all-slack primal reference, interleaved."""
     compiled = CompiledAuction(FAMILIES[family](n, K, seed=seed))
     a, b, c = compiled.matrices_csc()
     a_full, b_full, _ = compiled.build()
     rows, cols = a.shape
     modes = [m for m in SOLVER_MODES if m != "simplex" or n <= DUAL_MAX_N]
+    # the ResidentLP variants: dual simplex and IPM per presolve setting,
+    # and the full-row primal model
     variants = [(mode, p) for mode in modes for p in presolve_settings(mode)]
     models = {variant: variant_model(*variant) for variant in variants}
     slack = new_highs_instance("primal")
     seconds: dict[tuple[str, str], list[float]] = {variant: [] for variant in variants}
+    rowgen_seconds: list[float] = []
     slack_seconds: list[float] = []
     objective: dict[str, float] = {}
     iterations: dict[str, int] = {}
@@ -161,6 +196,10 @@ def measure_point(
             objective[f"{mode}/presolve-{presolve}"] = value
             if mode == "primal":
                 iterations["greedy"] = its
+        dt, value, counters = timed_row_generated_solve(a, b, c)
+        rowgen_seconds.append(dt)
+        objective["primal_row_generated"] = value
+        iterations["row_generated"] = counters["simplex_iterations"]
         dt, value, its = timed_slack_solve(slack, a, b, c)
         slack_seconds.append(dt)
         objective["primal_slack"] = value
@@ -170,7 +209,9 @@ def measure_point(
     presolve_ms = {
         mode: {p: ms[mode, p] for p in PRESOLVE} for mode in modes if mode != "primal"
     }
-    median_ms = {mode: ms[mode, "on"] for mode in modes}  # the backend's own model
+    median_ms = {mode: ms[mode, "on"] for mode in modes}
+    median_ms["primal"] = 1e3 * statistics.median(rowgen_seconds)  # the engine's path
+    seeded = int(seed_rows(a, c, b).size)
     rel_diff = max(
         abs(value - full_value) / max(1.0, abs(full_value)) for value in objective.values()
     )
@@ -190,8 +231,15 @@ def measure_point(
         "nnz": int(a.nnz),
         "median_ms": median_ms,
         "presolve_ms": presolve_ms,
+        "primal_full_rows_ms": ms["primal", "on"],
         "primal_slack_ms": 1e3 * statistics.median(slack_seconds),
         "primal_iterations": iterations,
+        "row_generation": {
+            "seed_rows": seeded,
+            "final_rows": seeded + counters["rows_added"],
+            "rounds": counters["row_rounds"],
+            "rows_added": counters["rows_added"],
+        },
         "objective": objective,
         "full_objective": full_value,
         "objective_max_rel_diff": rel_diff,
@@ -202,16 +250,21 @@ def measure_point(
 
 def policy_entry(point: dict) -> dict:
     """How close the policy's pick at one grid point is to the fastest
-    mode, and how many primal iterations the greedy start leaves of the
-    all-slack start's."""
+    mode, how many primal iterations the greedy start leaves of the
+    all-slack start's, and how many of the kept rows the row generation
+    ends on (and how much faster it is than the full-row primal model)."""
     chosen, fastest = point["chosen"], point["fastest"]
     its = point["primal_iterations"]
+    rowgen = point["row_generation"]
     return {
         "n": point["n"],
         "chosen": chosen,
         "fastest": fastest,
         "fastest_over_chosen": point["median_ms"][fastest] / point["median_ms"][chosen],
         "greedy_iteration_ratio": its["greedy"] / its["slack"],
+        "rowgen_row_ratio": rowgen["final_rows"] / point["rows"],
+        "rowgen_rounds": rowgen["rounds"],
+        "rowgen_speedup": point["primal_full_rows_ms"] / point["median_ms"]["primal"],
         "kept_rows": point["rows"],
         "full_rows": point["full_rows"],
     }
@@ -226,7 +279,11 @@ def main(argv=None) -> int:
         return 1
 
     grid = []
-    points = [("metro_disk", n) for n in GRID] + [("metro_protocol", n) for n in PROTOCOL_GRID]
+    points = (
+        [("metro_disk", n) for n in GRID]
+        + [("metro_protocol", n) for n in PROTOCOL_GRID]
+        + [("physical", n) for n in PHYSICAL_GRID]
+    )
     for family, n in points:
         point = measure_point(n, repeats=max(1, args.repeats), family=family)
         grid.append(point)
@@ -234,12 +291,15 @@ def main(argv=None) -> int:
             f"{m} {ms['on']:.0f}/{ms['off']:.0f}ms" for m, ms in point["presolve_ms"].items()
         )
         its = point["primal_iterations"]
+        rowgen = point["row_generation"]
         print(
             f"{family} n={n} ({point['full_rows']} -> {point['rows']} rows, "
             f"{point['nnz']} nnz): presolve on/off {times}; primal "
-            f"{point['median_ms']['primal']:.0f}ms/{its['greedy']} it "
-            f"(slack start {point['primal_slack_ms']:.0f}ms/{its['slack']} it); "
-            f"auto -> {point['chosen']}, fastest {point['fastest']}",
+            f"{point['median_ms']['primal']:.0f}ms/{its['row_generated']} it on "
+            f"{rowgen['seed_rows']} -> {rowgen['final_rows']} rows in "
+            f"{rowgen['rounds']} rounds (full rows {point['primal_full_rows_ms']:.0f}ms/"
+            f"{its['greedy']} it, slack start {point['primal_slack_ms']:.0f}ms/"
+            f"{its['slack']} it); auto -> {point['chosen']}, fastest {point['fastest']}",
             flush=True,
         )
     policy = policy_entry(
@@ -248,8 +308,8 @@ def main(argv=None) -> int:
     results = {
         "config": {
             "workload": (
-                f"metro disk (and protocol) auctions, k={K}, 4 bids per bidder, "
-                f"seed {SCENE_SEED}; LP on the rows that can bind"
+                f"metro disk, metro protocol and physical-model auctions, k={K}, "
+                f"4 bids per bidder, seed {SCENE_SEED}; LP on the rows that can bind"
             ),
             "repeats": max(1, args.repeats),
             "highs_threads": 1,

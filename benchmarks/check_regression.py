@@ -37,7 +37,10 @@ a deterministic rule: lower is better and it carries a pinned 1.0x, so
 losing the row pruning fails the gate.  The greedy start's primal
 iterations over the all-slack start's on that LP are a ratio of
 deterministic counts: lower is better with a pinned 1.25x, so losing the
-greedy start fails the gate.  Absolute wall-clock metrics
+greedy start fails the gate.  The rows the engine's row-generated primal
+solve ends on over the kept rows, on that LP, are deterministic too:
+lower is better with a pinned 1.25x, so losing the row generation fails
+the gate.  Absolute wall-clock metrics
 depend on the host, so they get a looser default (``--time-tolerance``,
 2.5x) that still catches order-of-magnitude rot.  Chaos-invariant metrics (completion
 rate under the seeded crash storm, invariant verdicts, the
@@ -80,6 +83,7 @@ SECONDS_TOLERANCE = 2.5
 IPC_BYTES_TOLERANCE = 1.25
 LP_ROWS_TOLERANCE = 1.0
 GREEDY_ITERATION_TOLERANCE = 1.25
+ROWGEN_ROW_TOLERANCE = 1.25
 # check kinds whose slowdown is measured / baseline (best-of is the min)
 LOWER_IS_BETTER = ("seconds", "bytes", "count")
 
@@ -204,6 +208,10 @@ CHECKS = [
         "count",
         tol=GREEDY_ITERATION_TOLERANCE,
     ),
+    # LP row generation: the rows the engine's primal solve ends on over
+    # the kept rows at n=1000 — deterministic, so a seed rule or loop that
+    # loads many more rows (or all of them) fails CI
+    Check("lp", "policy_n1000.rowgen_row_ratio", "count", tol=ROWGEN_ROW_TOLERANCE),
 ]
 
 

@@ -34,13 +34,33 @@ the seed), primal simplex from there up; IPM with crossover stays an
 explicit mode.  The row count is that of the LP as solved: callers pass
 the rows that can bind (``CompiledAuction.matrices_csc``).
 
+Its ``"primal"`` mode is **row-generated** — the dual of the column
+generation in :mod:`repro.core.column_generation`.  Most rows are slack at
+the optimum (about 1,400 of the 3,874 kept rows of an n=1000 metro LP are
+tight), so the model is first loaded on :func:`seed_rows` only: the rows
+the greedy allocation leaves with no room, and every set-packing row
+(LP (1)'s one-bundle-per-bidder rows).  Both come from ``(c, a, b)``
+alone, so every caller of the same LP runs the same path.  The greedy's
+basis is a basis of those rows, and primal simplex starts from it.  Then
+one sparse matvec checks every row; the rows the solution breaks are
+added (:meth:`ResidentLP.add_rows`) and the model re-solved with dual
+simplex, whose basis stays dual feasible, until no row breaks.  The
+result is a proof, not a heuristic: ``x`` meets every row within
+:data:`MAX_INFEASIBILITY`, and HiGHS certifies the loaded rows' duals,
+which (with 0 on every other row) are dual feasible for the whole LP —
+so ``x`` is optimal for it.  The duals returned are full length, 0 on the
+rows never added.  On the n=1000 metro LP the model ends on ~46% of the
+kept rows after 3–4 rounds (BENCH_lp.json).  The VCG probe model
+(``ResidentLP("primal")`` loaded on every kept row) stays on full rows.
+
 On top of the persistent models sits an opt-in **warm-start** path for
 re-solve sequences (``warm_key``): when consecutive solves under the same
 key share the constraint matrix and RHS — auctions compiled on one
 :class:`~repro.engine.compiled.CompiledStructure` with unchanged bundle
 patterns, e.g. re-auctions with updated bids or mechanism misreport probes
 — only the objective of the resident model is mutated and HiGHS re-solves
-from the previous optimal basis.  That skips model ingestion, presolve,
+from the previous optimal basis (a row-generated model keeps the rows it
+has gained, and runs the same loop).  That skips model ingestion, presolve,
 and most simplex iterations (2–3x on the BENCH_engine re-auction trace).
 Warm solves return *an* optimal solution with the same objective value,
 but on degenerate LPs possibly a different vertex than a cold solve —
@@ -72,6 +92,7 @@ __all__ = [
     "ResidentLP",
     "SolveReport",
     "greedy_start",
+    "seed_rows",
     "solve_packing_lp_fast",
     "fast_backend_available",
     "warm_start_stats",
@@ -108,14 +129,19 @@ PRIMAL_MIN_ROWS = 1500
 # unscaled model's largest primal/dual infeasibility must stay within this.
 MAX_INFEASIBILITY = 1e-7
 
-# The keys of warm_start_stats(): warm/cold model loads, solves per mode,
-# and HiGHS's simplex / IPM iteration totals (crossover's not included).
+# The keys of warm_start_stats(): warm/cold model loads and solves per mode
+# (one each per solve_packing_lp_fast call), HiGHS's simplex / IPM
+# iteration totals (crossover's not included; every round of a
+# row-generated solve counted), and the row generation's rounds (one per
+# add_rows + dual re-solve) and rows added.
 LP_COUNTERS = (
     "warm",
     "cold",
     *SOLVER_MODES,
     "simplex_iterations",
     "ipm_iterations",
+    "row_rounds",
+    "rows_added",
 )
 
 try:  # pragma: no cover - exercised indirectly by every engine test
@@ -193,6 +219,46 @@ def pass_colwise_model(
     highs.passModel(lp)
 
 
+def _greedy(
+    a: sp.csc_matrix, value: np.ndarray, row_upper: np.ndarray
+) -> tuple[list[int], list[int], list[float]]:
+    """:func:`greedy_start`'s basic columns and pivot rows, plus every
+    row's room left after the greedy allocation (0 on a full row)."""
+    indptr = a.indptr
+    nnz = np.diff(indptr)
+    value = np.asarray(value, dtype=float)
+    candidates = np.flatnonzero((value > 0) & (nnz > 0))
+    key = value[candidates] / np.sqrt(nnz[candidates])
+    order = candidates[np.argsort(-key, kind="stable")]
+    # plain lists: per-entry Python arithmetic beats per-column numpy calls
+    starts, indices, data = indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    room = np.asarray(row_upper, dtype=float).tolist()
+    cols: list[int] = []
+    rows: list[int] = []
+    for j in order.tolist():
+        begin, end = starts[j], starts[j + 1]
+        if room[indices[end - 1]] <= 0 and data[end - 1] > 0:
+            continue  # blocked by its last row (LP (1): the bidder's own row)
+        step, pivot = math.inf, -1
+        for p in range(begin, end):
+            if data[p] > 0:
+                ratio = room[indices[p]] / data[p]
+                if ratio < step:
+                    step, pivot = ratio, indices[p]
+                    if ratio <= 0:
+                        break
+        if not step > 0 or pivot < 0:
+            continue  # blocked by a tight row (or no positive entry)
+        for p in range(begin, end):
+            if data[p] > 0:
+                left = room[indices[p]] - step * data[p]
+                room[indices[p]] = left if left > 0 else 0.0
+        room[pivot] = 0.0
+        cols.append(j)
+        rows.append(pivot)
+    return cols, rows, room
+
+
 def greedy_start(
     a: sp.csc_matrix, value: np.ndarray, row_upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,51 +279,40 @@ def greedy_start(
     positive diagonal.  The basis is therefore nonsingular, and its
     solution is the greedy's ``x``, which satisfies ``a x ≤ row_upper``.
     """
-    indptr = a.indptr
-    nnz = np.diff(indptr)
-    value = np.asarray(value, dtype=float)
-    candidates = np.flatnonzero((value > 0) & (nnz > 0))
-    key = value[candidates] / np.sqrt(nnz[candidates])
-    order = candidates[np.argsort(-key, kind="stable")]
-    # plain lists: per-entry Python arithmetic beats per-column numpy calls
-    starts, indices, data = indptr.tolist(), a.indices.tolist(), a.data.tolist()
-    room = np.asarray(row_upper, dtype=float).tolist()
-    cols: list[int] = []
-    rows: list[int] = []
-    for j in order.tolist():
-        begin, end = starts[j], starts[j + 1]
-        step, pivot = math.inf, -1
-        for p in range(begin, end):
-            if data[p] > 0:
-                ratio = room[indices[p]] / data[p]
-                if ratio < step:
-                    step, pivot = ratio, indices[p]
-                    if ratio <= 0:
-                        break
-        if not step > 0 or pivot < 0:
-            continue  # blocked by a tight row (or no positive entry)
-        for p in range(begin, end):
-            if data[p] > 0:
-                left = room[indices[p]] - step * data[p]
-                room[indices[p]] = left if left > 0 else 0.0
-        room[pivot] = 0.0
-        cols.append(j)
-        rows.append(pivot)
+    cols, rows, _room = _greedy(a, value, row_upper)
     return np.array(cols, dtype=np.intp), np.array(rows, dtype=np.intp)
 
 
-def _greedy_basis(a: sp.csc_matrix, cost: np.ndarray, row_upper: np.ndarray) -> Any:
-    """:func:`greedy_start` for ``min cost·x`` as HiGHS's ``HighsBasis``:
-    basic columns ``kBasic``, their pivot rows ``kUpper``, every other
-    column ``kLower`` (at 0) and every other row ``kBasic`` (its slack)."""
-    m, n = a.shape
-    cols, rows = greedy_start(a, -np.asarray(cost, dtype=float), row_upper)
+def seed_rows(a: sp.csc_matrix, value: np.ndarray, row_upper: np.ndarray) -> np.ndarray:
+    """The rows a row-generated primal solve of ``max value·x s.t. a x ≤
+    row_upper, x ≥ 0`` loads first, ascending: the rows
+    :func:`greedy_start`'s allocation leaves with no room, and every
+    set-packing row (``row_upper`` 1, every entry 1) — LP (1)'s
+    one-bundle-per-bidder rows."""
+    _cols, _rows, room = _greedy(a, value, row_upper)
+    return _seed_rows(a, row_upper, room)
+
+
+def _seed_rows(a: sp.csc_matrix, row_upper: np.ndarray, room: list[float]) -> np.ndarray:
+    """:func:`seed_rows` from the greedy's leftover ``room``."""
+    m = a.shape[0]
+    entries = np.bincount(a.indices, minlength=m)
+    ones = np.bincount(a.indices[a.data == 1], minlength=m)
+    packing = (np.asarray(row_upper) == 1) & (entries == ones) & (entries > 0)
+    return np.flatnonzero(packing | (np.asarray(room) <= 0))
+
+
+def _greedy_basis(m: int, n: int, cols: np.ndarray, rows: np.ndarray) -> Any:
+    """A greedy start (basic columns, their pivot rows) on an ``m × n``
+    model as HiGHS's ``HighsBasis``: basic columns ``kBasic``, their pivot
+    rows ``kUpper``, every other column ``kLower`` (at 0) and every other
+    row ``kBasic`` (its slack)."""
     status = _hcore.HighsBasisStatus
     col_status = [status.kLower] * n
     row_status = [status.kBasic] * m
-    for j in cols.tolist():
+    for j in np.asarray(cols).tolist():
         col_status[j] = status.kBasic
-    for i in rows.tolist():
+    for i in np.asarray(rows).tolist():
         row_status[i] = status.kUpper
     basis = _hcore.HighsBasis()
     basis.col_status = col_status
@@ -265,6 +320,15 @@ def _greedy_basis(a: sp.csc_matrix, cost: np.ndarray, row_upper: np.ndarray) -> 
     basis.valid = True
     basis.alien = False  # nonsingular by construction: HiGHS needs no rank check
     return basis
+
+
+def _check_packing(a: sp.spmatrix, row_lower: np.ndarray, row_upper: np.ndarray) -> None:
+    """``ValueError`` unless the rows are in packing form: ``a ≥ 0``, no
+    finite lower bound, ``row_upper ≥ 0``."""
+    if not (np.all(a.data >= 0) and np.all(row_lower == -np.inf) and np.all(row_upper >= 0)):
+        raise ValueError(
+            "a primal model must be a packing LP: a ≥ 0, rows -inf ≤ a x ≤ b, b ≥ 0"
+        )
 
 
 @dataclass(frozen=True)
@@ -292,13 +356,14 @@ class ResidentLP:
     next :meth:`solve` restarts from the previous optimal basis.
     :meth:`basis` saves a solve's basis and :meth:`restore` puts it back,
     so a sequence of changes can each restart from one saved basis.
+    :meth:`add_rows` grows the model; the solve after it runs dual simplex.
     The first solve after a load is *cold* unless a basis was restored,
     every later one *warm*.  A cold ``"primal"`` solve starts from
     :func:`greedy_start`'s basis: the packing LP's greedy allocation is a
     feasible vertex, and the basis is triangular on its tight rows.
     ``key`` is the caller's name for the loaded model (the engine's
-    warm-start record); a failed solve clears it, so nothing warm-starts
-    off a failed basis.
+    warm-start record); a failed load, solve or row addition clears it,
+    so nothing warm-starts off a model or basis it does not name.
     """
 
     def __init__(self, mode: str = "simplex") -> None:
@@ -306,6 +371,7 @@ class ResidentLP:
         self.key: Hashable | None = None
         self._highs = new_highs_instance(mode)
         self._warm = False  # the next solve restarts from a basis
+        self._rows_added = False  # the next solve runs dual simplex
 
     def load(
         self,
@@ -314,28 +380,57 @@ class ResidentLP:
         row_lower: np.ndarray,
         row_upper: np.ndarray,
         key: Hashable | None = None,
+        start: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Load ``min cost·x s.t. row_lower ≤ a x ≤ row_upper, x ≥ 0``.
 
         A ``"primal"`` model must be a packing LP (``a ≥ 0``, no finite
         row lower bound, ``row_upper ≥ 0``; ``ValueError`` otherwise), and
-        its first solve starts from :func:`greedy_start`'s basis."""
-        n = a.shape[1]
-        if self.mode == "primal" and not (
-            np.all(a.data >= 0) and np.all(row_lower == -np.inf) and np.all(row_upper >= 0)
-        ):
-            raise ValueError(
-                "a primal model must be a packing LP: a ≥ 0, rows -inf ≤ a x ≤ b, b ≥ 0"
-            )
+        its first solve starts from :func:`greedy_start`'s basis — or from
+        ``start``, that basis (basic columns, their pivot rows) when the
+        caller has already run the greedy on this model.  The old key is
+        dropped before the model is passed, so a load that fails leaves no
+        key naming a model it did not load."""
+        m, n = a.shape
+        if self.mode == "primal":
+            _check_packing(a, row_lower, row_upper)
+        self.key = None
         pass_colwise_model(
             self._highs, a, cost, np.zeros(n), np.full(n, np.inf), row_lower, row_upper
         )
         if self.mode == "primal":
-            status = self._highs.setBasis(_greedy_basis(a, cost, row_upper))
+            if start is None:
+                start = greedy_start(a, -np.asarray(cost, dtype=float), row_upper)
+            status = self._highs.setBasis(_greedy_basis(m, n, *start))
             if status != _hcore.HighsStatus.kOk:
                 raise RuntimeError(f"HiGHS rejected the greedy basis (status {status})")
         self.key = key
         self._warm = False
+        self._rows_added = False
+
+    def add_rows(
+        self, a_rows: sp.csr_matrix, row_lower: np.ndarray, row_upper: np.ndarray
+    ) -> None:
+        """Append the rows ``row_lower ≤ a_rows x ≤ row_upper`` (one per row
+        of ``a_rows``, over the model's columns).  The basis keeps every old
+        status and makes the new rows' slacks basic, so the next solve is
+        warm, and runs dual simplex; a primal model's rows must stay in
+        packing form."""
+        if self.mode == "primal":
+            _check_packing(a_rows, row_lower, row_upper)
+        status = self._highs.addRows(
+            a_rows.shape[0],
+            np.asarray(row_lower, dtype=float),
+            np.asarray(row_upper, dtype=float),
+            a_rows.nnz,
+            a_rows.indptr[:-1].astype(np.int32),
+            a_rows.indices.astype(np.int32),
+            np.asarray(a_rows.data, dtype=float),
+        )
+        if status != _hcore.HighsStatus.kOk:
+            self.key = None
+            raise RuntimeError(f"HiGHS rejected the rows (status {status})")
+        self._rows_added = True
 
     def set_costs(self, idx: np.ndarray, values: np.ndarray) -> None:
         """Set the costs of columns ``idx`` (int32) to ``values``."""
@@ -366,9 +461,23 @@ class ResidentLP:
         status, and — on every solve but a cold dual-simplex one, the seed's
         bit-pinned ``linprog`` path — when the certificate fails: max primal
         or dual infeasibility above :data:`MAX_INFEASIBILITY`, or no valid
-        basis."""
+        basis.
+
+        The first solve after :meth:`add_rows` runs dual simplex whatever
+        the mode's strategy: the added rows break the old basis's primal
+        feasibility but not its dual feasibility.  The mode's strategy is
+        restored even if that solve fails."""
         highs = self._highs
-        highs.run()
+        if self._rows_added:
+            self._rows_added = False
+            _status, strategy = highs.getOptionValue("simplex_strategy")
+            highs.setOptionValue("simplex_strategy", 1)  # dual simplex
+            try:
+                highs.run()
+            finally:
+                highs.setOptionValue("simplex_strategy", strategy)
+        else:
+            highs.run()
         info = highs.getInfo()
         report = SolveReport(
             mode=self.mode,
@@ -511,7 +620,9 @@ def solve_packing_lp_fast(
     ``solver`` is one of :data:`SOLVER_MODES` or ``"auto"`` (the
     :func:`choose_solver` size policy).  Every mode returns an optimal basic
     solution (IPM runs crossover); small LPs always take simplex, keeping
-    bit-parity with the seed pipeline.
+    bit-parity with the seed pipeline.  ``"primal"`` is row-generated (see
+    the module docstring): its solution is basic for the rows it loaded,
+    and its duals are 0 on the rows it never added.
 
     ``warm_key`` (hashable, typically the compiled structure's identity plus
     the LP dimensions) opts into the warm-start path: if the mode's resident
@@ -544,13 +655,20 @@ def solve_packing_lp_fast(
     else:
         stats["cold"] += 1
         key = None if warm_key is None else (warm_key, a, b_ub)
-        lp.load(a, -c, np.full(m, -np.inf), b_ub, key=key)  # -c: HiGHS minimizes
+        if solver == "primal":
+            _load_seed_rows(lp, a, c, b_ub, key)
+        else:
+            lp.load(a, -c, np.full(m, -np.inf), b_ub, key=key)  # -c: HiGHS minimizes
     stats[solver] += 1
-    report = lp.solve()
-    stats["simplex_iterations"] += report.simplex_iterations
-    stats["ipm_iterations"] += report.ipm_iterations
-    x, row_dual = lp.solution()
-    duals = -row_dual
+    if solver == "primal":
+        report, x, row_dual = _generate_rows(lp, a, b_ub)
+        duals = np.zeros(m)
+        duals[_local.rows] = -row_dual  # rows never added keep dual 0
+    else:
+        report = lp.solve()
+        _count(report)
+        x, row_dual = lp.solution()
+        duals = -row_dual
     duals[duals < 0] = 0.0  # clip numerical noise, as in solve_packing_lp
     return LPSolution(
         x=x,
@@ -559,3 +677,57 @@ def solve_packing_lp_fast(
         status=0,
         message="Optimal",
     )
+
+
+def _count(report: SolveReport) -> None:
+    stats = _local.stats
+    stats["simplex_iterations"] += report.simplex_iterations
+    stats["ipm_iterations"] += report.ipm_iterations
+
+
+def _load_seed_rows(
+    lp: ResidentLP, a: sp.csc_matrix, c: np.ndarray, b: np.ndarray, key: Hashable | None
+) -> None:
+    """Load ``max c·x s.t. a x ≤ b`` on its :func:`seed_rows` only, and
+    record them in ``_local.rows``.  The greedy runs once, on the whole LP:
+    every pivot row is a seed row, so its basis restricted to the seed
+    rows is still triangular and feasible, and it is the first solve's."""
+    cols, pivots, room = _greedy(a, c, b)
+    rows = _seed_rows(a, b, room)
+    position = np.empty(a.shape[0], dtype=np.intp)
+    position[rows] = np.arange(rows.size)
+    start = (np.array(cols, dtype=np.intp), position[pivots])
+    lp.load(a[rows], -c, np.full(rows.size, -np.inf), b[rows], key=key, start=start)
+    _local.rows = rows
+
+
+def _generate_rows(  # repro: mutates[lp]
+    lp: ResidentLP, a: sp.csc_matrix, b: np.ndarray
+) -> tuple[SolveReport, np.ndarray, np.ndarray]:
+    """Solve the loaded rows (``_local.rows`` of ``a x ≤ b``), then add
+    every row the solution breaks and re-solve with dual simplex, until
+    ``x`` meets all of ``a x ≤ b`` within :data:`MAX_INFEASIBILITY`.  The
+    last report, ``x`` and the loaded rows' duals.
+
+    Each solve passes :meth:`ResidentLP.solve`'s certificate on the loaded
+    rows, so its duals (0 on every other row) are dual feasible for the
+    whole LP; with ``x`` feasible on every row, the two prove ``x``
+    optimal for the whole LP."""
+    stats = _local.stats
+    report = lp.solve()
+    while True:
+        _count(report)
+        x, row_dual = lp.solution()
+        broken = a @ x - b > MAX_INFEASIBILITY
+        if not broken.any():
+            return report, x, row_dual
+        rows = _local.rows
+        if broken[rows].any():
+            lp.key = None
+            raise RuntimeError("LP solve (primal) broke a loaded row: no certified optimum")
+        added = np.flatnonzero(broken)
+        lp.add_rows(a[added].tocsr(), np.full(added.size, -np.inf), b[added])
+        _local.rows = np.concatenate([rows, added])
+        stats["row_rounds"] += 1
+        stats["rows_added"] += added.size
+        report = lp.solve()  # dual simplex: see ResidentLP.solve

@@ -81,6 +81,7 @@ class TestCompare:
         assert by_kind["rate"] is False
         assert by_name["lp:policy_n1000.kept_rows"] is False
         assert by_name["lp:policy_n1000.greedy_iteration_ratio"] is True
+        assert by_name["lp:policy_n1000.rowgen_row_ratio"] is True
 
     def test_speedup_tolerance_tighter_than_time_tolerance(self, gate, baselines):
         rows = gate.compare(_slowed(gate, baselines, 2.0), baselines)
@@ -149,6 +150,21 @@ class TestCompare:
         assert ratio.tol == gate.GREEDY_ITERATION_TOLERANCE == 1.25
         base = gate._lookup(baselines["lp"], ratio.path)
         assert base < 1.0  # the baseline was recorded with the greedy start on
+        for factor, ok in ((0.5, True), (1.2, True), (1.3, False), (1.0 / base, False)):
+            measured = _as_measured(gate, baselines)
+            gate._assign(measured["lp"], ratio.path, base * factor)
+            rows = {row["check"]: row for row in gate.compare(measured, baselines)}
+            assert rows[ratio.name]["ok"] is ok, factor
+
+    def test_rowgen_row_ratio_is_pinned_and_lower_is_better(self, gate, baselines):
+        """Final rows of the row-generated primal solve over the kept rows
+        at n=1000: fewer rows pass, 1.25x the baseline is the bound, and a
+        solve on every kept row (ratio 1) fails."""
+        [ratio] = [chk for chk in gate.CHECKS if chk.path == "policy_n1000.rowgen_row_ratio"]
+        assert (ratio.source, ratio.kind, ratio.guard) == ("lp", "count", None)
+        assert ratio.tol == gate.ROWGEN_ROW_TOLERANCE == 1.25
+        base = gate._lookup(baselines["lp"], ratio.path)
+        assert base < 0.8  # the baseline was recorded with row generation on
         for factor, ok in ((0.5, True), (1.2, True), (1.3, False), (1.0 / base, False)):
             measured = _as_measured(gate, baselines)
             gate._assign(measured["lp"], ratio.path, base * factor)

@@ -296,3 +296,84 @@ def test_primal_load_rejects_a_non_packing_model():
         lp.load(a, cost, np.full(2, -np.inf), np.array([1.0, -1.0]))
     lp.load(a, cost, np.full(2, -np.inf), np.ones(2))  # the packing form loads
     assert lp.solve().objective == pytest.approx(-1.0)
+
+
+def test_failed_load_clears_the_key(monkeypatch):
+    """A load whose basis HiGHS rejects leaves no key behind, so the next
+    keyed solve cannot warm-start the model that replaced the keyed one."""
+    a, b, c = CompiledAuction(protocol_auction(12, 4, seed=3))._build_csc()
+    small = (sp.csc_matrix(np.eye(3)), np.ones(3), np.ones(3))
+    lp = ResidentLP("primal")
+    lp.load(a, -c, np.full(a.shape[0], -np.inf), b, key="old")
+    real = highs._greedy_basis
+    monkeypatch.setattr(
+        highs, "_greedy_basis", lambda m, n, cols, rows: real(m + 1, n, [], [])
+    )
+    with pytest.raises(RuntimeError, match="rejected the greedy basis"):
+        lp.load(small[0], -small[2], np.full(3, -np.inf), small[1], key="new")
+    assert lp.key is None
+
+    # the same through the engine's keyed path: the failed load must not
+    # leave the first LP's warm record on the second LP's model
+    monkeypatch.setattr(highs, "_greedy_basis", real)
+    highs.solve_packing_lp_fast(c, a, b, warm_key="k", solver="primal")
+    monkeypatch.setattr(
+        highs, "_greedy_basis", lambda m, n, cols, rows: real(m + 1, n, [], [])
+    )
+    with pytest.raises(RuntimeError, match="rejected the greedy basis"):
+        highs.solve_packing_lp_fast(small[2], *small[:2], warm_key="other", solver="primal")
+    monkeypatch.setattr(highs, "_greedy_basis", real)
+    before = highs.warm_start_stats()
+    again = highs.solve_packing_lp_fast(c, a, b, warm_key="k", solver="primal")
+    after = highs.warm_start_stats()
+    assert (after["warm"] - before["warm"], after["cold"] - before["cold"]) == (0, 1)
+    assert again.value == pytest.approx(solve_packing_lp(c, a, b).value, rel=1e-9)
+
+
+class _RunFails:
+    """A ``Highs`` stand-in whose ``run`` raises; every other call goes
+    through to the real instance."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+
+    def run(self):
+        raise RuntimeError("run interrupted")
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def test_add_rows_then_a_certified_dual_solve(monkeypatch):
+    """Rows added to a solved primal model: the next solve is warm, runs
+    dual simplex, passes the certificate and reaches the optimum of the
+    model with every row; the primal strategy is back afterwards, also
+    when that solve fails."""
+    a, b, c = CompiledAuction(metro_disk_auction(500, 6, seed=42)).matrices_csc()
+    first = highs.seed_rows(a, c, b)
+    rest = np.setdiff1d(np.arange(a.shape[0]), first)
+    lp = ResidentLP("primal")
+    _load_packing(lp, a[first], b[first], c)
+    lp.solve()
+    _status, primal_strategy = lp._highs.getOptionValue("simplex_strategy")
+    lp.add_rows(a[rest].tocsr(), np.full(rest.size, -np.inf), b[rest])
+    report = lp.solve()
+    assert report.warm and report.basis_valid
+    assert report.max_primal_infeasibility <= highs.MAX_INFEASIBILITY
+    assert report.max_dual_infeasibility <= highs.MAX_INFEASIBILITY
+    assert -report.objective == pytest.approx(solve_packing_lp(c, a, b).value, rel=1e-9)
+    x, _ = lp.solution()
+    assert np.all(a @ x <= b + highs.MAX_INFEASIBILITY)
+    assert lp._highs.getOptionValue("simplex_strategy")[1] == primal_strategy
+
+    again = ResidentLP("primal")
+    _load_packing(again, a[first], b[first], c)
+    again.solve()
+    again.add_rows(a[rest].tocsr(), np.full(rest.size, -np.inf), b[rest])
+    real = again._highs
+    again._highs = _RunFails(real)
+    with pytest.raises(RuntimeError, match="run interrupted"):
+        again.solve()
+    assert real.getOptionValue("simplex_strategy")[1] == primal_strategy
+    with pytest.raises(ValueError, match="packing"):
+        again.add_rows(sp.csr_matrix(-np.ones((1, c.size))), np.full(1, -np.inf), np.ones(1))

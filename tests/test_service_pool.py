@@ -141,6 +141,10 @@ class TestPlacementInvariance:
         solves = [w["worker_stats"]["caches"]["lp_warm_solves"] for w in workers if w["jobs"]]
         assert sum(s["primal"] for s in solves) == len(requests)
         assert sum(s["simplex_iterations"] for s in solves) > 0
+        # the row generation runs the same rounds wherever a request lands
+        serial_lp = serial.cache_stats()["lp_warm_solves"]
+        for counter in ("row_rounds", "rows_added"):
+            assert sum(s[counter] for s in solves) == serial_lp[counter] > 0
         assert serial.close(timeout=180) and pooled.close(timeout=180)
         assert [r.allocation for r in expected] == [r.allocation for r in got]
         assert [r.lp_value for r in expected] == [r.lp_value for r in got]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.lp import solve_packing_lp
 from repro.engine import BatchAuctionEngine, highs, warm_start_stats
@@ -12,10 +13,13 @@ from repro.engine.highs import (
     PRIMAL_MIN_ROWS,
     choose_solver,
     fast_backend_available,
+    seed_rows,
     solve_packing_lp_fast,
 )
 from repro.experiments.workloads import (
     metro_disk_auction,
+    metro_protocol_auction,
+    physical_auction,
     protocol_auction,
     reauction_fleet,
 )
@@ -178,3 +182,98 @@ def test_warm_flag_off_is_bit_identical_to_seed_path():
     r_warm = engine.solve_many(fleet_b, seed=7).results
     for a, b in zip(r_plain, r_warm):
         assert b.lp_value == pytest.approx(a.lp_value, rel=1e-9, abs=1e-9)
+
+
+def _delta(before: dict, after: dict) -> dict:
+    return {key: after[key] - before[key] for key in after}
+
+
+def _assert_certified(sol, a, b, c) -> None:
+    """``x`` meets every row, the duals are full length, nonnegative and
+    dual feasible, and the two objectives agree: a proof of optimality."""
+    assert np.all(sol.x >= 0)
+    assert np.all(a @ sol.x <= b + highs.MAX_INFEASIBILITY)
+    assert sol.duals.shape == b.shape
+    assert np.all(sol.duals >= 0)
+    assert np.all(a.T @ sol.duals >= c - highs.MAX_INFEASIBILITY)
+    assert b @ sol.duals == pytest.approx(sol.value, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: metro_disk_auction(1000, 6, seed=42),
+        lambda: metro_protocol_auction(1000, 6, seed=42),
+        lambda: physical_auction(40, 4, seed=4002),
+    ],
+    ids=["metro_disk_1000", "metro_protocol_1000", "physical_40"],
+)
+def test_row_generated_primal_matches_linprog(build):
+    """The engine's primal path solves on its seed rows, adds the rows its
+    solutions break, and returns linprog's optimum with a full-row
+    certificate."""
+    a, b, c = CompiledAuction(build()).matrices_csc()
+    seed = seed_rows(a, c, b)
+    assert 0 < seed.size < a.shape[0]
+    before = warm_start_stats()
+    sol = solve_packing_lp_fast(c, a, b, solver="primal")
+    delta = _delta(before, warm_start_stats())
+    assert (delta["cold"], delta["warm"], delta["primal"]) == (1, 0, 1)
+    assert seed.size + delta["rows_added"] < a.shape[0]
+    assert sol.value == pytest.approx(solve_packing_lp(c, a, b).value, rel=1e-9)
+    _assert_certified(sol, a, b, c)
+
+
+def _missed_row_lp():
+    """max x1 + x2 s.t. x1 + 2 x2 ≤ 2, 2 x1 + x2 ≤ 2.  The greedy raises x1
+    to 1 and fills only row 1, and neither row is a set-packing row, so
+    row 0 is not a seed row; the seed LP's optimum x = (0, 2) breaks it."""
+    a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    return a, np.array([2.0, 2.0]), np.array([1.0, 1.0])
+
+
+def test_row_generation_adds_a_binding_row_the_seed_misses():
+    a, b, c = _missed_row_lp()
+    assert seed_rows(a, c, b).tolist() == [1]
+    before = warm_start_stats()
+    sol = solve_packing_lp_fast(c, a, b, solver="primal")
+    delta = _delta(before, warm_start_stats())
+    assert (delta["row_rounds"], delta["rows_added"]) == (1, 1)
+    assert sol.value == pytest.approx(4 / 3, rel=1e-12)
+    assert sol.x == pytest.approx([2 / 3, 2 / 3], rel=1e-12)
+    assert sol.duals == pytest.approx([1 / 3, 1 / 3], rel=1e-12)
+    _assert_certified(sol, a, b, c)
+
+
+def test_set_packing_rows_are_seed_rows():
+    # row 0 (b = 1, all ones) is seeded though the greedy leaves it room;
+    # row 1 has a 2 in it and row 2 a right-hand side of 2
+    a = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    b = np.array([1.0, 3.0, 2.0])
+    assert seed_rows(a, np.zeros(3), b).tolist() == [0]
+    assert seed_rows(a, np.array([0.0, 0.0, 1.0]), b).tolist() == [0, 2]
+
+
+def test_warm_resolve_adds_a_row_its_new_costs_bind():
+    """Under a warm key the model keeps its rows; new costs that make a
+    never-added row bind run the loop again on the warm model."""
+    a, b, _ = _missed_row_lp()
+    key = ("row-generation",)
+    before = warm_start_stats()
+    first = solve_packing_lp_fast(np.array([1.0, 0.1]), a, b, warm_key=key, solver="primal")
+    delta = _delta(before, warm_start_stats())
+    assert first.value == pytest.approx(1.0, rel=1e-12)
+    assert (delta["cold"], delta["rows_added"]) == (1, 0)
+    assert first.duals[0] == 0.0  # row 0 never added
+    before = warm_start_stats()
+    second = solve_packing_lp_fast(np.array([1.0, 1.0]), a, b, warm_key=key, solver="primal")
+    delta = _delta(before, warm_start_stats())
+    assert (delta["warm"], delta["cold"], delta["rows_added"]) == (1, 0, 1)
+    assert second.value == pytest.approx(4 / 3, rel=1e-12)
+    _assert_certified(second, a, b, np.array([1.0, 1.0]))
+    # the model kept row 0: a third warm solve adds nothing
+    before = warm_start_stats()
+    third = solve_packing_lp_fast(np.array([1.0, 0.9]), a, b, warm_key=key, solver="primal")
+    delta = _delta(before, warm_start_stats())
+    assert (delta["warm"], delta["rows_added"]) == (1, 0)
+    assert third.value == pytest.approx(solve_packing_lp(np.array([1.0, 0.9]), a, b).value)
