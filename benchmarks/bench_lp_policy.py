@@ -2,26 +2,31 @@
 
 Times every backend mode of :func:`repro.engine.highs.solve_packing_lp_fast`
 (``simplex`` = HiGHS's default dual simplex, the seed-parity path;
-``primal`` = row-generated primal simplex from the greedy basis; ``ipm`` =
-interior point + crossover) as the backend runs it, on the LP (1)/(4) of
+``primal`` = primal simplex from the greedy basis, row-generated from
+``ROWGEN_MIN_ROWS`` kept rows up; ``ipm`` = interior point + crossover) as
+the backend runs it, on the LP (1)/(4) of
 metro disk-model auctions (k=6, 4 bids per bidder) over a grid of n, and
 records what the ``solver="auto"`` policy
 (:func:`repro.engine.highs.choose_solver`) picks at each point.  Dual
 simplex and IPM are timed as a cold
 :class:`~repro.engine.highs.ResidentLP` load + solve, with HiGHS presolve
-on and off.  Primal is timed through ``solve_packing_lp_fast`` itself —
-the engine's path: solve on the seed rows, add the rows the solution
-breaks, re-solve with dual simplex, until every row holds — and its seed
-rows, final rows and rounds are recorded (``row_generation``).  Beside it
-run the full-row primal model (``primal_full_rows_ms``: a ``ResidentLP``
+on and off.  Primal runs both of the engine's paths at every point: row
+generation through ``solve_packing_lp_fast`` itself, with its edge set to
+0 for the call (``primal_row_generated_ms``: solve on the seed rows, add
+the rows the solution breaks, re-solve with dual simplex, until every row
+holds; its seed rows, final rows and rounds are in ``row_generation``),
+and the full-row primal model (``primal_full_rows_ms``: a ``ResidentLP``
 load + solve from the greedy basis on every kept row, the VCG probe
-model's cold solve) and one raw primal instance from HiGHS's own
-all-slack basis (``primal_slack_ms``), the reference for the greedy
-start; ``primal_iterations`` holds the simplex iterations of all three.
-The LP is the one every solve runs: the rows that can bind
-(``CompiledAuction.matrices_csc``).  The band edge in ``engine/highs.py``
-is in those kept rows and is read off this grid, as is whether a mode
-runs with presolve off (only if "off" is no slower at every point).  A
+model's cold solve).  ``median_ms["primal"]`` is the one the engine runs
+at that size (``primal_path``), and ``primal_rows`` the rows its model
+ends on.  One raw primal instance from HiGHS's own all-slack basis
+(``primal_slack_ms``) is the reference for the greedy start;
+``primal_iterations`` holds the simplex iterations of all three.  The LP
+is the one every solve runs: the rows that can bind
+(``CompiledAuction.matrices_csc``).  Both edges in ``engine/highs.py``
+(``PRIMAL_MIN_ROWS``, ``ROWGEN_MIN_ROWS``) are in those kept rows and are
+read off this grid, as is whether a mode runs with presolve off (only if
+"off" is no slower at every point).  A
 metro protocol-model family at n ∈ {300, 1000} and a fixed-power
 physical-model (weighted) family at n ∈ {100, 200} are recorded beside
 it, to show whether the edge and the row generation carry over off the
@@ -40,9 +45,10 @@ re-measures at n=1000: the fastest median over the chosen mode's, so 1.0
 means the policy picked the fastest mode; the kept-row count, which the
 gate pins exactly (losing the row pruning fails CI); the greedy start's
 primal iterations over the slack start's, a ratio of deterministic
-counts that the gate pins too (losing the start fails CI); and the row
-generation's final rows over the kept rows, also deterministic and
-pinned (a seed rule or loop that loads many more rows fails CI).
+counts that the gate pins too (losing the start fails CI); and the rows
+the engine's primal model ends on over the kept rows, also deterministic
+and pinned (a seed rule or loop that loads many more rows, or an edge
+that stops row generation at n=1000, fails CI).
 
 Run from the repository root:
 
@@ -64,9 +70,11 @@ import time
 import numpy as np
 import scipy
 
+from repro.engine import highs
 from repro.engine.compiled import CompiledAuction
 from repro.engine.highs import (
     PRIMAL_MIN_ROWS,
+    ROWGEN_MIN_ROWS,
     SOLVER_MODES,
     ResidentLP,
     choose_solver,
@@ -74,7 +82,6 @@ from repro.engine.highs import (
     highs_core,
     new_highs_instance,
     pass_colwise_model,
-    seed_rows,
     solve_packing_lp_fast,
     warm_start_stats,
 )
@@ -139,16 +146,24 @@ def timed_solve(lp: ResidentLP, a, b, c) -> tuple[float, float, int]:
     return time.perf_counter() - t0, -report.objective, report.simplex_iterations
 
 
-def timed_row_generated_solve(a, b, c) -> tuple[float, float, dict]:
-    """:func:`timed_solve` for the engine's primal path,
-    ``solve_packing_lp_fast(..., solver="primal")`` (cold, no warm key),
-    with its counters' change: simplex iterations, rounds, rows added."""
-    before = warm_start_stats()
-    t0 = time.perf_counter()
-    value = solve_packing_lp_fast(c, a, b, solver="primal").value
-    seconds = time.perf_counter() - t0
-    after = warm_start_stats()
-    return seconds, value, {key: after[key] - before[key] for key in after}
+def timed_row_generated_solve(a, b, c) -> tuple[float, float, dict, int]:
+    """:func:`timed_solve` for the engine's row-generated primal path,
+    ``solve_packing_lp_fast(..., solver="primal")`` (cold, no warm key)
+    with ``ROWGEN_MIN_ROWS`` set to 0 for the call, so it row-generates at
+    any size; with its counters' change (simplex iterations, rounds, rows
+    added) and the rows its model ends on."""
+    edge = highs.ROWGEN_MIN_ROWS
+    highs.ROWGEN_MIN_ROWS = 0
+    try:
+        before = warm_start_stats()
+        t0 = time.perf_counter()
+        value = solve_packing_lp_fast(c, a, b, solver="primal").value
+        seconds = time.perf_counter() - t0
+        after = warm_start_stats()
+    finally:
+        highs.ROWGEN_MIN_ROWS = edge
+    final_rows = int(highs._thread_model("primal").rows.size)
+    return seconds, value, {key: after[key] - before[key] for key in after}, final_rows
 
 
 def timed_slack_solve(highs, a, b, c) -> tuple[float, float, int]:
@@ -196,7 +211,7 @@ def measure_point(
             objective[f"{mode}/presolve-{presolve}"] = value
             if mode == "primal":
                 iterations["greedy"] = its
-        dt, value, counters = timed_row_generated_solve(a, b, c)
+        dt, value, counters, final_rows = timed_row_generated_solve(a, b, c)
         rowgen_seconds.append(dt)
         objective["primal_row_generated"] = value
         iterations["row_generated"] = counters["simplex_iterations"]
@@ -210,8 +225,9 @@ def measure_point(
         mode: {p: ms[mode, p] for p in PRESOLVE} for mode in modes if mode != "primal"
     }
     median_ms = {mode: ms[mode, "on"] for mode in modes}
-    median_ms["primal"] = 1e3 * statistics.median(rowgen_seconds)  # the engine's path
-    seeded = int(seed_rows(a, c, b).size)
+    rowgen_ms = 1e3 * statistics.median(rowgen_seconds)
+    row_generated = rows >= ROWGEN_MIN_ROWS
+    median_ms["primal"] = rowgen_ms if row_generated else ms["primal", "on"]  # the engine's
     rel_diff = max(
         abs(value - full_value) / max(1.0, abs(full_value)) for value in objective.values()
     )
@@ -231,12 +247,15 @@ def measure_point(
         "nnz": int(a.nnz),
         "median_ms": median_ms,
         "presolve_ms": presolve_ms,
+        "primal_path": "row_generated" if row_generated else "full_rows",
+        "primal_rows": final_rows if row_generated else rows,
+        "primal_row_generated_ms": rowgen_ms,
         "primal_full_rows_ms": ms["primal", "on"],
         "primal_slack_ms": 1e3 * statistics.median(slack_seconds),
         "primal_iterations": iterations,
         "row_generation": {
-            "seed_rows": seeded,
-            "final_rows": seeded + counters["rows_added"],
+            "seed_rows": final_rows - counters["rows_added"],
+            "final_rows": final_rows,
             "rounds": counters["row_rounds"],
             "rows_added": counters["rows_added"],
         },
@@ -251,8 +270,9 @@ def measure_point(
 def policy_entry(point: dict) -> dict:
     """How close the policy's pick at one grid point is to the fastest
     mode, how many primal iterations the greedy start leaves of the
-    all-slack start's, and how many of the kept rows the row generation
-    ends on (and how much faster it is than the full-row primal model)."""
+    all-slack start's, how many of the kept rows the engine's primal model
+    ends on, and how much faster row generation is there than the full-row
+    primal model."""
     chosen, fastest = point["chosen"], point["fastest"]
     its = point["primal_iterations"]
     rowgen = point["row_generation"]
@@ -262,9 +282,9 @@ def policy_entry(point: dict) -> dict:
         "fastest": fastest,
         "fastest_over_chosen": point["median_ms"][fastest] / point["median_ms"][chosen],
         "greedy_iteration_ratio": its["greedy"] / its["slack"],
-        "rowgen_row_ratio": rowgen["final_rows"] / point["rows"],
+        "rowgen_row_ratio": point["primal_rows"] / point["rows"],
         "rowgen_rounds": rowgen["rounds"],
-        "rowgen_speedup": point["primal_full_rows_ms"] / point["median_ms"]["primal"],
+        "rowgen_speedup": point["primal_full_rows_ms"] / point["primal_row_generated_ms"],
         "kept_rows": point["rows"],
         "full_rows": point["full_rows"],
     }
@@ -294,12 +314,13 @@ def main(argv=None) -> int:
         rowgen = point["row_generation"]
         print(
             f"{family} n={n} ({point['full_rows']} -> {point['rows']} rows, "
-            f"{point['nnz']} nnz): presolve on/off {times}; primal "
-            f"{point['median_ms']['primal']:.0f}ms/{its['row_generated']} it on "
+            f"{point['nnz']} nnz): presolve on/off {times}; row-generated primal "
+            f"{point['primal_row_generated_ms']:.0f}ms/{its['row_generated']} it on "
             f"{rowgen['seed_rows']} -> {rowgen['final_rows']} rows in "
             f"{rowgen['rounds']} rounds (full rows {point['primal_full_rows_ms']:.0f}ms/"
             f"{its['greedy']} it, slack start {point['primal_slack_ms']:.0f}ms/"
-            f"{its['slack']} it); auto -> {point['chosen']}, fastest {point['fastest']}",
+            f"{its['slack']} it); auto -> {point['chosen']} "
+            f"({point['primal_path']} primal), fastest {point['fastest']}",
             flush=True,
         )
     policy = policy_entry(
@@ -319,7 +340,7 @@ def main(argv=None) -> int:
             "scipy": scipy.__version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
-        "band_edges": {"PRIMAL_MIN_ROWS": PRIMAL_MIN_ROWS},
+        "band_edges": {"PRIMAL_MIN_ROWS": PRIMAL_MIN_ROWS, "ROWGEN_MIN_ROWS": ROWGEN_MIN_ROWS},
         "backend_presolve": {mode: backend_presolve(mode) for mode in SOLVER_MODES},
         "grid": grid,
         "policy_n1000": policy,

@@ -34,24 +34,27 @@ the seed), primal simplex from there up; IPM with crossover stays an
 explicit mode.  The row count is that of the LP as solved: callers pass
 the rows that can bind (``CompiledAuction.matrices_csc``).
 
-Its ``"primal"`` mode is **row-generated** — the dual of the column
-generation in :mod:`repro.core.column_generation`.  Most rows are slack at
-the optimum (about 1,400 of the 3,874 kept rows of an n=1000 metro LP are
-tight), so the model is first loaded on :func:`seed_rows` only: the rows
-the greedy allocation leaves with no room, and every set-packing row
-(LP (1)'s one-bundle-per-bidder rows).  Both come from ``(c, a, b)``
-alone, so every caller of the same LP runs the same path.  The greedy's
-basis is a basis of those rows, and primal simplex starts from it.  Then
-one sparse matvec checks every row; the rows the solution breaks are
-added (:meth:`ResidentLP.add_rows`) and the model re-solved with dual
-simplex, whose basis stays dual feasible, until no row breaks.  The
-result is a proof, not a heuristic: ``x`` meets every row within
+Its ``"primal"`` mode is **row-generated** from :data:`ROWGEN_MIN_ROWS`
+rows up — the dual of the column generation in
+:mod:`repro.core.column_generation`.  Most rows are slack at the optimum
+(about 1,400 of the 3,874 kept rows of an n=1000 metro LP are tight), so
+the model is first loaded on its seed rows only: the rows the greedy
+allocation leaves with no room, and every set-packing row (LP (1)'s
+one-bundle-per-bidder rows).  Both come from ``(c, a, b)`` alone, so
+every caller of the same LP runs the same path.  The greedy's basis is a
+basis of those rows, and primal simplex starts from it.  Then one sparse
+matvec checks every row; the rows the solution breaks are added
+(:meth:`ResidentLP.add_rows`) and the model re-solved with dual simplex,
+whose basis stays dual feasible, until no row breaks.  The result is a
+proof, not a heuristic: ``x`` meets every row within
 :data:`MAX_INFEASIBILITY`, and HiGHS certifies the loaded rows' duals,
-which (with 0 on every other row) are dual feasible for the whole LP —
-so ``x`` is optimal for it.  The duals returned are full length, 0 on the
+which (with 0 on every other row) are dual feasible for the whole LP — so
+``x`` is optimal for it.  The duals returned are full length, 0 on the
 rows never added.  On the n=1000 metro LP the model ends on ~46% of the
-kept rows after 3–4 rounds (BENCH_lp.json).  The VCG probe model
-(``ResidentLP("primal")`` loaded on every kept row) stays on full rows.
+kept rows after 3–4 rounds (BENCH_lp.json).  Each round costs a fixed few
+milliseconds, so below the edge the primal model loads every row, as the
+VCG probe model (``ResidentLP("primal")`` loaded on every kept row) does
+at every size.
 
 On top of the persistent models sits an opt-in **warm-start** path for
 re-solve sequences (``warm_key``): when consecutive solves under the same
@@ -92,7 +95,6 @@ __all__ = [
     "ResidentLP",
     "SolveReport",
     "greedy_start",
-    "seed_rows",
     "solve_packing_lp_fast",
     "fast_backend_available",
     "warm_start_stats",
@@ -101,6 +103,7 @@ __all__ = [
     "highs_core",
     "new_highs_instance",
     "PRIMAL_MIN_ROWS",
+    "ROWGEN_MIN_ROWS",
     "SOLVER_MODES",
     "LP_COUNTERS",
 ]
@@ -124,6 +127,14 @@ SOLVER_MODES = ("simplex", "primal", "ipm")
 # "off", which was not faster at every point); primal skips presolve, as
 # HiGHS does for any model with a basis set (DESIGN.md, LP policy).
 PRIMAL_MIN_ROWS = 1500
+
+# The primal mode's row-generation edge, in the same kept rows, read off
+# BENCH_lp.json's primal_row_generated_ms against primal_full_rows_ms:
+# below it the model loads every row, from it up only the seed rows.  The
+# rounds' fixed cost (add_rows and a dual re-solve, ~5-10 ms each) made
+# row generation slower than the full-row model at n=400 (1562 rows) and
+# faster from n=500 (1837 rows) up; the edge sits between them.
+ROWGEN_MIN_ROWS = 1700
 
 # Optimality evidence for every solve but a cold dual-simplex one: the
 # unscaled model's largest primal/dual infeasibility must stay within this.
@@ -283,23 +294,26 @@ def greedy_start(
     return np.array(cols, dtype=np.intp), np.array(rows, dtype=np.intp)
 
 
-def seed_rows(a: sp.csc_matrix, value: np.ndarray, row_upper: np.ndarray) -> np.ndarray:
+def _seed_rows(
+    a: sp.csc_matrix, value: np.ndarray, row_upper: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The rows a row-generated primal solve of ``max value·x s.t. a x ≤
-    row_upper, x ≥ 0`` loads first, ascending: the rows
+    row_upper, x ≥ 0`` loads first, ascending — the rows
     :func:`greedy_start`'s allocation leaves with no room, and every
-    set-packing row (``row_upper`` 1, every entry 1) — LP (1)'s
-    one-bundle-per-bidder rows."""
-    _cols, _rows, room = _greedy(a, value, row_upper)
-    return _seed_rows(a, row_upper, room)
-
-
-def _seed_rows(a: sp.csc_matrix, row_upper: np.ndarray, room: list[float]) -> np.ndarray:
-    """:func:`seed_rows` from the greedy's leftover ``room``."""
+    set-packing row (``row_upper`` 1, every entry 1: LP (1)'s
+    one-bundle-per-bidder rows) — and the greedy's start on them: its basic
+    columns and their pivot rows' positions among the seed rows.  Every
+    pivot row is full, so a seed row, and the basis restricted to the seed
+    rows is still triangular and feasible."""
+    cols, pivots, room = _greedy(a, value, row_upper)
     m = a.shape[0]
     entries = np.bincount(a.indices, minlength=m)
     ones = np.bincount(a.indices[a.data == 1], minlength=m)
     packing = (np.asarray(row_upper) == 1) & (entries == ones) & (entries > 0)
-    return np.flatnonzero(packing | (np.asarray(room) <= 0))
+    rows = np.flatnonzero(packing | (np.asarray(room) <= 0))
+    position = np.empty(m, dtype=np.intp)
+    position[rows] = np.arange(rows.size)
+    return rows, (np.array(cols, dtype=np.intp), position[pivots])
 
 
 def _greedy_basis(m: int, n: int, cols: np.ndarray, rows: np.ndarray) -> Any:
@@ -357,6 +371,9 @@ class ResidentLP:
     :meth:`basis` saves a solve's basis and :meth:`restore` puts it back,
     so a sequence of changes can each restart from one saved basis.
     :meth:`add_rows` grows the model; the solve after it runs dual simplex.
+    ``rows`` maps the model's rows to the caller's LP: the caller's index
+    of each loaded row, in model order (the model's own positions unless
+    :meth:`load` and :meth:`add_rows` were told otherwise).
     The first solve after a load is *cold* unless a basis was restored,
     every later one *warm*.  A cold ``"primal"`` solve starts from
     :func:`greedy_start`'s basis: the packing LP's greedy allocation is a
@@ -369,6 +386,7 @@ class ResidentLP:
     def __init__(self, mode: str = "simplex") -> None:
         self.mode = mode
         self.key: Hashable | None = None
+        self.rows = np.zeros(0, dtype=np.intp)
         self._highs = new_highs_instance(mode)
         self._warm = False  # the next solve restarts from a basis
         self._rows_added = False  # the next solve runs dual simplex
@@ -381,6 +399,7 @@ class ResidentLP:
         row_upper: np.ndarray,
         key: Hashable | None = None,
         start: tuple[np.ndarray, np.ndarray] | None = None,
+        rows: np.ndarray | None = None,
     ) -> None:
         """Load ``min cost·x s.t. row_lower ≤ a x ≤ row_upper, x ≥ 0``.
 
@@ -388,9 +407,11 @@ class ResidentLP:
         row lower bound, ``row_upper ≥ 0``; ``ValueError`` otherwise), and
         its first solve starts from :func:`greedy_start`'s basis — or from
         ``start``, that basis (basic columns, their pivot rows) when the
-        caller has already run the greedy on this model.  The old key is
-        dropped before the model is passed, so a load that fails leaves no
-        key naming a model it did not load."""
+        caller has already run the greedy on this model.  ``rows`` names
+        the loaded rows in the caller's LP when they are a subset of it
+        (kept in :attr:`rows`).  The old key is dropped before the model is
+        passed, so a load that fails leaves no key naming a model it did
+        not load."""
         m, n = a.shape
         if self.mode == "primal":
             _check_packing(a, row_lower, row_upper)
@@ -405,17 +426,23 @@ class ResidentLP:
             if status != _hcore.HighsStatus.kOk:
                 raise RuntimeError(f"HiGHS rejected the greedy basis (status {status})")
         self.key = key
+        self.rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.intp)
         self._warm = False
         self._rows_added = False
 
     def add_rows(
-        self, a_rows: sp.csr_matrix, row_lower: np.ndarray, row_upper: np.ndarray
+        self,
+        a_rows: sp.csr_matrix,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> None:
         """Append the rows ``row_lower ≤ a_rows x ≤ row_upper`` (one per row
-        of ``a_rows``, over the model's columns).  The basis keeps every old
-        status and makes the new rows' slacks basic, so the next solve is
-        warm, and runs dual simplex; a primal model's rows must stay in
-        packing form."""
+        of ``a_rows``, over the model's columns), named ``rows`` in the
+        caller's LP (default: their positions in the model).  The basis
+        keeps every old status and makes the new rows' slacks basic, so the
+        next solve is warm, and runs dual simplex; a primal model's rows
+        must stay in packing form."""
         if self.mode == "primal":
             _check_packing(a_rows, row_lower, row_upper)
         status = self._highs.addRows(
@@ -430,6 +457,9 @@ class ResidentLP:
         if status != _hcore.HighsStatus.kOk:
             self.key = None
             raise RuntimeError(f"HiGHS rejected the rows (status {status})")
+        if rows is None:
+            rows = np.arange(self.rows.size, self.rows.size + a_rows.shape[0])
+        self.rows = np.concatenate([self.rows, np.asarray(rows, dtype=np.intp)])
         self._rows_added = True
 
     def set_costs(self, idx: np.ndarray, values: np.ndarray) -> None:
@@ -620,9 +650,10 @@ def solve_packing_lp_fast(
     ``solver`` is one of :data:`SOLVER_MODES` or ``"auto"`` (the
     :func:`choose_solver` size policy).  Every mode returns an optimal basic
     solution (IPM runs crossover); small LPs always take simplex, keeping
-    bit-parity with the seed pipeline.  ``"primal"`` is row-generated (see
-    the module docstring): its solution is basic for the rows it loaded,
-    and its duals are 0 on the rows it never added.
+    bit-parity with the seed pipeline.  ``"primal"`` is row-generated from
+    :data:`ROWGEN_MIN_ROWS` rows up (see the module docstring): its
+    solution is basic for the rows it loaded, and its duals are 0 on the
+    rows it never added.
 
     ``warm_key`` (hashable, typically the compiled structure's identity plus
     the LP dimensions) opts into the warm-start path: if the mode's resident
@@ -655,15 +686,17 @@ def solve_packing_lp_fast(
     else:
         stats["cold"] += 1
         key = None if warm_key is None else (warm_key, a, b_ub)
-        if solver == "primal":
-            _load_seed_rows(lp, a, c, b_ub, key)
+        if solver == "primal" and m >= ROWGEN_MIN_ROWS:
+            rows, start = _seed_rows(a, c, b_ub)
+            bounds = (np.full(rows.size, -np.inf), b_ub[rows])
+            lp.load(a[rows], -c, *bounds, key=key, start=start, rows=rows)
         else:
             lp.load(a, -c, np.full(m, -np.inf), b_ub, key=key)  # -c: HiGHS minimizes
     stats[solver] += 1
     if solver == "primal":
         report, x, row_dual = _generate_rows(lp, a, b_ub)
         duals = np.zeros(m)
-        duals[_local.rows] = -row_dual  # rows never added keep dual 0
+        duals[lp.rows] = -row_dual  # rows never added keep dual 0
     else:
         report = lp.solve()
         _count(report)
@@ -685,26 +718,10 @@ def _count(report: SolveReport) -> None:
     stats["ipm_iterations"] += report.ipm_iterations
 
 
-def _load_seed_rows(
-    lp: ResidentLP, a: sp.csc_matrix, c: np.ndarray, b: np.ndarray, key: Hashable | None
-) -> None:
-    """Load ``max c·x s.t. a x ≤ b`` on its :func:`seed_rows` only, and
-    record them in ``_local.rows``.  The greedy runs once, on the whole LP:
-    every pivot row is a seed row, so its basis restricted to the seed
-    rows is still triangular and feasible, and it is the first solve's."""
-    cols, pivots, room = _greedy(a, c, b)
-    rows = _seed_rows(a, b, room)
-    position = np.empty(a.shape[0], dtype=np.intp)
-    position[rows] = np.arange(rows.size)
-    start = (np.array(cols, dtype=np.intp), position[pivots])
-    lp.load(a[rows], -c, np.full(rows.size, -np.inf), b[rows], key=key, start=start)
-    _local.rows = rows
-
-
 def _generate_rows(  # repro: mutates[lp]
     lp: ResidentLP, a: sp.csc_matrix, b: np.ndarray
 ) -> tuple[SolveReport, np.ndarray, np.ndarray]:
-    """Solve the loaded rows (``_local.rows`` of ``a x ≤ b``), then add
+    """Solve the loaded rows (``lp.rows`` of ``a x ≤ b``), then add
     every row the solution breaks and re-solve with dual simplex, until
     ``x`` meets all of ``a x ≤ b`` within :data:`MAX_INFEASIBILITY`.  The
     last report, ``x`` and the loaded rows' duals.
@@ -721,13 +738,11 @@ def _generate_rows(  # repro: mutates[lp]
         broken = a @ x - b > MAX_INFEASIBILITY
         if not broken.any():
             return report, x, row_dual
-        rows = _local.rows
-        if broken[rows].any():
+        if broken[lp.rows].any():
             lp.key = None
             raise RuntimeError("LP solve (primal) broke a loaded row: no certified optimum")
         added = np.flatnonzero(broken)
-        lp.add_rows(a[added].tocsr(), np.full(added.size, -np.inf), b[added])
-        _local.rows = np.concatenate([rows, added])
+        lp.add_rows(a[added].tocsr(), np.full(added.size, -np.inf), b[added], added)
         stats["row_rounds"] += 1
         stats["rows_added"] += added.size
         report = lp.solve()  # dual simplex: see ResidentLP.solve

@@ -350,13 +350,14 @@ def test_add_rows_then_a_certified_dual_solve(monkeypatch):
     model with every row; the primal strategy is back afterwards, also
     when that solve fails."""
     a, b, c = CompiledAuction(metro_disk_auction(500, 6, seed=42)).matrices_csc()
-    first = highs.seed_rows(a, c, b)
+    first, _start = highs._seed_rows(a, c, b)
     rest = np.setdiff1d(np.arange(a.shape[0]), first)
     lp = ResidentLP("primal")
     _load_packing(lp, a[first], b[first], c)
     lp.solve()
     _status, primal_strategy = lp._highs.getOptionValue("simplex_strategy")
     lp.add_rows(a[rest].tocsr(), np.full(rest.size, -np.inf), b[rest])
+    assert lp.rows.tolist() == list(range(a.shape[0]))  # the model's own positions
     report = lp.solve()
     assert report.warm and report.basis_valid
     assert report.max_primal_infeasibility <= highs.MAX_INFEASIBILITY
@@ -367,9 +368,10 @@ def test_add_rows_then_a_certified_dual_solve(monkeypatch):
     assert lp._highs.getOptionValue("simplex_strategy")[1] == primal_strategy
 
     again = ResidentLP("primal")
-    _load_packing(again, a[first], b[first], c)
+    again.load(a[first], -c, np.full(first.size, -np.inf), b[first], rows=first)
     again.solve()
-    again.add_rows(a[rest].tocsr(), np.full(rest.size, -np.inf), b[rest])
+    again.add_rows(a[rest].tocsr(), np.full(rest.size, -np.inf), b[rest], rest)
+    assert again.rows.tolist() == first.tolist() + rest.tolist()  # the caller's rows
     real = again._highs
     again._highs = _RunFails(real)
     with pytest.raises(RuntimeError, match="run interrupted"):

@@ -11,9 +11,9 @@ from repro.engine import BatchAuctionEngine, highs, warm_start_stats
 from repro.engine.compiled import CompiledAuction
 from repro.engine.highs import (
     PRIMAL_MIN_ROWS,
+    ROWGEN_MIN_ROWS,
     choose_solver,
     fast_backend_available,
-    seed_rows,
     solve_packing_lp_fast,
 )
 from repro.experiments.workloads import (
@@ -208,20 +208,49 @@ def _assert_certified(sol, a, b, c) -> None:
     ],
     ids=["metro_disk_1000", "metro_protocol_1000", "physical_40"],
 )
-def test_row_generated_primal_matches_linprog(build):
+def test_row_generated_primal_matches_linprog(build, row_generation_everywhere):
     """The engine's primal path solves on its seed rows, adds the rows its
     solutions break, and returns linprog's optimum with a full-row
     certificate."""
     a, b, c = CompiledAuction(build()).matrices_csc()
-    seed = seed_rows(a, c, b)
+    seed, _start = highs._seed_rows(a, c, b)
     assert 0 < seed.size < a.shape[0]
     before = warm_start_stats()
     sol = solve_packing_lp_fast(c, a, b, solver="primal")
     delta = _delta(before, warm_start_stats())
     assert (delta["cold"], delta["warm"], delta["primal"]) == (1, 0, 1)
+    assert highs._thread_model("primal").rows.size == seed.size + delta["rows_added"]
     assert seed.size + delta["rows_added"] < a.shape[0]
     assert sol.value == pytest.approx(solve_packing_lp(c, a, b).value, rel=1e-9)
     _assert_certified(sol, a, b, c)
+
+
+def test_primal_loads_every_row_below_the_row_generation_edge(metro_lp):
+    """Under ROWGEN_MIN_ROWS kept rows the primal model loads every row and
+    runs no round; from the edge up it starts on the seed rows."""
+    a, b, c = metro_lp
+    assert a.shape[0] >= ROWGEN_MIN_ROWS
+    small = CompiledAuction(metro_disk_auction(400, 6, seed=42)).matrices_csc()
+    assert PRIMAL_MIN_ROWS <= small[0].shape[0] < ROWGEN_MIN_ROWS
+    model = highs._thread_model("primal")
+    for (a_lp, b_lp, c_lp), row_generated in ((small, False), ((a, b, c), True)):
+        before = warm_start_stats()
+        sol = solve_packing_lp_fast(c_lp, a_lp, b_lp)
+        delta = _delta(before, warm_start_stats())
+        assert delta["primal"] == 1
+        full = model.rows.size == a_lp.shape[0]
+        assert full is not row_generated
+        if not row_generated:
+            assert (delta["row_rounds"], delta["rows_added"]) == (0, 0)
+        assert sol.value == pytest.approx(solve_packing_lp(c_lp, a_lp, b_lp).value, rel=1e-9)
+        _assert_certified(sol, a_lp, b_lp, c_lp)
+
+
+@pytest.fixture
+def row_generation_everywhere(monkeypatch):
+    """Row-generate the primal mode at every size, so LPs far below the
+    edge exercise the loop."""
+    monkeypatch.setattr(highs, "ROWGEN_MIN_ROWS", 0)
 
 
 def _missed_row_lp():
@@ -232,9 +261,9 @@ def _missed_row_lp():
     return a, np.array([2.0, 2.0]), np.array([1.0, 1.0])
 
 
-def test_row_generation_adds_a_binding_row_the_seed_misses():
+def test_row_generation_adds_a_binding_row_the_seed_misses(row_generation_everywhere):
     a, b, c = _missed_row_lp()
-    assert seed_rows(a, c, b).tolist() == [1]
+    assert highs._seed_rows(a, c, b)[0].tolist() == [1]
     before = warm_start_stats()
     sol = solve_packing_lp_fast(c, a, b, solver="primal")
     delta = _delta(before, warm_start_stats())
@@ -250,11 +279,14 @@ def test_set_packing_rows_are_seed_rows():
     # row 1 has a 2 in it and row 2 a right-hand side of 2
     a = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
     b = np.array([1.0, 3.0, 2.0])
-    assert seed_rows(a, np.zeros(3), b).tolist() == [0]
-    assert seed_rows(a, np.array([0.0, 0.0, 1.0]), b).tolist() == [0, 2]
+    assert highs._seed_rows(a, np.zeros(3), b)[0].tolist() == [0]
+    rows, (cols, pivots) = highs._seed_rows(a, np.array([0.0, 0.0, 1.0]), b)
+    assert rows.tolist() == [0, 2]
+    # the greedy raises column 2 until row 2 is full: row 2 is seed row 1
+    assert (cols.tolist(), pivots.tolist()) == ([2], [1])
 
 
-def test_warm_resolve_adds_a_row_its_new_costs_bind():
+def test_warm_resolve_adds_a_row_its_new_costs_bind(row_generation_everywhere):
     """Under a warm key the model keeps its rows; new costs that make a
     never-added row bind run the loop again on the warm model."""
     a, b, _ = _missed_row_lp()
