@@ -16,11 +16,15 @@ fast path (PR 5) against the reference (pre-fast-path) pipeline:
   ``stages`` entry (:func:`bench_stages`) times the fast mechanism's two
   stages on each distinct profile of the trace: the median
   ``decompose_ms`` and ``vcg_ms`` per profile (``vcg_ms`` is gated by
-  check_regression.py).
+  check_regression.py), and the median VCG ``probes``, ``screened``
+  bidders and probe ``threads``.
 * ``truthful_n1000`` — one n=1000 metro disk truthful auction end to end
   on the fast path (LP → decomposition → payments → sample), which the
   reference pipeline cannot finish in reasonable time; the acceptance
   criterion is single-digit seconds.
+* ``vcg_n1000`` — the VCG stage of one ``distinct_alloc_n1000``-style
+  profile (metro disk n=1000, k=6, 4 XOR bids) in truthful mode, timed
+  on one probe thread and at the thread budget; recorded, not gated.
 * ``decomposition_parity`` — a direct ``pricing="approx"`` vs
   ``pricing="reference"`` decomposition on one instance: pool, weights,
   keep probabilities, and samples compared bit-for-bit (the same
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import sys
@@ -48,7 +53,12 @@ import numpy as np
 from repro.core.auction import AuctionProblem
 from repro.core.solver import SpectrumAuctionSolver
 from repro.engine.compiled import CompiledAuction, compile_structure
-from repro.experiments.workloads import metro_disk_scene, metro_truthful_auction
+from repro.engine.highs import set_solver_processes
+from repro.experiments.workloads import (
+    metro_disk_auction,
+    metro_disk_scene,
+    metro_truthful_auction,
+)
 from repro.mechanism.lavi_swamy import decompose_lp_solution, default_alpha
 from repro.mechanism.truthful import TruthfulMechanism
 from repro.mechanism.vcg import vcg_payments
@@ -128,6 +138,9 @@ def bench_stages(n: int = 300) -> dict:
     )
     decompose_ms: list[float] = []
     vcg_ms: list[float] = []
+    probes: list[int] = []
+    screened: list[int] = []
+    threads: list[int] = []
     seen: set[str] = set()
     for item in trace:
         request = item.request
@@ -138,9 +151,8 @@ def bench_stages(n: int = 300) -> dict:
         structure = registry.get(request.scene_id)
         compiled_structure = compile_structure(structure)
         problem = AuctionProblem(structure, request.k, request.valuations)
-        solution = SpectrumAuctionSolver(
-            problem, compiled=CompiledAuction(problem, structure=compiled_structure)
-        ).solve_lp()
+        compiled = CompiledAuction(problem, structure=compiled_structure)
+        solution = SpectrumAuctionSolver(problem, compiled=compiled).solve_lp()
         alpha = default_alpha(problem)
         start = time.perf_counter()
         decompose_lp_solution(
@@ -148,16 +160,66 @@ def bench_stages(n: int = 300) -> dict:
         )
         decompose_ms.append((time.perf_counter() - start) * 1e3)
         start = time.perf_counter()
-        vcg_payments(problem, solution, alpha, compiled_structure=compiled_structure)
+        vcg = vcg_payments(
+            problem,
+            solution,
+            alpha,
+            compiled_structure=compiled_structure,
+            compiled=compiled,
+        )
         vcg_ms.append((time.perf_counter() - start) * 1e3)
+        probes.append(vcg.probes)
+        screened.append(vcg.screened)
+        threads.append(vcg.threads)
     return {
         "workload": (
             f"every distinct profile of the n={n} truthful trace, prepared once; "
-            "median ms per profile"
+            "median ms per profile, and the median VCG probes, screened "
+            "bidders and probe threads"
         ),
         "profiles": len(vcg_ms),
         "decompose_ms": float(np.median(decompose_ms)),
         "vcg_ms": float(np.median(vcg_ms)),
+        "probes": float(np.median(probes)),
+        "screened": float(np.median(screened)),
+        "threads": float(np.median(threads)),
+    }
+
+
+def bench_vcg_n1000(n: int = 1000, k: int = 6, seed: int = 2011) -> dict:
+    """The VCG stage of one ``distinct_alloc_n1000``-style profile (metro
+    disk n=1000, k=6, 4 XOR bids per bidder) in truthful mode, on one
+    probe thread and at this process's thread budget
+    (:func:`repro.engine.highs.probe_threads`).  Recorded, not gated."""
+    problem = metro_disk_auction(n, k, seed=seed)
+    compiled = CompiledAuction(problem)
+    solution = compiled.solve_lp()
+    alpha = default_alpha(problem)
+    timings = {}
+    runs = {}
+    # one thread: tell the budget that every core runs a solver process
+    for label, processes in (("one_thread", os.cpu_count() or 1), ("budget", 1)):
+        set_solver_processes(processes)
+        try:
+            start = time.perf_counter()
+            runs[label] = vcg_payments(problem, solution, alpha, compiled=compiled)
+            timings[label] = (time.perf_counter() - start) * 1e3
+        finally:
+            set_solver_processes(1)
+    one, budget = runs["one_thread"], runs["budget"]
+    assert np.array_equal(one.payments, budget.payments), "payments depend on threads"
+    return {
+        "workload": (
+            f"metro_disk_auction(n={n}, k={k}, 4 XOR bids), one profile's VCG "
+            "stage on one probe thread and at the thread budget"
+        ),
+        "probes": budget.probes,
+        "screened": budget.screened,
+        "threads": budget.threads,
+        "vcg_ms_one_thread": timings["one_thread"],
+        "vcg_ms_budget": timings["budget"],
+        "speedup": timings["one_thread"] / timings["budget"],
+        "payments_identical": True,
     }
 
 
@@ -353,6 +415,14 @@ def main(argv=None) -> int:
         f"pool {n1000['pool_size']})",
         flush=True,
     )
+    vcg_n1000 = bench_vcg_n1000()
+    print(
+        f"VCG n=1000 k=6: {vcg_n1000['probes']} probes, "
+        f"{vcg_n1000['vcg_ms_one_thread']:.0f} ms on one thread, "
+        f"{vcg_n1000['vcg_ms_budget']:.0f} ms on {vcg_n1000['threads']} "
+        f"({vcg_n1000['speedup']:.2f}x)",
+        flush=True,
+    )
     smoke = bench_truthful_trace(
         150, num_requests=10, unique_profiles=4, scene_seed=1400, trace_seed=52
     )
@@ -366,6 +436,7 @@ def main(argv=None) -> int:
         "truthful_trace_n300": trace,
         "decomposition_parity": parity,
         "truthful_n1000": n1000,
+        "vcg_n1000": vcg_n1000,
         "smoke_truthful_n150": smoke,
         "headline": {
             "criterion": (

@@ -8,8 +8,8 @@ module owns every HiGHS model in the package through one class,
 and the model loaded into it, its costs mutated in place (``set_costs``)
 and re-solved from the previous basis or a saved one (``basis`` /
 ``restore``).  Its consumers are the engine's packing solver below and
-the VCG probe model.  No other module touches the bindings (reprolint's
-``highs-owner`` rule).
+the VCG probe models (:func:`zeroed_cost_optima`).  No other module
+touches the bindings (reprolint's ``highs-owner`` rule).
 
 Every :meth:`ResidentLP.solve` raises on a non-optimal status and checks
 HiGHS's own certificate — max primal and dual infeasibility within
@@ -70,6 +70,17 @@ but on degenerate LPs possibly a different vertex than a cold solve —
 which is why the path is opt-in (``BatchAuctionEngine(lp_warm_start=True)``)
 and never used where bit-parity with the seed pipeline is pinned.
 
+:func:`zeroed_cost_optima` runs the VCG probes: one base solve, then one
+optimum per column group with that group's costs zeroed, each restarted
+from the base basis.  HiGHS's ``run()`` releases the GIL, so the probes
+fan out over a ``ThreadPoolExecutor`` (the one executor in the package
+outside the service's process pool; reprolint's ``pool-owner`` rule),
+one resident model per thread, on :func:`probe_threads` threads: this
+process's share of the cores, ``cores // solver_processes``, where a pool
+worker is told its pool's size at spawn (:func:`set_solver_processes`).
+A probe's value depends only on the model and the base basis, so the
+values are the same floats on any number of threads.
+
 The backend relies on the private ``scipy.optimize._highspy`` bindings
 that scipy's own ``linprog(method="highs")`` is built on.  When the import
 fails (future scipy reshuffles), :func:`solve_packing_lp_fast` falls back
@@ -80,8 +91,10 @@ constructing a :class:`ResidentLP` raises.
 from __future__ import annotations
 
 import math
+import os
 import threading
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -106,6 +119,10 @@ __all__ = [
     "ROWGEN_MIN_ROWS",
     "SOLVER_MODES",
     "LP_COUNTERS",
+    "MIN_PROBES_PER_THREAD",
+    "probe_threads",
+    "set_solver_processes",
+    "zeroed_cost_optima",
 ]
 
 # The backend's solver modes.  "simplex" runs HiGHS's default options (dual
@@ -136,6 +153,11 @@ PRIMAL_MIN_ROWS = 1500
 # faster from n=500 (1837 rows) up; the edge sits between them.
 ROWGEN_MIN_ROWS = 1700
 
+# zeroed_cost_optima gives each thread at least this many probes: below it
+# a thread's own model load and start cost more than the probes it takes
+# over, so a small auction's probes stay on one thread.
+MIN_PROBES_PER_THREAD = 32
+
 # Optimality evidence for every solve but a cold dual-simplex one: the
 # unscaled model's largest primal/dual infeasibility must stay within this.
 MAX_INFEASIBILITY = 1e-7
@@ -161,6 +183,9 @@ except ImportError:  # pragma: no cover - environment-dependent
     _hcore = None
 
 _local = threading.local()
+
+# the solver processes sharing this machine's cores (set_solver_processes)
+_solver_processes = 1
 
 
 def fast_backend_available() -> bool:
@@ -746,3 +771,101 @@ def _generate_rows(  # repro: mutates[lp]
         stats["row_rounds"] += 1
         stats["rows_added"] += added.size
         report = lp.solve()  # dual simplex: see ResidentLP.solve
+
+
+def set_solver_processes(count: int) -> None:
+    """Tell this process that ``count`` solver processes share the
+    machine's cores: a :class:`~repro.service.pool.ProcessShardPool` worker
+    is handed its pool's ``num_workers`` at spawn.  An in-process solver
+    keeps the default, 1.  :func:`probe_threads` divides the cores by it."""
+    global _solver_processes
+    _solver_processes = count
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+def probe_threads(
+    probes: int, solver_processes: int | None = None, cores: int | None = None
+) -> int:
+    """How many threads :func:`zeroed_cost_optima` runs ``probes`` probes
+    on: this process's share of the cores, ``cores // solver_processes``
+    (defaults: the cores this process may run on, and what
+    :func:`set_solver_processes` was told), at least 1 — so a pool with
+    as many workers as cores runs each probe loop on one thread — and at
+    most one thread per :data:`MIN_PROBES_PER_THREAD` probes, so a small
+    auction stays on one thread."""
+    cores = _cores() if cores is None else cores
+    processes = _solver_processes if solver_processes is None else solver_processes
+    return max(1, min(cores // processes, probes // MIN_PROBES_PER_THREAD))
+
+
+def zeroed_cost_optima(
+    c: np.ndarray,
+    a: sp.csc_matrix,
+    b: np.ndarray,
+    groups: Sequence[np.ndarray],
+    threads: int | None = None,
+) -> np.ndarray:
+    """``max c·x s.t. a x ≤ b, x ≥ 0`` (a packing LP) with each group's
+    columns' values set to 0, one optimum per group (int32 column indices).
+
+    The LP is solved once on a resident primal model and its optimal basis
+    saved.  Every probe restores that basis, zeroes its group's costs,
+    solves (certified, :meth:`ResidentLP.solve`) and puts the costs back,
+    so its value depends only on the model and the saved basis — not on
+    which probe ran before it, nor on which model runs it.  That lets the
+    probes run on ``threads`` threads (default :func:`probe_threads`),
+    each with its own model: the caller's thread uses the base model, and
+    every other thread loads the same matrix (from the base model's greedy
+    start, not a greedy of its own) and restores the base basis.  HiGHS's
+    ``run()`` releases the GIL.  Threads take the next probe from one
+    shared counter, since a probe takes from 0 to a few dozen iterations.
+    The values are the same floats on any number of threads.  The first
+    exception any thread raises stops the others' loops and is re-raised
+    here once every thread has stopped."""
+    cost = -np.asarray(c, dtype=float)  # HiGHS minimizes
+    lower = np.full(a.shape[0], -np.inf)
+    start = greedy_start(a, c, b)
+    base_model = ResidentLP("primal")
+    base_model.load(a, cost, lower, b, start=start)
+    base_model.solve()
+    base = base_model.basis()
+    values = np.empty(len(groups))
+    threads = probe_threads(len(groups)) if threads is None else threads
+    lock = threading.Lock()
+    order = iter(range(len(groups)))  # the shared counter
+    failed: list[BaseException] = []
+
+    def run(lp: ResidentLP | None) -> None:
+        try:
+            if lp is None:
+                lp = ResidentLP("primal")
+                lp.load(a, cost, lower, b, start=start)
+            while True:
+                with lock:
+                    i = None if failed else next(order, None)
+                if i is None:
+                    return
+                idx = groups[i]
+                lp.restore(base)
+                lp.set_costs(idx, np.zeros(idx.size))
+                values[i] = -lp.solve().objective
+                lp.set_costs(idx, cost[idx])
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+            with lock:
+                failed.append(exc)
+
+    # an executor starts no thread until a submit, so one thread costs none
+    with ThreadPoolExecutor(max(1, threads - 1), thread_name_prefix="vcg-probe") as pool:
+        for _ in range(threads - 1):
+            pool.submit(run, None)
+        run(base_model)
+    if failed:
+        raise failed[0]
+    return values

@@ -146,6 +146,7 @@ class TruthfulMechanism:
             alpha,
             method="reference" if self.pricing == "reference" else "auto",
             compiled_structure=self._compiled_structure,
+            compiled=solver.compiled,
         )
         return MechanismOutcome(
             decomposition=decomposition,

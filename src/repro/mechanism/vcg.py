@@ -34,7 +34,19 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   from the cold path only within solver tolerance.  The model holds only
   the rows that can bind for the full column set
   (``CompiledAuction.matrices_csc``); zeroing a bidder's costs removes no
-  column, so those rows stay exactly the ones every probe needs.
+  column, so those rows stay exactly the ones every probe needs.  When
+  the caller passes the ``CompiledAuction`` the LP was solved on
+  (``compiled``), the model loads its cached matrices.
+
+  The probes run in :func:`~repro.engine.highs.zeroed_cost_optima`, on
+  :func:`~repro.engine.highs.probe_threads` threads with one resident
+  model each: HiGHS releases the GIL while it solves, and since every
+  probe restarts from the same base basis the payments are the same
+  floats on one thread or many.  The budget is this process's share of
+  the cores (a pool worker's cores divided by the pool's size), and a
+  small auction (fewer than 64 probes) stays on one thread.
+  :class:`FractionalVCG` records the probes run, the bidders screened
+  and the threads used.
 
   Before probing, bidders are screened with the dual bound: dropping v
   keeps ``(y, z without z_v)`` feasible for the reduced dual, so
@@ -51,13 +63,14 @@ Two evaluation strategies for the n "LP without bidder v" terms:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.auction import AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution
-from repro.engine.highs import ResidentLP
+from repro.engine.highs import probe_threads, zeroed_cost_optima
 
 __all__ = ["FractionalVCG", "vcg_payments"]
 
@@ -70,6 +83,9 @@ class FractionalVCG:
     lp_value: float
     lp_without: np.ndarray  # LPopt with each bidder removed
     contributions: np.ndarray  # each bidder's share of the LP optimum
+    probes: int  # "LP without v" solves run
+    screened: int  # bidders the dual bound proved to pay 0, not probed
+    threads: int  # threads the probes ran on (0 when none ran)
 
 
 def _lp_value_without(problem: AuctionProblem, lp: AuctionLP, vertex: int) -> float:
@@ -86,42 +102,43 @@ def _warm_values_without(
     solution: AuctionLPSolution,
     probe_vertices: list[int],
     compiled_structure=None,
+    compiled=None,
+    threads: int | None = None,
 ) -> dict[int, float]:
     """All "LP without v" optima via cost-zeroing primal re-solves, each
-    restarted from the full LP's optimal basis."""
+    restarted from the full LP's optimal basis
+    (:func:`~repro.engine.highs.zeroed_cost_optima`, on ``threads``
+    threads).  ``compiled`` is used when it holds ``solution.columns``."""
     from repro.engine.compiled import CompiledAuction, compile_structure
 
     if not probe_vertices:  # everything screened: no model to build
         return {}
-    compiled = CompiledAuction(
-        problem,
-        structure=compiled_structure or compile_structure(problem.structure),
-        columns=list(solution.columns),
-    )
+    if not _holds_columns(compiled, problem, solution):
+        compiled = CompiledAuction(
+            problem,
+            structure=compiled_structure or compile_structure(problem.structure),
+            columns=list(solution.columns),
+        )
     a, b, c = compiled.matrices_csc()
-    m = a.shape[0]
-    cost = -c  # HiGHS minimizes
-    lp = ResidentLP("primal")
-    lp.load(a, cost, np.full(m, -np.inf), b)
-    lp.solve()  # the full LP's optimal basis, every probe's restart point
-    base = lp.basis()
-
     # column indices grouped by vertex (ascending within each group)
     verts = compiled.cols.vertex
     by_vertex = np.argsort(verts, kind="stable").astype(np.int32)
     offsets = np.zeros(problem.n + 1, dtype=np.intp)
     np.cumsum(np.bincount(verts, minlength=problem.n), out=offsets[1:])
-    out: dict[int, float] = {}
-    for v in probe_vertices:
-        idx = by_vertex[offsets[v] : offsets[v + 1]]
-        if idx.size == 0:
-            out[v] = float(solution.value)
-            continue
-        lp.restore(base)
-        lp.set_costs(idx, np.zeros(idx.size))
-        out[v] = -lp.solve().objective
-        lp.set_costs(idx, cost[idx])
-    return out
+    groups = [by_vertex[offsets[v] : offsets[v + 1]] for v in probe_vertices]
+    values = zeroed_cost_optima(c, a, b, groups, threads=threads)
+    return dict(zip(probe_vertices, values.tolist()))
+
+
+def _holds_columns(compiled, problem: AuctionProblem, solution: AuctionLPSolution) -> bool:
+    """Is ``compiled`` an engine compilation of ``problem`` whose columns
+    are ``solution.columns`` (the same objects, in order)?"""
+    if compiled is None or compiled.problem is not problem:
+        return False
+    columns = compiled.columns
+    return len(columns) == len(solution.columns) and all(
+        map(operator.is_, columns, solution.columns)
+    )
 
 
 def vcg_payments(
@@ -130,12 +147,17 @@ def vcg_payments(
     alpha: float,
     method: str = "auto",
     compiled_structure=None,
+    compiled=None,
 ) -> FractionalVCG:
     """Compute scaled fractional VCG payments for every bidder.
 
     ``method="auto"`` runs the warm-started probe loop, ``"reference"``
     the per-bidder rebuild.  ``compiled_structure`` forwards an existing
-    engine compilation to the warm path.
+    engine compilation to the warm path, and ``compiled`` the
+    :class:`~repro.engine.compiled.CompiledAuction` the LP was solved on
+    (``solution.columns`` are its columns), whose matrices the probe model
+    then loads instead of assembling its own; any other ``compiled`` is
+    ignored.
     """
     if method not in VCG_METHODS:
         raise ValueError(f"method must be one of {VCG_METHODS}, got {method!r}")
@@ -151,6 +173,7 @@ def vcg_payments(
         screened: set[int] = set()
         lp = AuctionLP(problem, columns=list(solution.columns))
         values = {v: _lp_value_without(problem, lp, v) for v in probes}
+        threads = 1 if probes else 0
     else:
         # dual screening: externality ≤ contribution_v − z_v, so bidders at
         # or below zero provably pay nothing — skip the solve, record the
@@ -158,11 +181,15 @@ def vcg_payments(
         screened = {
             v for v in probes if contributions[v] - float(solution.z[v]) <= 1e-9
         }
+        probed = [v for v in probes if v not in screened]
+        threads = probe_threads(len(probed)) if probed else 0
         values = _warm_values_without(
             problem,
             solution,
-            [v for v in probes if v not in screened],
+            probed,
             compiled_structure=compiled_structure,
+            compiled=compiled,
+            threads=threads,
         )
 
     for v in probes:
@@ -178,4 +205,7 @@ def vcg_payments(
         lp_value=solution.value,
         lp_without=lp_without,
         contributions=contributions,
+        probes=len(values),
+        screened=len(screened),
+        threads=threads,
     )

@@ -2,7 +2,10 @@
 
 A distinct request's cost is almost entirely Python + NumPy solve work
 that never releases the GIL for long, so threads in one process cannot
-add throughput.  :class:`ProcessShardPool` is the parallel executor of
+add request throughput.  (HiGHS's own solves do release it: a worker
+runs its VCG probes on its share of the cores, ``cores // num_workers``
+threads, and is told ``num_workers`` at spawn;
+:func:`repro.engine.highs.probe_threads`.)  :class:`ProcessShardPool` is the parallel executor of
 :class:`~repro.service.AuctionService` (``executor="process"``): a pool
 of **long-lived worker processes**, each owning the full per-shard solver
 state:
@@ -95,7 +98,11 @@ class WorkerCrashError(RuntimeError):
 # worker process side
 # ----------------------------------------------------------------------
 def _pool_worker_main(  # pragma: no cover - runs in worker processes
-    conn: Any, scenes: dict[str, AnyStructure], config: dict[str, Any], generation: int
+    conn: Any,
+    scenes: dict[str, AnyStructure],
+    config: dict[str, Any],
+    generation: int,
+    solver_processes: int,
 ) -> None:
     """Entry point of one worker process.
 
@@ -108,8 +115,10 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     evaluates itself.  ``generation`` counts respawns of this worker slot
     — generation-scoped crash faults compare against it so a plan can
     crash incarnation 0 and let incarnation 1 serve the retry.
+    ``solver_processes`` is the pool's worker count: the VCG probe loop
+    divides the cores by it (:func:`repro.engine.highs.probe_threads`).
     """
-    import repro.engine.highs  # noqa: F401 - registers its fork-reset hook
+    import repro.engine.highs  # registers its fork-reset hook
     from repro.service.service import AuctionService
     from repro.util.mp import run_fork_resets
 
@@ -120,6 +129,7 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     # reset before the first solve — and the HiGHS hook is *required*:
     # a missing registration fails here, at spawn, not as a wrong solve
     run_fork_resets(require=("repro.engine.highs",))
+    repro.engine.highs.set_solver_processes(solver_processes)
     plan = config.get("fault_plan")
     if plan is not None and plan.fires("pool.worker.spawn", generation=generation):
         os._exit(4)  # injected spawn failure: die before serving anything
@@ -319,7 +329,13 @@ class ProcessShardPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child_conn, scenes, self.worker_config, handle.generation),
+            args=(
+                child_conn,
+                scenes,
+                self.worker_config,
+                handle.generation,
+                self.num_workers,
+            ),
             name=f"auction-pool-worker-{handle.index}",
             daemon=True,
         )

@@ -404,6 +404,16 @@ def test_pool_owner_flags_executors_even_in_the_owner(tmp_path):
     assert all("mp_context" not in f.message for f in flagged)
 
 
+def test_pool_owner_admits_thread_executors_in_the_highs_owner_only(tmp_path):
+    findings = lint(tmp_path, _POOLS, filename="engine/highs.py")
+    flagged = [f for f in findings if f.rule == "pool-owner"]
+    # both thread executors pass; the process executor and mp_context() do not
+    assert len(flagged) == 2
+    assert any("'Procs'" in f.message for f in flagged)
+    assert any("mp_context" in f.message for f in flagged)
+    assert not any("ThreadPoolExecutor" in f.message for f in flagged)
+
+
 def test_pool_owner_negative_pool_and_futures(tmp_path):
     owner = lint(
         tmp_path / "owner",

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.auction import AuctionProblem
 from repro.core.solver import SpectrumAuctionSolver
+from repro.engine import highs
 from repro.engine.compiled import CompiledAuction
+from repro.engine.highs import ResidentLP
 from repro.experiments.workloads import metro_truthful_auction
 from repro.geometry.links import random_links
 from repro.interference.protocol import protocol_model
 from repro.mechanism.lavi_swamy import decompose_lp_solution, default_alpha
 from repro.mechanism.truthful import TruthfulMechanism
+from repro.mechanism import vcg as vcg_module
 from repro.mechanism.vcg import _warm_values_without, vcg_payments
 from repro.valuations.explicit import XORValuation
 from repro.valuations.generators import random_xor_valuations
@@ -235,6 +240,106 @@ class TestVCGProbes:
         np.testing.assert_allclose(
             warm.payments, reference.payments, rtol=1e-9, atol=1e-9 * solution.value / alpha
         )
+
+
+def _physical_problem() -> AuctionProblem:
+    from repro.interference.physical import linear_power, physical_model_structure
+
+    links = random_links(30, seed=83, length_range=(0.05, 0.2))
+    structure = physical_model_structure(links, linear_power(links, 3.0))
+    vals = random_xor_valuations(30, 3, seed=84, bids_per_bidder=2)
+    return AuctionProblem(structure, 3, vals)
+
+
+class TestVCGThreads:
+    """The probes fanned out over threads (``zeroed_cost_optima``): the
+    same floats on any number of threads, errors raised in the caller."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["metro_300", "physical"])
+    def test_payments_equal_on_one_thread_and_at_the_budget(self, weighted, monkeypatch):
+        problem = _physical_problem() if weighted else metro_truthful_auction(300, 4, seed=1)
+        compiled = CompiledAuction(problem)
+        solution = compiled.solve_lp()
+        alpha = default_alpha(problem)
+        with monkeypatch.context() as forced:
+            forced.setattr(vcg_module, "probe_threads", lambda probes: 1)
+            serial = vcg_payments(problem, solution, alpha, compiled=compiled)
+        assert serial.threads == 1
+        # a budget above one thread on any host: four cores, few probes each
+        monkeypatch.setattr(highs, "_cores", lambda: 4)
+        monkeypatch.setattr(highs, "MIN_PROBES_PER_THREAD", 4)
+        fanned = vcg_payments(problem, solution, alpha, compiled=compiled)
+        assert fanned.threads == highs.probe_threads(fanned.probes) > 1
+        assert fanned.probes == serial.probes >= 12
+        assert fanned.screened == serial.screened
+        assert (fanned.payments > 0).sum() >= 10
+        assert np.array_equal(fanned.payments, serial.payments)
+        assert np.array_equal(fanned.lp_without, serial.lp_without)
+
+    def test_a_failed_certificate_on_another_thread_raises(self, monkeypatch):
+        problem = metro_truthful_auction(300, 4, seed=1)
+        solution = CompiledAuction(problem).solve_lp()
+        caller = threading.current_thread()
+        solve = ResidentLP.solve
+        solved_elsewhere = threading.Event()
+
+        def failing(self):
+            if threading.current_thread() is caller:
+                # leave probes for the other thread: it loads its own model first
+                solved_elsewhere.wait(0.005)
+                return solve(self)
+            solved_elsewhere.set()
+            report = solve(self)
+            raise RuntimeError(
+                f"LP solve ({report.mode}, warm) returned no certified optimal "
+                "basis: injected on a probe thread"
+            )
+
+        monkeypatch.setattr(ResidentLP, "solve", failing)
+        monkeypatch.setattr(vcg_module, "probe_threads", lambda probes: 2)
+        with pytest.raises(RuntimeError, match="injected on a probe thread"):
+            vcg_payments(problem, solution, default_alpha(problem))
+        assert solved_elsewhere.is_set()
+        assert not any(t.name.startswith("vcg-probe") for t in threading.enumerate())
+
+    def test_thread_budget(self):
+        many = 100 * highs.MIN_PROBES_PER_THREAD
+        few = highs.MIN_PROBES_PER_THREAD - 1
+        assert highs.probe_threads(few, solver_processes=1, cores=8) == 1
+        assert highs.probe_threads(2 * highs.MIN_PROBES_PER_THREAD, 1, 8) == 2
+        assert highs.probe_threads(many, solver_processes=2, cores=2) == 1
+        assert highs.probe_threads(many, solver_processes=4, cores=4) == 1
+        assert highs.probe_threads(many, solver_processes=8, cores=2) == 1
+        assert highs.probe_threads(many, solver_processes=1, cores=2) == 2
+        assert highs.probe_threads(many, solver_processes=2, cores=8) == 4
+        try:
+            highs.set_solver_processes(3)
+            assert highs.probe_threads(many, cores=3) == 1
+        finally:
+            highs.set_solver_processes(1)
+        assert highs.probe_threads(many, cores=3) == 3
+
+    def test_the_solved_compiled_auction_is_reused(self, monkeypatch):
+        problem = metro_truthful_auction(120, 4, seed=3)
+        compiled = CompiledAuction(problem)
+        solution = compiled.solve_lp()
+        loaded = []
+        fan_out = vcg_module.zeroed_cost_optima
+
+        def recording(c, a, b, groups, threads=None):
+            loaded.append(a)
+            return fan_out(c, a, b, groups, threads=threads)
+
+        monkeypatch.setattr(vcg_module, "zeroed_cost_optima", recording)
+        alpha = default_alpha(problem)
+        reused = vcg_payments(problem, solution, alpha, compiled=compiled)
+        assert loaded[-1] is compiled.matrices_csc()[0]
+        # a compilation of other columns is ignored, not trusted
+        other = CompiledAuction(metro_truthful_auction(120, 4, seed=4))
+        rebuilt = vcg_payments(problem, solution, alpha, compiled=other)
+        assert loaded[-1] is not compiled.matrices_csc()[0]
+        assert loaded[-1] is not other.matrices_csc()[0]
+        assert np.array_equal(reused.payments, rebuilt.payments)
 
 
 class TestTruthfulMechanism:
