@@ -25,6 +25,9 @@ fast path (PR 5) against the reference (pre-fast-path) pipeline:
 * ``vcg_n1000`` — the VCG stage of one ``distinct_alloc_n1000``-style
   profile (metro disk n=1000, k=6, 4 XOR bids) in truthful mode, timed
   on one probe thread and at the thread budget; recorded, not gated.
+* ``vcg_thread_edge`` — two small truthful profiles, one on each side of
+  ``MIN_PROBES_PER_THREAD`` (19 and 31 probes), timed on one probe thread
+  and on every core with the floor lifted; recorded, not gated.
 * ``decomposition_parity`` — a direct ``pricing="approx"`` vs
   ``pricing="reference"`` decomposition on one instance: pool, weights,
   keep probabilities, and samples compared bit-for-bit (the same
@@ -53,6 +56,7 @@ import numpy as np
 from repro.core.auction import AuctionProblem
 from repro.core.solver import SpectrumAuctionSolver
 from repro.engine.compiled import CompiledAuction, compile_structure
+from repro.engine import highs
 from repro.engine.highs import set_solver_processes
 from repro.experiments.workloads import (
     metro_disk_auction,
@@ -151,8 +155,9 @@ def bench_stages(n: int = 300) -> dict:
         structure = registry.get(request.scene_id)
         compiled_structure = compile_structure(structure)
         problem = AuctionProblem(structure, request.k, request.valuations)
-        compiled = CompiledAuction(problem, structure=compiled_structure)
-        solution = SpectrumAuctionSolver(problem, compiled=compiled).solve_lp()
+        solution = SpectrumAuctionSolver(
+            problem, compiled=CompiledAuction(problem, structure=compiled_structure)
+        ).solve_lp()
         alpha = default_alpha(problem)
         start = time.perf_counter()
         decompose_lp_solution(
@@ -160,13 +165,7 @@ def bench_stages(n: int = 300) -> dict:
         )
         decompose_ms.append((time.perf_counter() - start) * 1e3)
         start = time.perf_counter()
-        vcg = vcg_payments(
-            problem,
-            solution,
-            alpha,
-            compiled_structure=compiled_structure,
-            compiled=compiled,
-        )
+        vcg = vcg_payments(problem, solution, alpha, compiled_structure=compiled_structure)
         vcg_ms.append((time.perf_counter() - start) * 1e3)
         probes.append(vcg.probes)
         screened.append(vcg.screened)
@@ -199,13 +198,13 @@ def bench_vcg_n1000(n: int = 1000, k: int = 6, seed: int = 2011) -> dict:
     runs = {}
     # one thread: tell the budget that every core runs a solver process
     for label, processes in (("one_thread", os.cpu_count() or 1), ("budget", 1)):
-        set_solver_processes(processes)
+        previous = set_solver_processes(processes)
         try:
             start = time.perf_counter()
             runs[label] = vcg_payments(problem, solution, alpha, compiled=compiled)
             timings[label] = (time.perf_counter() - start) * 1e3
         finally:
-            set_solver_processes(1)
+            set_solver_processes(previous)
     one, budget = runs["one_thread"], runs["budget"]
     assert np.array_equal(one.payments, budget.payments), "payments depend on threads"
     return {
@@ -220,6 +219,65 @@ def bench_vcg_n1000(n: int = 1000, k: int = 6, seed: int = 2011) -> dict:
         "vcg_ms_budget": timings["budget"],
         "speedup": timings["one_thread"] / timings["budget"],
         "payments_identical": True,
+    }
+
+
+# two metro k=4 truthful profiles, one on each side of the per-thread probe
+# floor: n=50 seed 1 (19 probes, one thread at the budget) and n=65 seed 3
+# (31 probes, two threads where two cores are free)
+THREAD_EDGE_PROFILES = ((50, 1), (65, 3))
+
+
+def bench_vcg_thread_edge(repeats: int = 9) -> dict:
+    """The evidence for ``MIN_PROBES_PER_THREAD``: on each
+    :data:`THREAD_EDGE_PROFILES` profile, the median VCG stage on one
+    probe thread and on every core this process may use with the
+    per-thread probe floor lifted (``MIN_PROBES_PER_THREAD`` set to 1 for
+    the call), interleaved, and the threads the budget gives it.
+    Recorded, not gated."""
+    points = {}
+    for n, seed in THREAD_EDGE_PROFILES:
+        problem = metro_truthful_auction(n, 4, seed=seed)
+        compiled = CompiledAuction(problem)
+        solution = compiled.solve_lp()
+        alpha = default_alpha(problem)
+        at_budget = vcg_payments(problem, solution, alpha, compiled=compiled)
+        one_ms: list[float] = []
+        lifted_ms: list[float] = []
+        for _ in range(repeats):
+            previous = set_solver_processes(os.cpu_count() or 1)
+            try:
+                start = time.perf_counter()
+                one = vcg_payments(problem, solution, alpha, compiled=compiled)
+                one_ms.append((time.perf_counter() - start) * 1e3)
+            finally:
+                set_solver_processes(previous)
+            floor = highs.MIN_PROBES_PER_THREAD
+            highs.MIN_PROBES_PER_THREAD = 1
+            try:
+                start = time.perf_counter()
+                lifted = vcg_payments(problem, solution, alpha, compiled=compiled)
+                lifted_ms.append((time.perf_counter() - start) * 1e3)
+            finally:
+                highs.MIN_PROBES_PER_THREAD = floor
+            assert np.array_equal(one.payments, lifted.payments), "payments depend on threads"
+        points[f"n{n}_seed{seed}"] = {
+            "probes": at_budget.probes,
+            "threads_at_budget": at_budget.threads,
+            "threads_lifted": lifted.threads,
+            "vcg_ms_one_thread": float(np.median(one_ms)),
+            "vcg_ms_lifted": float(np.median(lifted_ms)),
+            "speedup": float(np.median(one_ms) / np.median(lifted_ms)),
+        }
+    return {
+        "workload": (
+            "metro_truthful_auction(n, k=4) profiles on each side of "
+            f"MIN_PROBES_PER_THREAD={highs.MIN_PROBES_PER_THREAD}; median of "
+            f"{repeats} interleaved VCG stages on one probe thread and on every "
+            "core with the floor lifted"
+        ),
+        "min_probes_per_thread": highs.MIN_PROBES_PER_THREAD,
+        "points": points,
     }
 
 
@@ -423,6 +481,14 @@ def main(argv=None) -> int:
         f"({vcg_n1000['speedup']:.2f}x)",
         flush=True,
     )
+    edge = bench_vcg_thread_edge()
+    for label, point in edge["points"].items():
+        print(
+            f"VCG thread edge {label}: {point['probes']} probes, "
+            f"{point['threads_at_budget']} thread(s) at the budget, "
+            f"{point['threads_lifted']} threads {point['speedup']:.2f}x",
+            flush=True,
+        )
     smoke = bench_truthful_trace(
         150, num_requests=10, unique_profiles=4, scene_seed=1400, trace_seed=52
     )
@@ -437,6 +503,7 @@ def main(argv=None) -> int:
         "decomposition_parity": parity,
         "truthful_n1000": n1000,
         "vcg_n1000": vcg_n1000,
+        "vcg_thread_edge": edge,
         "smoke_truthful_n150": smoke,
         "headline": {
             "criterion": (

@@ -283,12 +283,22 @@ class ModuleStateRule(Rule):
     invariant = (
         "module-level mutable state is shared by every thread and survives "
         "forks; only UPPER_CASE constants and internally-locked factories "
-        "(LRUCache, threading primitives, thread-locals) are allowed"
+        "(LRUCache, threading primitives, thread-locals) are allowed, and no "
+        "function rebinds a module-level name through 'global'"
     )
 
     _MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)
 
     def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Global):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"rebinds module-level '{node.names[0]}' through 'global'; "
+                    "keep the state in a class, a thread-local or a locked "
+                    "container",
+                )
         for stmt in ctx.tree.body:
             if isinstance(stmt, ast.Assign):
                 targets, value = stmt.targets, stmt.value

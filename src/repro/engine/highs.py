@@ -77,7 +77,8 @@ fan out over a ``ThreadPoolExecutor`` (the one executor in the package
 outside the service's process pool; reprolint's ``pool-owner`` rule),
 one resident model per thread, on :func:`probe_threads` threads: this
 process's share of the cores, ``cores // solver_processes``, where a pool
-worker is told its pool's size at spawn (:func:`set_solver_processes`).
+worker records its pool's size at spawn in the backend state of the
+thread that serves it (:func:`set_solver_processes`).
 A probe's value depends only on the model and the base basis, so the
 values are the same floats on any number of threads.
 
@@ -154,9 +155,12 @@ PRIMAL_MIN_ROWS = 1500
 ROWGEN_MIN_ROWS = 1700
 
 # zeroed_cost_optima gives each thread at least this many probes: below it
-# a thread's own model load and start cost more than the probes it takes
-# over, so a small auction's probes stay on one thread.
-MIN_PROBES_PER_THREAD = 32
+# a thread's own model load and start cost about what the probes it takes
+# over save, so a small auction's probes stay on one thread.  Two threads
+# against one on metro k=4 truthful LPs (2 vCPUs, median of 15): 0.62x at
+# 9 probes, 0.97-1.10x at 19-23, 1.05-1.29x at 26-29, 1.08-1.39x at 31-37,
+# 1.5x from 43 up.
+MIN_PROBES_PER_THREAD = 12
 
 # Optimality evidence for every solve but a cold dual-simplex one: the
 # unscaled model's largest primal/dual infeasibility must stay within this.
@@ -183,9 +187,6 @@ except ImportError:  # pragma: no cover - environment-dependent
     _hcore = None
 
 _local = threading.local()
-
-# the solver processes sharing this machine's cores (set_solver_processes)
-_solver_processes = 1
 
 
 def fast_backend_available() -> bool:
@@ -613,7 +614,7 @@ def warm_start_stats() -> dict[str, int]:
 
 def reset_backend() -> None:
     """Drop this thread's whole backend state (resident models and their
-    warm-start keys, counters).
+    warm-start keys, counters, the recorded solver-process count).
 
     Process-pool workers call this once at startup: under a fork-based
     start method the child's main thread inherits the forking thread's
@@ -773,13 +774,17 @@ def _generate_rows(  # repro: mutates[lp]
         report = lp.solve()  # dual simplex: see ResidentLP.solve
 
 
-def set_solver_processes(count: int) -> None:
-    """Tell this process that ``count`` solver processes share the
-    machine's cores: a :class:`~repro.service.pool.ProcessShardPool` worker
-    is handed its pool's ``num_workers`` at spawn.  An in-process solver
-    keeps the default, 1.  :func:`probe_threads` divides the cores by it."""
-    global _solver_processes
-    _solver_processes = count
+def set_solver_processes(count: int) -> int:
+    """Record in this thread's backend state that ``count`` solver
+    processes share the machine's cores, and return the count it held
+    before.  A :class:`~repro.service.pool.ProcessShardPool` worker is
+    handed its pool's ``num_workers`` at spawn and records it on the
+    thread that serves its requests, right after :func:`reset_backend`;
+    a thread that never recorded one counts 1 (an in-process solver).
+    :func:`probe_threads` divides the cores by it."""
+    previous = getattr(_local, "solver_processes", 1)
+    _local.solver_processes = count
+    return previous
 
 
 def _cores() -> int:
@@ -796,39 +801,37 @@ def probe_threads(
     """How many threads :func:`zeroed_cost_optima` runs ``probes`` probes
     on: this process's share of the cores, ``cores // solver_processes``
     (defaults: the cores this process may run on, and what
-    :func:`set_solver_processes` was told), at least 1 — so a pool with
-    as many workers as cores runs each probe loop on one thread — and at
-    most one thread per :data:`MIN_PROBES_PER_THREAD` probes, so a small
-    auction stays on one thread."""
+    :func:`set_solver_processes` recorded on this thread), at least 1 — so
+    a pool with as many workers as cores runs each probe loop on one
+    thread — and at most one thread per :data:`MIN_PROBES_PER_THREAD`
+    probes, so a small auction stays on one thread."""
     cores = _cores() if cores is None else cores
-    processes = _solver_processes if solver_processes is None else solver_processes
-    return max(1, min(cores // processes, probes // MIN_PROBES_PER_THREAD))
+    if solver_processes is None:
+        solver_processes = getattr(_local, "solver_processes", 1)
+    return max(1, min(cores // solver_processes, probes // MIN_PROBES_PER_THREAD))
 
 
 def zeroed_cost_optima(
-    c: np.ndarray,
-    a: sp.csc_matrix,
-    b: np.ndarray,
-    groups: Sequence[np.ndarray],
-    threads: int | None = None,
-) -> np.ndarray:
+    c: np.ndarray, a: sp.csc_matrix, b: np.ndarray, groups: Sequence[np.ndarray]
+) -> tuple[np.ndarray, int]:
     """``max c·x s.t. a x ≤ b, x ≥ 0`` (a packing LP) with each group's
-    columns' values set to 0, one optimum per group (int32 column indices).
+    columns' values set to 0: one optimum per group (int32 column
+    indices), and the number of threads the probes ran on.
 
     The LP is solved once on a resident primal model and its optimal basis
     saved.  Every probe restores that basis, zeroes its group's costs,
     solves (certified, :meth:`ResidentLP.solve`) and puts the costs back,
     so its value depends only on the model and the saved basis — not on
     which probe ran before it, nor on which model runs it.  That lets the
-    probes run on ``threads`` threads (default :func:`probe_threads`),
-    each with its own model: the caller's thread uses the base model, and
-    every other thread loads the same matrix (from the base model's greedy
-    start, not a greedy of its own) and restores the base basis.  HiGHS's
-    ``run()`` releases the GIL.  Threads take the next probe from one
-    shared counter, since a probe takes from 0 to a few dozen iterations.
-    The values are the same floats on any number of threads.  The first
-    exception any thread raises stops the others' loops and is re-raised
-    here once every thread has stopped."""
+    probes run on :func:`probe_threads` threads, each with its own model:
+    the caller's thread uses the base model, and every other thread loads
+    the same matrix (from the base model's greedy start, not a greedy of
+    its own) and restores the base basis.  HiGHS's ``run()`` releases the
+    GIL.  Threads take the next probe from one shared counter, since a
+    probe takes from 0 to a few dozen iterations.  The values are the
+    same floats on any number of threads.  The first exception any thread
+    raises stops the others' loops and is re-raised here once every
+    thread has stopped."""
     cost = -np.asarray(c, dtype=float)  # HiGHS minimizes
     lower = np.full(a.shape[0], -np.inf)
     start = greedy_start(a, c, b)
@@ -837,7 +840,7 @@ def zeroed_cost_optima(
     base_model.solve()
     base = base_model.basis()
     values = np.empty(len(groups))
-    threads = probe_threads(len(groups)) if threads is None else threads
+    threads = probe_threads(len(groups))
     lock = threading.Lock()
     order = iter(range(len(groups)))  # the shared counter
     failed: list[BaseException] = []
@@ -868,4 +871,4 @@ def zeroed_cost_optima(
         run(base_model)
     if failed:
         raise failed[0]
-    return values
+    return values, threads

@@ -44,7 +44,8 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   probe restarts from the same base basis the payments are the same
   floats on one thread or many.  The budget is this process's share of
   the cores (a pool worker's cores divided by the pool's size), and a
-  small auction (fewer than 64 probes) stays on one thread.
+  small auction (fewer than 24 probes, twice
+  :data:`~repro.engine.highs.MIN_PROBES_PER_THREAD`) stays on one thread.
   :class:`FractionalVCG` records the probes run, the bidders screened
   and the threads used.
 
@@ -70,7 +71,7 @@ import numpy as np
 
 from repro.core.auction import AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution
-from repro.engine.highs import probe_threads, zeroed_cost_optima
+from repro.engine.highs import zeroed_cost_optima
 
 __all__ = ["FractionalVCG", "vcg_payments"]
 
@@ -97,22 +98,30 @@ def _lp_value_without(problem: AuctionProblem, lp: AuctionLP, vertex: int) -> fl
     return sub.solve().value
 
 
+class _ProbeValues(dict):
+    """"LP without v" optima by bidder, and the ``threads`` the probes ran
+    on (0 when none ran)."""
+
+    def __init__(self, values=(), threads: int = 0):
+        super().__init__(values)
+        self.threads = threads
+
+
 def _warm_values_without(
     problem: AuctionProblem,
     solution: AuctionLPSolution,
     probe_vertices: list[int],
     compiled_structure=None,
     compiled=None,
-    threads: int | None = None,
-) -> dict[int, float]:
+) -> _ProbeValues:
     """All "LP without v" optima via cost-zeroing primal re-solves, each
     restarted from the full LP's optimal basis
-    (:func:`~repro.engine.highs.zeroed_cost_optima`, on ``threads``
-    threads).  ``compiled`` is used when it holds ``solution.columns``."""
+    (:func:`~repro.engine.highs.zeroed_cost_optima`, on its thread
+    budget).  ``compiled`` is used when it holds ``solution.columns``."""
     from repro.engine.compiled import CompiledAuction, compile_structure
 
     if not probe_vertices:  # everything screened: no model to build
-        return {}
+        return _ProbeValues()
     if not _holds_columns(compiled, problem, solution):
         compiled = CompiledAuction(
             problem,
@@ -126,8 +135,8 @@ def _warm_values_without(
     offsets = np.zeros(problem.n + 1, dtype=np.intp)
     np.cumsum(np.bincount(verts, minlength=problem.n), out=offsets[1:])
     groups = [by_vertex[offsets[v] : offsets[v + 1]] for v in probe_vertices]
-    values = zeroed_cost_optima(c, a, b, groups, threads=threads)
-    return dict(zip(probe_vertices, values.tolist()))
+    values, threads = zeroed_cost_optima(c, a, b, groups)
+    return _ProbeValues(zip(probe_vertices, values.tolist()), threads)
 
 
 def _holds_columns(compiled, problem: AuctionProblem, solution: AuctionLPSolution) -> bool:
@@ -181,16 +190,14 @@ def vcg_payments(
         screened = {
             v for v in probes if contributions[v] - float(solution.z[v]) <= 1e-9
         }
-        probed = [v for v in probes if v not in screened]
-        threads = probe_threads(len(probed)) if probed else 0
         values = _warm_values_without(
             problem,
             solution,
-            probed,
+            [v for v in probes if v not in screened],
             compiled_structure=compiled_structure,
             compiled=compiled,
-            threads=threads,
         )
+        threads = values.threads
 
     for v in probes:
         if v in screened:

@@ -129,6 +129,7 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     # reset before the first solve — and the HiGHS hook is *required*:
     # a missing registration fails here, at spawn, not as a wrong solve
     run_fork_resets(require=("repro.engine.highs",))
+    # thread-local backend state: this thread serves every request below
     repro.engine.highs.set_solver_processes(solver_processes)
     plan = config.get("fault_plan")
     if plan is not None and plan.fires("pool.worker.spawn", generation=generation):

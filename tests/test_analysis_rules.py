@@ -324,6 +324,29 @@ def test_module_state_positive(tmp_path):
     assert sum(f.rule == "module-state" for f in findings) == 2
 
 
+def test_module_state_flags_global_rebinding(tmp_path):
+    findings = lint(
+        tmp_path,
+        """
+        _count = 1
+
+        def set_count(value):
+            global _count
+            _count = value
+
+        def outer():
+            best = 0
+
+            def inner():
+                nonlocal best
+                best += 1
+        """,
+    )
+    flagged = [f for f in findings if f.rule == "module-state"]
+    assert len(flagged) == 1
+    assert "'_count' through 'global'" in flagged[0].message
+
+
 def test_module_state_negative_constants_and_factories(tmp_path):
     findings = lint(
         tmp_path,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -251,6 +252,16 @@ def _physical_problem() -> AuctionProblem:
     return AuctionProblem(structure, 3, vals)
 
 
+@contextlib.contextmanager
+def _solver_processes(count: int):
+    """Record ``count`` solver processes on this thread for the block."""
+    previous = highs.set_solver_processes(count)
+    try:
+        yield
+    finally:
+        highs.set_solver_processes(previous)
+
+
 class TestVCGThreads:
     """The probes fanned out over threads (``zeroed_cost_optima``): the
     same floats on any number of threads, errors raised in the caller."""
@@ -261,13 +272,12 @@ class TestVCGThreads:
         compiled = CompiledAuction(problem)
         solution = compiled.solve_lp()
         alpha = default_alpha(problem)
-        with monkeypatch.context() as forced:
-            forced.setattr(vcg_module, "probe_threads", lambda probes: 1)
-            serial = vcg_payments(problem, solution, alpha, compiled=compiled)
-        assert serial.threads == 1
         # a budget above one thread on any host: four cores, few probes each
         monkeypatch.setattr(highs, "_cores", lambda: 4)
         monkeypatch.setattr(highs, "MIN_PROBES_PER_THREAD", 4)
+        with _solver_processes(4):  # one thread: a solver process per core
+            serial = vcg_payments(problem, solution, alpha, compiled=compiled)
+        assert serial.threads == 1
         fanned = vcg_payments(problem, solution, alpha, compiled=compiled)
         assert fanned.threads == highs.probe_threads(fanned.probes) > 1
         assert fanned.probes == serial.probes >= 12
@@ -296,7 +306,7 @@ class TestVCGThreads:
             )
 
         monkeypatch.setattr(ResidentLP, "solve", failing)
-        monkeypatch.setattr(vcg_module, "probe_threads", lambda probes: 2)
+        monkeypatch.setattr(highs, "_cores", lambda: 2)  # two threads on any host
         with pytest.raises(RuntimeError, match="injected on a probe thread"):
             vcg_payments(problem, solution, default_alpha(problem))
         assert solved_elsewhere.is_set()
@@ -304,7 +314,7 @@ class TestVCGThreads:
 
     def test_thread_budget(self):
         many = 100 * highs.MIN_PROBES_PER_THREAD
-        few = highs.MIN_PROBES_PER_THREAD - 1
+        few = 2 * highs.MIN_PROBES_PER_THREAD - 1
         assert highs.probe_threads(few, solver_processes=1, cores=8) == 1
         assert highs.probe_threads(2 * highs.MIN_PROBES_PER_THREAD, 1, 8) == 2
         assert highs.probe_threads(many, solver_processes=2, cores=2) == 1
@@ -312,11 +322,14 @@ class TestVCGThreads:
         assert highs.probe_threads(many, solver_processes=8, cores=2) == 1
         assert highs.probe_threads(many, solver_processes=1, cores=2) == 2
         assert highs.probe_threads(many, solver_processes=2, cores=8) == 4
-        try:
-            highs.set_solver_processes(3)
+        with _solver_processes(3):
             assert highs.probe_threads(many, cores=3) == 1
-        finally:
-            highs.set_solver_processes(1)
+            # the count is this thread's backend state: another thread counts 1
+            seen = []
+            other = threading.Thread(target=lambda: seen.append(highs.probe_threads(many, cores=3)))
+            other.start()
+            other.join()
+            assert seen == [3]
         assert highs.probe_threads(many, cores=3) == 3
 
     def test_the_solved_compiled_auction_is_reused(self, monkeypatch):
@@ -326,9 +339,9 @@ class TestVCGThreads:
         loaded = []
         fan_out = vcg_module.zeroed_cost_optima
 
-        def recording(c, a, b, groups, threads=None):
+        def recording(c, a, b, groups):
             loaded.append(a)
-            return fan_out(c, a, b, groups, threads=threads)
+            return fan_out(c, a, b, groups)
 
         monkeypatch.setattr(vcg_module, "zeroed_cost_optima", recording)
         alpha = default_alpha(problem)
