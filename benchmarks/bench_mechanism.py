@@ -15,9 +15,9 @@ fast path (PR 5) against the reference (pre-fast-path) pipeline:
   the two replays and payments equal to VCG-probe tolerance.  Its
   ``stages`` entry (:func:`bench_stages`) times the fast mechanism's two
   stages on each distinct profile of the trace: the median
-  ``decompose_ms`` and ``vcg_ms`` per profile (``vcg_ms`` is gated by
-  check_regression.py), and the median VCG ``probes``, ``screened``
-  bidders and probe ``threads``.
+  ``decompose_ms`` and ``vcg_ms`` per profile and the median
+  ``pricing_iterations`` (all three gated by check_regression.py), and
+  the median VCG ``probes``, ``screened`` bidders and probe ``threads``.
 * ``truthful_n1000`` — one n=1000 metro disk truthful auction end to end
   on the fast path (LP → decomposition → payments → sample), which the
   reference pipeline cannot finish in reasonable time; the acceptance
@@ -128,7 +128,8 @@ def bench_stages(n: int = 300) -> dict:
     at size ``n`` is prepared once as the fast service prepares it — LP,
     compiled decomposition, warm VCG probes — with the decomposition and
     the payments timed separately.  Reports the median milliseconds per
-    profile of each stage.
+    profile of each stage, and the median pricing iterations (the master
+    solves of one decomposition, deterministic for a fixed trace).
     """
     registry, trace = _truthful_trace(
         n,
@@ -141,6 +142,7 @@ def bench_stages(n: int = 300) -> dict:
         trace_seed=51,
     )
     decompose_ms: list[float] = []
+    iterations: list[int] = []
     vcg_ms: list[float] = []
     probes: list[int] = []
     screened: list[int] = []
@@ -160,10 +162,11 @@ def bench_stages(n: int = 300) -> dict:
         ).solve_lp()
         alpha = default_alpha(problem)
         start = time.perf_counter()
-        decompose_lp_solution(
+        decomposition = decompose_lp_solution(
             problem, solution, alpha=alpha, seed=0, compiled_structure=compiled_structure
         )
         decompose_ms.append((time.perf_counter() - start) * 1e3)
+        iterations.append(decomposition.iterations)
         start = time.perf_counter()
         vcg = vcg_payments(problem, solution, alpha, compiled_structure=compiled_structure)
         vcg_ms.append((time.perf_counter() - start) * 1e3)
@@ -173,11 +176,12 @@ def bench_stages(n: int = 300) -> dict:
     return {
         "workload": (
             f"every distinct profile of the n={n} truthful trace, prepared once; "
-            "median ms per profile, and the median VCG probes, screened "
-            "bidders and probe threads"
+            "median ms per profile, the median pricing iterations, and the "
+            "median VCG probes, screened bidders and probe threads"
         ),
         "profiles": len(vcg_ms),
         "decompose_ms": float(np.median(decompose_ms)),
+        "pricing_iterations": float(np.median(iterations)),
         "vcg_ms": float(np.median(vcg_ms)),
         "probes": float(np.median(probes)),
         "screened": float(np.median(screened)),

@@ -11,8 +11,8 @@ closes the loop:
 1. **measure** — re-run budgeted versions of the baseline workloads
    (the n=40 engine fleets, one n=1000 scale point, the n=300 service
    smoke scenario, the n=300 process-pool smoke, the n=150
-   truthful-mechanism smoke trace, the mechanism's VCG stage on the
-   n=300 truthful trace's profiles, the chaos scenarios at n=120, the
+   truthful-mechanism smoke trace, the mechanism's decomposition and
+   VCG stages on the n=300 truthful trace's profiles, the chaos scenarios at n=120, the
    n=300 gateway smoke over a localhost socket, every LP solver mode on
    the n=1000 metro LP; a few CPU-seconds each, best-of ``--repeats``);
 2. **compare** — each checked metric's *slowdown factor* against the
@@ -40,7 +40,10 @@ deterministic counts: lower is better with a pinned 1.25x, so losing the
 greedy start fails the gate.  The rows the engine's row-generated primal
 solve ends on over the kept rows, on that LP, are deterministic too:
 lower is better with a pinned 1.25x, so losing the row generation fails
-the gate.  Absolute wall-clock metrics
+the gate.  The truthful trace's median pricing iterations per
+decomposition are a deterministic count: lower is better with a pinned
+1.0x, so a decomposition that needs one more master solve fails the gate.
+Absolute wall-clock metrics
 depend on the host, so they get a looser default (``--time-tolerance``,
 2.5x) that still catches order-of-magnitude rot.  Chaos-invariant metrics (completion
 rate under the seeded crash storm, invariant verdicts, the
@@ -84,6 +87,7 @@ IPC_BYTES_TOLERANCE = 1.25
 LP_ROWS_TOLERANCE = 1.0
 GREEDY_ITERATION_TOLERANCE = 1.25
 ROWGEN_ROW_TOLERANCE = 1.25
+PRICING_ITERATION_TOLERANCE = 1.0
 # check kinds whose slowdown is measured / baseline (best-of is the min)
 LOWER_IS_BETTER = ("seconds", "bytes", "count")
 
@@ -168,6 +172,18 @@ CHECKS = [
     # the fast mechanism's VCG stage: median ms per distinct profile of the
     # n=300 truthful trace (the primal probes restarted from one base basis)
     Check("mechanism", "truthful_trace_n300.stages.vcg_ms", "seconds"),
+    # its decomposition stage on the same profiles (the compiled pricer:
+    # penalty pairs, master and resolver built once per decomposition)
+    Check("mechanism", "truthful_trace_n300.stages.decompose_ms", "seconds"),
+    # the decomposition's median pricing iterations: deterministic, so a
+    # pricing round that stops matching the reference and costs more
+    # master solves fails, whatever the host's speed
+    Check(
+        "mechanism",
+        "truthful_trace_n300.stages.pricing_iterations",
+        "count",
+        tol=PRICING_ITERATION_TOLERANCE,
+    ),
     # chaos family: exact pins (tol=1.0) — the fault-tolerance contract is
     # a boolean, and "mostly fault-tolerant" is a regression
     Check("chaos", "crash_storm_n300.completion_rate", "rate", tol=1.0),

@@ -95,13 +95,37 @@ def _earlier_kappa(structure: Structure) -> sp.csr_matrix:
     return cached
 
 
+def _kappa_pairs(
+    structure: Structure, verts: np.ndarray, chan: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of entries ``(a, b)`` whose vertices are graph-adjacent
+    with π(v_b) < π(v_a) and whose bundles (rows of the ``chan``
+    incidence) intersect, as COO ``(rows, cols, κ(v_b, v_a))`` in
+    row-major order.
+
+    Entry-level vertex adjacency comes from sparse incidence products over
+    the structure's earlier-κ matrix, in O(nnz) — the same entries the
+    seed implementation found with an O(m²) Python double loop.
+    """
+    m = verts.size
+    if not m:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, np.empty(0)
+    incidence = sp.csr_matrix(
+        (np.ones(m), (np.arange(m), verts)), shape=(m, structure.n)
+    )
+    pairs = (incidence @ _earlier_kappa(structure) @ incidence.T).tocoo()
+    keep = (chan[pairs.row] & chan[pairs.col]).any(axis=1)
+    return pairs.row[keep], pairs.col[keep], pairs.data[keep]
+
+
 class _Estimator:
     """F(q) = b·q − qᵀ M q over one class's columns.
 
     ``penalty[a, b] = pen · val_a · κ(u_b, v_a)`` for entries whose vertices
     are graph-adjacent with π(u_b) < π(v_a) and whose bundles intersect —
     the same matrix the seed implementation assembled with an O(m²) Python
-    double loop, built here from sparse incidence products in O(nnz).
+    double loop, built here from :func:`_kappa_pairs` in O(nnz).
     Different vertices round independently and Γ_π(v) excludes v, so the
     matrix never couples two entries of one vertex — which is what makes
     the O(degree) incremental update in :meth:`fix_best_choice` exact.
@@ -114,37 +138,54 @@ class _Estimator:
         scale: float,
     ) -> None:
         m = len(entries)
-        self.values = np.array([e[2] for e in entries])
-        self.q = np.array([e[3] / scale for e in entries])
+        values = np.array([e[2] for e in entries])
+        q = np.array([e[3] / scale for e in entries])
         verts = np.fromiter((e[0] for e in entries), dtype=np.intp, count=m)
-        self.vertex_cols: dict[int, list[int]] = {}
-        for i, v in enumerate(verts):
-            self.vertex_cols.setdefault(int(v), []).append(i)
-
         pen = 2.0 if problem.is_weighted else 1.0
-        k = problem.k
-        chan = np.zeros((m, k), dtype=bool)
+        chan = np.zeros((m, problem.k), dtype=bool)
         for i, (_v, bundle, _val, _x) in enumerate(entries):
             chan[i, list(bundle)] = True
-        if m:
-            # entry-level vertex adjacency via incidence products, then
-            # filter pairs to intersecting bundles and scale rows by
-            # pen·val_a — same entries (and canonical CSR order) as the
-            # seed's double loop
-            incidence = sp.csr_matrix(
-                (np.ones(m), (np.arange(m), verts)), shape=(m, problem.n)
-            )
-            pairs = (incidence @ _earlier_kappa(problem.structure) @ incidence.T).tocoo()
-            keep = (chan[pairs.row] & chan[pairs.col]).any(axis=1)
-            rows, cols = pairs.row[keep], pairs.col[keep]
-            data = pen * self.values[rows] * pairs.data[keep]
-        else:
-            rows = cols = np.empty(0, dtype=np.intp)
-            data = np.empty(0)
-        self.penalty = sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
-        self.penalty.sort_indices()
-        self._penalty_t = self.penalty.T.tocsr()
-        self._penalty_t.sort_indices()
+        # rows scaled by pen·val_a — same entries (and canonical CSR
+        # order) as the seed's double loop
+        rows, cols, kappa = _kappa_pairs(problem.structure, verts, chan)
+        data = pen * values[rows] * kappa
+        penalty = sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
+        penalty.sort_indices()
+        penalty_t = penalty.T.tocsr()
+        penalty_t.sort_indices()
+        self._setup(values, q, verts, penalty, penalty_t)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        values: np.ndarray,
+        q: np.ndarray,
+        verts: np.ndarray,
+        penalty: sp.csr_matrix,
+        penalty_t: sp.csr_matrix,
+    ) -> _Estimator:
+        """An estimator over entries given as arrays — values, initial
+        marginals, vertices — with a prebuilt canonical (sorted) penalty
+        matrix and its transpose, as the constructor would build them."""
+        estimator = cls.__new__(cls)
+        estimator._setup(values, q, verts, penalty, penalty_t)
+        return estimator
+
+    def _setup(
+        self,
+        values: np.ndarray,
+        q: np.ndarray,
+        verts: np.ndarray,
+        penalty: sp.csr_matrix,
+        penalty_t: sp.csr_matrix,
+    ) -> None:
+        self.values = values
+        self.q = q
+        self.vertex_cols: dict[int, list[int]] = {}
+        for i, v in enumerate(verts.tolist()):
+            self.vertex_cols.setdefault(v, []).append(i)
+        self.penalty = penalty
+        self._penalty_t = penalty_t
 
     def value(self, q: np.ndarray) -> float:
         return float(self.values @ q - q @ (self.penalty @ q))

@@ -235,25 +235,35 @@ def pass_colwise_model(
 ) -> None:
     """Load a column-major LP into ``highs`` (minimization; bounds as given).
 
-    The one place the ``HighsLp`` field-by-field construction lives, so a
-    binding quirk is fixed once for every model.
+    The one place a model is passed, so a binding quirk is fixed once for
+    every model.  It uses the binding's array overload of ``passModel``,
+    which takes the NumPy buffers as they are: filling a ``HighsLp``
+    field by field converts every entry through a Python object (0.17 ms
+    against 0.01 ms for the 342-row, 293-column pricing LP of an n=300
+    truthful auction).  The overload rejects an empty integrality array,
+    so every column is passed as continuous, which is what an empty one
+    means.
     """
     m, n = a.shape
-    lp = _hcore.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = _hcore.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
-    lp.col_cost_ = cost
-    lp.col_lower_ = col_lower
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    highs.passModel(lp)
+    status = highs.passModel(
+        n,
+        m,
+        a.nnz,
+        int(_hcore.MatrixFormat.kColwise),
+        int(_hcore.ObjSense.kMinimize),
+        0.0,
+        cost,
+        col_lower,
+        col_upper,
+        row_lower,
+        row_upper,
+        a.indptr[:-1],
+        a.indices,
+        a.data,
+        np.zeros(n, dtype=np.int32),  # HighsVarType.kContinuous
+    )
+    if status == _hcore.HighsStatus.kError:
+        raise RuntimeError(f"HiGHS rejected the model ({m} rows, {n} columns)")
 
 
 def _greedy(

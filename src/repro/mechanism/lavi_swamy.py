@@ -24,16 +24,20 @@ algorithm outputs **feasible** allocations whose value is within α of the
 
 Two implementations of the column-generation loop coexist:
 
-* ``pricing="approx"`` (default) — the engine-compiled hot path.  The
-  support columns are compiled once into a
-  :class:`~repro.engine.compiled.CompiledAuction` (shared structure
-  compilation, vectorized CSC assembly); each pricing iteration re-solves
-  that matrix on the persistent HiGHS backend with a new objective and
-  rounds with the vectorized derandomization kernels.  Solves are *cold*
-  (model re-passed, no basis reuse), which is what keeps every pricing
-  vertex — and therefore the whole decomposition: pool, weights, keep
-  probabilities, samples — bit-identical to ``"reference"``
-  (pinned by ``tests/test_mechanism_parity.py``).
+* ``pricing="approx"`` (default) — the engine-compiled hot path.  Every
+  round prices against the same support columns, so everything but the
+  master's duals is built once per decomposition (:class:`_CompiledPricer`):
+  the pricing LP's matrix through a
+  :class:`~repro.engine.compiled.CompiledAuction`, the derandomizer's
+  penalty pairs over all support columns, and the resolver's backward
+  lists; the master keeps its CSC arrays and grows one column per new
+  pool allocation (:class:`_GrowingMaster`).  Each round then only
+  slices arrays.  Solves are *cold* (model re-passed, no basis reuse),
+  which is what keeps every pricing vertex — and therefore the whole
+  decomposition: pool, weights, keep probabilities, samples —
+  bit-identical to ``"reference"`` (pinned by
+  ``tests/test_mechanism_parity.py`` and
+  ``tests/test_compiled_pricing_round.py``).
 * ``pricing="reference"`` — the seed-era loop kept verbatim (fresh
   ``AuctionLP`` build + ``linprog`` per iteration): the baseline
   ``BENCH_mechanism.json`` measures against, and the parity anchor.
@@ -42,15 +46,23 @@ Two implementations of the column-generation loop coexist:
 α above their true gap).
 
 Every oracle but the MILP rounds under the round's adjusted valuations —
-one bid per support pair, valued by the master's duals — held as one
-explicit-table :class:`~repro.valuations.profile.Profile` built from the
-support columns' (vertex, mask) arrays (:class:`_AdjustedBids`), not as n
-valuation objects per round.  The derandomizer's earlier-κ matrix is
-built once per conflict structure and reused by every round.
+one bid per support pair, valued by the master's duals.  The reference
+oracle holds them as one explicit-table
+:class:`~repro.valuations.profile.Profile` built from the support
+columns' (vertex, mask) arrays (:class:`_AdjustedBids`) and runs
+:func:`~repro.core.derandomize.derandomize_rounding` on that problem.
+The compiled oracle runs the same rounding on arrays: each class slices
+the decomposition's penalty pairs to its entries and hands them to the
+reference estimator (``_Estimator.from_arrays``), and an unweighted
+round builds no ``Column``, ``AuctionLPSolution`` or problem at all.
+Weighted rounds still resolve and run Algorithm 3 on the adjusted
+problem.  The earlier-κ matrix both oracles start from is built once
+per conflict structure and held by it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -61,7 +73,8 @@ from scipy.optimize import linprog
 from repro.core.auction import Allocation, AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution, Column, scatter_duals
 from repro.core.conflict_resolution import make_fully_feasible
-from repro.core.derandomize import derandomize_rounding
+from repro.core.derandomize import _Estimator, _kappa_pairs, derandomize_rounding
+from repro.core.rounding import default_scale, resolve_weighted_partial
 from repro.engine.highs import solve_packing_lp_fast
 from repro.util.rng import ensure_rng
 from repro.valuations.base import Valuation
@@ -82,7 +95,9 @@ def default_alpha(problem: AuctionProblem) -> float:
 class DecompositionResult:
     """A convex combination of feasible allocations matching x*/α exactly."""
 
-    problem: AuctionProblem
+    # None only while a process-pool reply carries the outcome: the
+    # parent re-attaches the problem from its own scene and request
+    problem: AuctionProblem | None
     allocations: list[Allocation]
     weights: np.ndarray  # convex weights over `allocations` (sum ≤ 1;
     # the remainder is the empty allocation)
@@ -194,8 +209,8 @@ class _AdjustedBids:
         z: np.ndarray,
     ) -> Allocation:
         """Derandomized rounding (+ Algorithm 3) of an LP solution under the
-        adjusted valuations ``objective`` (one per column) — the shared back
-        half of both pricing oracles."""
+        adjusted valuations ``objective`` (one per column) — the reference
+        oracle's back half, which :meth:`_CompiledPricer.round` matches."""
         adjusted_cols = [
             Column(col.vertex, col.bundle, obj)
             for col, obj in zip(self.columns, objective.tolist())
@@ -222,17 +237,51 @@ def _integral_allocation_for(
     return bids.round(objective, sol.x, sol.value, y, z)
 
 
-class _CompiledPricer:
-    """The pricing oracle on the engine: compile once, re-price many times.
+@dataclass
+class _Round:
+    """One derandomized rounding of a pricing LP solution."""
 
-    The support columns' constraint matrix never changes across pricing
-    iterations — only the objective (the master's duals ``w``) does — so
-    the matrix is assembled once through :class:`CompiledAuction` (shared
-    structure compilation, vectorized CSC assembly, the rows that can
-    bind — the same rows the reference oracle keeps).  Each solve re-passes
-    the model cold through :func:`~repro.engine.highs.solve_packing_lp_fast`
-    — bit-identical to the reference oracle's ``linprog`` (only the
-    scipy/AuctionLP rebuild overhead is gone).
+    allocation: Allocation  # the oracle's answer: feasible
+    resolved: Allocation  # the chosen class's, before Algorithm 3
+    estimator_values: list[float]  # each class's, after fixing
+    class_values: list[float]  # each class's adjusted welfare
+    chosen_class: int
+
+
+class _CompiledPricer:
+    """The pricing oracle on the engine: build once per decomposition,
+    then run each round on array slices.
+
+    Nothing but the objective (the master's duals ``w``) changes across
+    pricing rounds, so everything else is built here, once:
+
+    * the LP's constraint matrix on its binding rows, through
+      :class:`CompiledAuction` (shared structure compilation, vectorized
+      CSC assembly — the rows the reference oracle keeps).  Each solve
+      re-passes the model cold through
+      :func:`~repro.engine.highs.solve_packing_lp_fast`, bit-identical to
+      the reference oracle's ``linprog``;
+    * the derandomizer's penalty pairs over *all* support columns — κ(u, v)
+      for every pair of columns whose vertices are earlier-π adjacent and
+      whose bundles intersect (:func:`~repro.core.derandomize._kappa_pairs`)
+      — as one canonical CSR matrix and its transpose.  A round's class
+      keeps the rows and columns of its own entries with NumPy masks (an
+      order-preserving subsequence, so still canonical) and scales each
+      kept row by ``pen · w_row``: the same floats, in the same CSR order,
+      as the reference estimator builds from scratch;
+    * on unweighted structures, the support vertices' backward lists
+      (:attr:`CompiledStructure.backward`) and the columns' channel masks
+      for Algorithm 1's conflict scan, which visits only the tentative
+      vertices, in π order.
+
+    :meth:`round` is :func:`~repro.core.derandomize.derandomize_rounding`
+    on the adjusted problem (pinned equal by
+    ``tests/test_compiled_pricing_round.py``); on unweighted structures it
+    builds no ``Column``, ``AuctionLPSolution`` or ``AuctionProblem`` and
+    compares the same welfare floats as ``problem.welfare``.  Weighted
+    structures resolve with ``resolve_weighted_partial`` and finish with
+    Algorithm 3 on the adjusted problem, as the reference does: the
+    vectorized Condition (5) sum could differ from it by an ulp.
     """
 
     def __init__(
@@ -243,19 +292,160 @@ class _CompiledPricer:
     ) -> None:
         from repro.engine.compiled import CompiledAuction, compile_structure
 
-        self._bids = _AdjustedBids(problem, columns)
+        # weighted rounds finish on the adjusted problem (Algorithm 3)
+        self._bids = _AdjustedBids(problem, columns) if problem.is_weighted else None
         compiled = CompiledAuction(
             problem,
             structure=compiled_structure or compile_structure(problem.structure),
             columns=columns,
         )
         self._a, self._b, _ = compiled.matrices_csc()
-        self._rows = compiled.binding_rows()
+        cols = compiled.cols
+        self._vertex = cols.vertex
+        self._vertex_list: list[int] = cols.vertex.tolist()
+        self._bundles = cols.bundles
+        self._pos = compiled.structure.pos
+        self._n = problem.n
+        # Algorithm 1's scan runs on Python ints: each column's channel
+        # mask, and the backward lists Γ_π(v) of the support's vertices
+        self._masks = [sum(1 << j for j in bundle) for bundle in cols.bundles]
+        backward = compiled.structure.backward
+        self._backward = {v: backward[v].tolist() for v in dict.fromkeys(self._vertex_list)}
+        self._large = cols.ch_counts > math.sqrt(problem.k)
+        self._scale = default_scale(problem)
+        self._pen = 2.0 if problem.is_weighted else 1.0
+        m = cols.vertex.size
+        rows, pair_cols, kappa = _kappa_pairs(problem.structure, cols.vertex, cols.chan_mask)
+        pairs = sp.coo_matrix((kappa, (rows, pair_cols)), shape=(m, m)).tocsr()
+        pairs.sort_indices()
+        pairs_t = pairs.T.tocsr()
+        pairs_t.sort_indices()
+        self._pairs = _PairSlicer(pairs)
+        self._pairs_t = _PairSlicer(pairs_t)
+        # support columns sharing a (vertex, bundle) are one adjusted bid,
+        # valued at the group's largest positive dual (as _AdjustedBids)
+        keys = list(zip(self._vertex_list, self._masks))
+        groups: dict[tuple[int, int], int] = {}
+        group = [groups.setdefault(key, len(groups)) for key in keys]
+        self._group = np.array(group) if len(groups) < m else None
 
     def price(self, objective: np.ndarray) -> Allocation:
         sol = solve_packing_lp_fast(objective, self._a, self._b, solver="simplex")
-        y, z = scatter_duals(sol.duals, self._rows, self._bids.base.n, self._bids.base.k)
-        return self._bids.round(objective, sol.x, sol.value, y, z)
+        return self.round(objective, sol.x).allocation
+
+    def round(self, objective: np.ndarray, x: np.ndarray) -> _Round:
+        """Derandomized Algorithm 1/2 of the pricing LP solution ``x``
+        under the adjusted valuations ``objective`` (one per column)."""
+        support = x > 1e-9  # AuctionLPSolution.support()'s tolerance
+        adjusted = None if self._bids is None else self._bids.problem(objective)
+        bid_values = self._bid_values(objective)
+        estimator_values: list[float] = []
+        class_values: list[float] = []
+        best: Allocation = {}
+        best_value = -1.0
+        chosen_class = -1
+        for cls, in_class in enumerate((support & ~self._large, support & self._large)):
+            entries = np.flatnonzero(in_class)
+            estimator = self._estimator(entries, objective, x)
+            q = estimator.q.copy()
+            for v in sorted(estimator.vertex_cols):
+                estimator.fix_best_choice(v, q)
+            estimator_values.append(estimator.value(q))
+            tentative = entries[q > 0.5]
+            if adjusted is None:
+                survivors = self._resolve_unweighted(tentative)
+                allocation = {self._vertex_list[c]: self._bundles[c] for c in survivors}
+                # problem.welfare's terms, summed in the same order
+                value = float(sum(bid_values[survivors].tolist()))
+            else:
+                allocation, _ = resolve_weighted_partial(
+                    adjusted,
+                    {self._vertex_list[c]: self._bundles[c] for c in tentative.tolist()},
+                )
+                value = adjusted.welfare(allocation)
+            class_values.append(value)
+            if value > best_value:
+                best, best_value, chosen_class = allocation, value, cls
+        feasible = best if adjusted is None else make_fully_feasible(adjusted, best).allocation
+        return _Round(dict(feasible), best, estimator_values, class_values, chosen_class)
+
+    def _bid_values(self, objective: np.ndarray) -> np.ndarray:
+        """Each column's adjusted bid ``b_v(T)``: its dual when positive
+        (no bid otherwise), the largest over columns of one (v, T)."""
+        values = np.where(objective > 0, objective, 0.0)
+        if self._group is not None:
+            best = np.zeros(self._group.max() + 1)
+            np.maximum.at(best, self._group, values)
+            values = best[self._group]
+        return values
+
+    def _estimator(
+        self, entries: np.ndarray, objective: np.ndarray, x: np.ndarray
+    ) -> _Estimator:
+        """The class estimator over ``entries`` (ascending column indices)."""
+        m = self._vertex.size
+        keep = np.zeros(m, dtype=bool)
+        keep[entries] = True
+        local = np.full(m, -1, dtype=np.int32)
+        local[entries] = np.arange(entries.size, dtype=np.int32)
+        values = objective[entries]
+        size = entries.size
+        penalty = self._pairs.slice(keep, local, size, self._pen, values, by_row=True)
+        penalty_t = self._pairs_t.slice(keep, local, size, self._pen, values, by_row=False)
+        return _Estimator.from_arrays(
+            values, x[entries] / self._scale, self._vertex[entries], penalty, penalty_t
+        )
+
+    def _resolve_unweighted(self, tentative: np.ndarray) -> list[int]:
+        """Algorithm 1's survivors rule over the tentative columns (one per
+        vertex), scanned in π order: a column survives unless a surviving
+        backward neighbor's channel mask meets its own — what
+        :func:`~repro.core.rounding.resolve_unweighted` decides."""
+        order = tentative[np.argsort(self._pos[self._vertex[tentative]])].tolist()
+        backward, masks = self._backward, self._masks
+        occupied = [0] * self._n  # surviving vertices' channel masks
+        survivors: list[int] = []
+        for c in order:
+            v, mask = self._vertex_list[c], masks[c]
+            if any(occupied[u] & mask for u in backward[v]):
+                continue
+            occupied[v] = mask
+            survivors.append(c)
+        return survivors
+
+
+class _PairSlicer:
+    """A canonical CSR pair matrix over all support columns, sliced per
+    round to the entries of one class."""
+
+    def __init__(self, pairs: sp.csr_matrix) -> None:
+        self.kappa = pairs.data
+        self.cols = pairs.indices
+        self.rows = np.repeat(
+            np.arange(pairs.shape[0], dtype=np.int32), np.diff(pairs.indptr)
+        )
+
+    def slice(
+        self,
+        keep: np.ndarray,
+        local: np.ndarray,
+        size: int,
+        pen: float,
+        values: np.ndarray,
+        by_row: bool,
+    ) -> sp.csr_matrix:
+        """The rows and columns in ``keep``, renumbered by ``local``, each
+        entry scaled to ``pen · values[a] · κ`` where ``a`` is its row
+        (``by_row``) or its column: the penalty matrix, or its transpose."""
+        kept = keep[self.rows] & keep[self.cols]
+        rows = local[self.rows[kept]]
+        cols = local[self.cols[kept]]
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        data = pen * values[rows if by_row else cols] * self.kappa[kept]
+        matrix = sp.csr_matrix((data, cols, indptr), shape=(size, size))
+        matrix.has_sorted_indices = True
+        return matrix
 
 
 def _solve_master(
@@ -298,22 +488,41 @@ def _master_matrix(
     return sp.coo_matrix((data, (rows, cols)), shape=(len(pairs), len(pool))).tocsr()
 
 
-def _solve_master_fast(
-    pool: list[Allocation],
-    pairs: list[tuple[int, frozenset[int]]],
-    r: np.ndarray,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """The reference master on the persistent HiGHS backend.
+class _GrowingMaster:
+    """The master of the compiled path, grown in place.
 
-    Same model ``linprog`` would pass (min Σλ as max −Σλ over −Aλ ≤ −r),
-    cold-solved — primal, value, and duals are bit-identical to
-    :func:`_solve_master`; only the scipy call overhead is gone.
+    The pool only ever gains allocations, so the master keeps its CSC
+    arrays and appends one column per new pool allocation (its support
+    pairs' rows, ascending) instead of rebuilding :func:`_master_matrix`
+    from the whole pool.  Each solve is still the cold
+    :func:`~repro.engine.highs.solve_packing_lp_fast` of the identical
+    matrix ``linprog`` would get (min Σλ as max −Σλ over −Aλ ≤ −r), so
+    primal, value and duals are bit-identical to :func:`_solve_master`.
     """
-    a = _master_matrix(pool, pairs)
-    sol = solve_packing_lp_fast(
-        -np.ones(len(pool)), sp.csc_matrix(-a), -r, solver="simplex"
-    )
-    return sol.x, float(-sol.value), sol.duals
+
+    def __init__(self, pairs: list[tuple[int, frozenset[int]]], r: np.ndarray) -> None:
+        self._pair_index = {p: i for i, p in enumerate(pairs)}
+        self._r = r
+        self._indptr = [0]
+        self._indices: list[int] = []
+
+    def solve(self, pool: list[Allocation]) -> tuple[np.ndarray, float, np.ndarray]:
+        index = self._pair_index
+        for alloc in pool[len(self._indptr) - 1 :]:
+            rows = (index.get(item) for item in alloc.items())
+            self._indices.extend(sorted(i for i in rows if i is not None))
+            self._indptr.append(len(self._indices))
+        size = len(pool)
+        a = sp.csc_matrix(
+            (
+                np.full(len(self._indices), -1.0),
+                np.array(self._indices, dtype=np.int32),
+                np.array(self._indptr, dtype=np.int32),
+            ),
+            shape=(self._r.size, size),
+        )
+        sol = solve_packing_lp_fast(-np.ones(size), a, -self._r, solver="simplex")
+        return sol.x, float(-sol.value), sol.duals
 
 
 def decompose_lp_solution(
@@ -365,7 +574,7 @@ def decompose_lp_solution(
         price = _CompiledPricer(
             problem, support_cols, compiled_structure=compiled_structure
         ).price
-        master = lambda pool: _solve_master_fast(pool, pairs, r)  # noqa: E731
+        master = _GrowingMaster(pairs, r).solve
 
     # Seed pool: the true-valuation allocation plus per-pair singletons
     # (every single (v, T) is feasible on its own), guaranteeing the master

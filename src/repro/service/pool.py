@@ -29,7 +29,10 @@ once per worker — the parent tracks a per-worker ``shipped`` set and
 sends ``("scene", id, structure)`` only on first use.  Requests
 themselves carry only a seed and their valuations as one columnar
 :class:`~repro.valuations.profile.Profile` (flat arrays, a few bytes per
-bid; the service converts bid-list sequences before queueing).
+bid; the service converts bid-list sequences before queueing).  Replies
+do not carry the scene back: a truthful outcome crosses without its
+decomposition's problem, which the parent rebuilds from the registered
+scene and the request.
 
 **Affinity routing with spill.**  A scene's *home* worker is
 ``hash(scene_id) % workers``, so repeat traffic keeps hitting the worker
@@ -77,9 +80,10 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
+from repro.core.auction import AuctionProblem
 from repro.util.mp import mp_context
 
 if TYPE_CHECKING:
@@ -170,13 +174,39 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
             if slow > 0:  # slow-worker brownout: the parent just sees latency
                 time.sleep(slow)
             try:
-                results = service.solve_batch(requests)
+                solved = service.solve_batch(requests)
+                results = [_shipped(r, q) for r, q in zip(solved, requests)]
                 reply = ("done", job_id, results, _worker_stats(service, generation))
             except BaseException as exc:  # noqa: BLE001  # repro: allow[silent-except] -- shipped to the parent as an error reply
                 reply = ("error", job_id, f"{type(exc).__name__}: {exc}")
             conn.send_bytes(pickle.dumps(reply))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):  # repro: allow[silent-except] -- parent went away; nothing left to tell
         pass
+
+
+def _shipped(result: Any, request: AuctionRequest) -> Any:
+    """A worker's result as it crosses the pipe.  A truthful outcome
+    leaves its decomposition's problem behind: the problem holds the whole
+    scene (most of the reply's bytes), and the parent already has the
+    scene and the request's valuations (:func:`_reattached`).  Other
+    results pass as they are, without importing the mechanism."""
+    if request.mode != "truthful":
+        return result
+    return replace(result, decomposition=replace(result.decomposition, problem=None))
+
+
+def _reattached(
+    result: Any, request: AuctionRequest, structure: AnyStructure
+) -> Any:
+    """The parent's half of :func:`_shipped`: a truthful outcome gets back
+    the problem the worker solved — the registered scene, the request's
+    ``k`` and its valuations — equal to the one the serial path keeps."""
+    if request.mode != "truthful":
+        return result
+    from repro.service.service import _valuations_of
+
+    problem = AuctionProblem(structure, request.k, _valuations_of(request))
+    return replace(result, decomposition=replace(result.decomposition, problem=problem))
 
 
 def _worker_stats(
@@ -566,6 +596,8 @@ class ProcessShardPool:
                 f"worker {handle.index} answered job {job_id}, "
                 f"expected {sent_job_id}"
             )
+        structure = self.registry.get(job.scene_id)
+        results = [_reattached(r, q, structure) for r, q in zip(results, job.requests)]
         return results, stats
 
     def _send(self, handle: _WorkerHandle, message: tuple[Any, ...]) -> None:

@@ -171,6 +171,46 @@ class TestCompare:
             rows = {row["check"]: row for row in gate.compare(measured, baselines)}
             assert rows[ratio.name]["ok"] is ok, factor
 
+    def test_decompose_stage_is_gated_on_wall_clock(self, gate, baselines):
+        """The truthful trace's decomposition stage rides the wall-clock
+        tolerance, next to the VCG stage."""
+        [stage] = [
+            chk for chk in gate.CHECKS if chk.path == "truthful_trace_n300.stages.decompose_ms"
+        ]
+        assert (stage.source, stage.kind, stage.guard, stage.tol) == (
+            "mechanism",
+            "seconds",
+            None,
+            None,
+        )
+        base = gate._lookup(baselines["mechanism"], stage.path)
+        assert base > 0
+        for factor, ok in ((0.5, True), (2.0, True), (3.0, False)):
+            measured = _as_measured(gate, baselines)
+            gate._assign(measured["mechanism"], stage.path, base * factor)
+            rows = {row["check"]: row for row in gate.compare(measured, baselines)}
+            assert rows[stage.name]["ok"] is ok, factor
+
+    def test_pricing_iterations_pinned_exactly(self, gate, baselines):
+        """The decomposition's median pricing iterations: one more round
+        fails, and no CLI flag loosens the 1.0x pin."""
+        [rounds] = [
+            chk
+            for chk in gate.CHECKS
+            if chk.path == "truthful_trace_n300.stages.pricing_iterations"
+        ]
+        assert (rounds.source, rounds.kind, rounds.guard) == ("mechanism", "count", None)
+        assert rounds.tol == gate.PRICING_ITERATION_TOLERANCE == 1.0
+        base = gate._lookup(baselines["mechanism"], rounds.path)
+        assert base >= 2  # the trace's decompositions price at least once
+        for got, ok in ((base, True), (base + 1, False), (base + 0.5, False)):
+            measured = _as_measured(gate, baselines)
+            gate._assign(measured["mechanism"], rounds.path, got)
+            rows = {row["check"]: row for row in gate.compare(measured, baselines)}
+            assert rows[rounds.name]["ok"] is ok, got
+            loose = gate.compare(measured, baselines, tolerance=5.0, time_tolerance=5.0)
+            assert {row["check"]: row["ok"] for row in loose}[rounds.name] is ok, got
+
     def test_missing_metric_is_a_failure(self, gate, baselines):
         measured = _as_measured(gate, baselines)
         del measured["engine"]["repeat_trace_50"]

@@ -478,3 +478,49 @@ class TestValidation:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.submit("00", [])
+
+
+class TestTruthfulReplies:
+    """A truthful pool reply ships the decomposition without its problem
+    (the scene is most of its bytes); the parent re-attaches it."""
+
+    def test_pool_outcome_equals_serial_and_reply_is_small(self, scene):
+        import pickle
+
+        from repro.service.pool import _shipped
+
+        serial = make_service(scene, executor="serial", num_shards=1)
+        trace = make_trace(serial, num_requests=4, mode="truthful", repeat_fraction=0.0)
+        pooled = make_service(scene, executor="process", num_shards=2)
+        expected = drive(serial, trace)
+        got = drive(pooled, trace)
+        for x, y in zip(expected, got):
+            a, b = x.decomposition, y.decomposition
+            assert a.target == b.target
+            assert a.allocations == b.allocations
+            assert np.array_equal(a.weights, b.weights)
+            assert a.keep_probability == b.keep_probability
+            assert a.expected_welfare() == b.expected_welfare()
+            assert b.problem.structure is pooled.registry.get(trace[0].request.scene_id)
+            for seed in range(5):
+                assert a.sample(np.random.default_rng(seed)) == b.sample(
+                    np.random.default_rng(seed)
+                )
+            assert x.sampled_allocation == y.sampled_allocation
+            assert np.array_equal(x.payments, y.payments)
+        # the reply a worker pickles for one request, at workload scale
+        big = metro_disk_scene(300, seed=2011)
+        service = make_service(big, executor="serial", num_shards=1)
+        [scene_id] = service.registry.ids()
+        request = AuctionRequest(
+            scene_id,
+            4,
+            random_xor_valuations(300, 4, seed=3, bids_per_bidder=2),
+            seed=1,
+            mode="truthful",
+        )
+        [outcome] = service.solve_batch([request])
+        assert service.close(timeout=60)
+        reply = pickle.dumps(("done", 1, [_shipped(outcome, request)], {}))
+        assert len(reply) < 40 * 1024
+        assert len(pickle.dumps(outcome)) > 100 * 1024  # the scene it left behind
