@@ -401,12 +401,13 @@ class PoolOwnerRule(Rule):
     rule_id = "pool-owner"
     family = "concurrency"
     invariant = (
-        "request-level solve work holds the GIL, so the only process pool is "
-        "service/pool.py's ProcessShardPool, the only mp_context() caller "
-        "beside util/mp.py; HiGHS's run() releases it, so engine/highs.py, "
+        "the only process pool is service/pool.py's ProcessShardPool, the "
+        "only mp_context() caller beside util/mp.py; its workers add "
+        "threads as plain lanes (HiGHS's run() releases the GIL: two lanes "
+        "served 1.55-1.85x the n=1000 requests of one), engine/highs.py, "
         "the owner of every HiGHS model, may fan solves out over a "
         "ThreadPoolExecutor (VCG probes: 1.7-1.9x on 2 threads at n=300 and "
-        "n=1000) and no other module builds an executor"
+        "n=1000), and no other module builds an executor"
     )
 
     OWNERS = ("service/pool.py", "util/mp.py")

@@ -298,6 +298,7 @@ class CompiledAuction:
         self._internal_plan = None
         self._plan_cache: dict[tuple, tuple[weakref.ref, object]] = {}
         self._lock = threading.RLock()
+        self._solve_lock = threading.Lock()  # held for the one LP solve
         self.lp_solve_count = 0
 
     # ------------------------------------------------------------------
@@ -536,20 +537,25 @@ class CompiledAuction:
         with self._lock:
             if self._raw is not None:
                 return self._raw
-        n, k = self.structure.n, self.k
-        if self.cols.vertex.size == 0:
-            raw = _RawLP(np.zeros(0), 0.0, np.zeros((n, k)), np.zeros(n))
-        else:
-            a, b, c = self._build_csc()
-            warm_key = (id(self.structure), n, self.k) if warm_start else None
-            sol = solve_packing_lp_fast(c, a, b, warm_key=warm_key, solver=solver)
-            y, z = scatter_duals(sol.duals, self.binding_rows(), n, k)
-            raw = _RawLP(sol.x, sol.value, y, z)
-        with self._lock:
-            if self._raw is None:
+        # single flight: a second thread asking meanwhile (another lane of
+        # a pool worker on the same cached profile) waits for this solve
+        with self._solve_lock:
+            with self._lock:
+                if self._raw is not None:
+                    return self._raw
+            n, k = self.structure.n, self.k
+            if self.cols.vertex.size == 0:
+                raw = _RawLP(np.zeros(0), 0.0, np.zeros((n, k)), np.zeros(n))
+            else:
+                a, b, c = self._build_csc()
+                warm_key = (id(self.structure), n, self.k) if warm_start else None
+                sol = solve_packing_lp_fast(c, a, b, warm_key=warm_key, solver=solver)
+                y, z = scatter_duals(sol.duals, self.binding_rows(), n, k)
+                raw = _RawLP(sol.x, sol.value, y, z)
+            with self._lock:
                 self._raw = raw
                 self.lp_solve_count += 1
-            return self._raw
+            return raw
 
     def solve_lp(self) -> AuctionLPSolution:
         """The cached LP solution in its public form."""

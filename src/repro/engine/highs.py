@@ -76,9 +76,9 @@ from the base basis.  HiGHS's ``run()`` releases the GIL, so the probes
 fan out over a ``ThreadPoolExecutor`` (the one executor in the package
 outside the service's process pool; reprolint's ``pool-owner`` rule),
 one resident model per thread, on :func:`probe_threads` threads: this
-process's share of the cores, ``cores // solver_processes``, where a pool
-worker records its pool's size at spawn in the backend state of the
-thread that serves it (:func:`set_solver_processes`).
+solver's share of the cores (:func:`core_share`), where each lane of a
+pool worker records the pool's ``num_workers × lanes`` at spawn in its
+thread's backend state (:func:`set_solver_processes`).
 A probe's value depends only on the model and the base basis, so the
 values are the same floats on any number of threads.
 
@@ -113,6 +113,7 @@ __all__ = [
     "fast_backend_available",
     "warm_start_stats",
     "reset_backend",
+    "release_models",
     "choose_solver",
     "highs_core",
     "new_highs_instance",
@@ -121,6 +122,7 @@ __all__ = [
     "SOLVER_MODES",
     "LP_COUNTERS",
     "MIN_PROBES_PER_THREAD",
+    "core_share",
     "probe_threads",
     "set_solver_processes",
     "zeroed_cost_optima",
@@ -622,6 +624,16 @@ def warm_start_stats() -> dict[str, int]:
     return dict(_local.stats)
 
 
+def release_models() -> None:
+    """Drop this thread's resident models, keeping its counters and its
+    recorded solver count.  A process-pool lane calls this after every
+    batch: pool solves are cold, so nothing would reuse the model, and
+    each lane's idle model added ~5 MB of peak RSS to its worker (n=1000
+    k=6, 24 requests on two threads: 137 MB peak kept, 131 MB dropped; a
+    fresh model costs ~0.2 ms to construct)."""
+    _thread_state().clear()
+
+
 def reset_backend() -> None:
     """Drop this thread's whole backend state (resident models and their
     warm-start keys, counters, the recorded solver-process count).
@@ -785,13 +797,12 @@ def _generate_rows(  # repro: mutates[lp]
 
 
 def set_solver_processes(count: int) -> int:
-    """Record in this thread's backend state that ``count`` solver
-    processes share the machine's cores, and return the count it held
-    before.  A :class:`~repro.service.pool.ProcessShardPool` worker is
-    handed its pool's ``num_workers`` at spawn and records it on the
-    thread that serves its requests, right after :func:`reset_backend`;
-    a thread that never recorded one counts 1 (an in-process solver).
-    :func:`probe_threads` divides the cores by it."""
+    """Record in this thread's backend state that ``count`` solvers
+    share the machine's cores, and return the count it held before.  A
+    :class:`~repro.service.pool.ProcessShardPool` worker is handed its
+    pool's ``num_workers × lanes`` at spawn and records it on each lane's
+    thread; a thread that never recorded one counts 1 (an in-process
+    solver).  :func:`probe_threads` divides the cores by it."""
     previous = getattr(_local, "solver_processes", 1)
     _local.solver_processes = count
     return previous
@@ -805,20 +816,29 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def core_share(solver_processes: int, cores: int | None = None) -> int:
+    """One solver's share of the cores when ``solver_processes`` share
+    them: ``cores // solver_processes`` (default: the cores this process
+    may run on), at least 1.  A process-pool worker serves this many
+    lanes; a VCG probe loop runs on at most this many threads."""
+    cores = _cores() if cores is None else cores
+    return max(1, cores // solver_processes)
+
+
 def probe_threads(
     probes: int, solver_processes: int | None = None, cores: int | None = None
 ) -> int:
     """How many threads :func:`zeroed_cost_optima` runs ``probes`` probes
-    on: this process's share of the cores, ``cores // solver_processes``
-    (defaults: the cores this process may run on, and what
-    :func:`set_solver_processes` recorded on this thread), at least 1 — so
-    a pool with as many workers as cores runs each probe loop on one
-    thread — and at most one thread per :data:`MIN_PROBES_PER_THREAD`
-    probes, so a small auction stays on one thread."""
-    cores = _cores() if cores is None else cores
+    on: this solver's :func:`core_share` (``solver_processes`` defaults to
+    what :func:`set_solver_processes` recorded on this thread) — so a pool
+    whose lanes fill the cores runs each probe loop on one thread — and
+    at most one thread per :data:`MIN_PROBES_PER_THREAD` probes, so a
+    small auction stays on one thread."""
     if solver_processes is None:
         solver_processes = getattr(_local, "solver_processes", 1)
-    return max(1, min(cores // solver_processes, probes // MIN_PROBES_PER_THREAD))
+    return min(
+        core_share(solver_processes, cores), max(1, probes // MIN_PROBES_PER_THREAD)
+    )
 
 
 def zeroed_cost_optima(

@@ -29,10 +29,11 @@ system.  The moving parts, in request order:
   processes — each owning its own HiGHS backend, warm bases, and
   compilation caches, and each running the serial path — with
   scene-affinity routing (plus spill to the least-loaded worker),
-  pickle-once scene shipping, and crash recovery.  The solve path is
-  GIL-bound Python + NumPy, so only processes add parallelism; per-request
-  seeds make pool results bit-identical to the serial path, so the
-  choice of executor is purely a throughput decision.
+  pickle-once scene shipping, and crash recovery.  Each worker solves
+  its share of the cores' worth of groups at once on threads (HiGHS
+  releases the GIL while it solves; see the pool's "Lanes").
+  Per-request seeds make pool results bit-identical to the serial path,
+  so the choice of executor is purely a throughput decision.
 * **Metrics** (:mod:`repro.service.metrics`) — throughput, p50/p95/p99
   latency, batch sizes, cache hit rates, warm/cold LP solve counts, LP
   solves per solver mode and simplex/IPM iteration totals.

@@ -27,8 +27,8 @@ class LRUCache:
     the cache can be shared across threads (the service's dispatcher
     and its callers).
     ``get_or_create`` runs its factory *outside* the lock (compilation can
-    take milliseconds) and double-checks on insert, keeping the first
-    created value on a race.
+    take milliseconds), once per key: concurrent callers of one key wait
+    for the first caller's build.
     """
 
     def __init__(self, capacity: int, name: str = "") -> None:
@@ -37,6 +37,7 @@ class LRUCache:
         self.capacity = capacity
         self.name = name
         self._data: OrderedDict[Hashable, Any] = OrderedDict()  #: guarded-by: _lock
+        self._pending: dict[Hashable, threading.Event] = {}  #: guarded-by: _lock
         self._lock = threading.RLock()
         self._hits = 0  #: guarded-by: _lock
         self._misses = 0  #: guarded-by: _lock
@@ -65,27 +66,41 @@ class LRUCache:
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """Fetch ``key``, building it via ``factory`` on a miss.
 
-        The factory runs unlocked; if another thread inserted the key in
-        the meantime its value wins (and this thread's build is dropped),
-        so all callers observe one shared entry per key.
+        The factory runs unlocked, and once per key however many threads
+        ask at the same time: a thread that misses while another builds
+        the key waits for that build and takes its value as a hit (two
+        pool lanes on one truthful profile prepare it once).  When the
+        build raises or stores nothing, a waiter builds for itself; with
+        ``capacity=0`` every caller builds its own.  A factory must not
+        ask its own cache for the key it is building.
         """
-        with self._lock:
-            if key in self._data:
-                self._hits += 1
-                self._data.move_to_end(key)
-                return self._data[key]
-            self._misses += 1
-        value = factory()
-        with self._lock:
-            if key in self._data:
-                return self._data[key]
-            if self.capacity == 0:
-                return value
-            self._data[key] = value
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self._evictions += 1
+        while True:
+            with self._lock:
+                if key in self._data:
+                    self._hits += 1
+                    self._data.move_to_end(key)
+                    return self._data[key]
+                pending = self._pending.get(key)
+                if pending is None:
+                    self._misses += 1
+                    if self.capacity:
+                        pending = self._pending[key] = threading.Event()
+                    break
+            pending.wait()
+        if pending is None:  # capacity 0: nothing is stored to share
+            return factory()
+        try:
+            value = factory()
+            with self._lock:
+                self._data[key] = value
+                while len(self._data) > self.capacity:
+                    self._data.popitem(last=False)
+                    self._evictions += 1
             return value
+        finally:
+            with self._lock:
+                del self._pending[key]
+            pending.set()
 
     def __len__(self) -> int:
         with self._lock:

@@ -137,6 +137,37 @@ class TestCompilationCache:
         compiled = compile_auction(protocol_auction(12, 3, seed=7305))
         assert compiled.solve_lp() is compiled.solve_lp()
 
+    def test_concurrent_callers_share_one_lp_solve(self, monkeypatch):
+        """A thread asking for the LP while another solves it waits for
+        that solve instead of running HiGHS a second time."""
+        import threading
+        import time
+
+        import repro.engine.compiled as compiled_module
+
+        calls = []
+
+        def slow_solve(*args, **kwargs):
+            calls.append(threading.get_ident())
+            time.sleep(0.2)  # the second caller arrives mid-solve
+            return solve_packing_lp_fast(*args, **kwargs)
+
+        monkeypatch.setattr(compiled_module, "solve_packing_lp_fast", slow_solve)
+        compiled = compile_auction(protocol_auction(12, 3, seed=7306))
+        solutions = []
+        threads = [
+            threading.Thread(target=lambda: solutions.append(compiled.solve_lp()))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(calls) == 1
+        assert compiled.lp_solve_count == 1
+        assert solutions[0] is solutions[1]
+
 
 class TestLpSolutionArgument:
     def test_precomputed_lp_reused(self):

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.auction import AuctionProblem
 from repro.engine.compiled import CompiledAuction
-from repro.engine.highs import choose_solver
+from repro.engine import highs
+from repro.engine.highs import choose_solver, core_share
 from repro.experiments.workloads import metro_disk_scene, metro_protocol_scene
 from repro.service import (
     AuctionRequest,
@@ -432,6 +433,11 @@ class TestSceneShippingAndStats:
         # worker-side cache/warm accounting rides back on the replies
         worked = [w for w in pool["workers"] if w["jobs"]]
         assert all("caches" in w["worker_stats"] for w in worked)
+        # lanes: each worker's share of the cores, and how many it used
+        assert pool["lanes"] == core_share(2)
+        assert all(w["lanes"] == pool["lanes"] for w in pool["workers"])
+        assert all(1 <= w["max_in_flight"] <= w["lanes"] for w in worked)
+        assert pool["queue_wait_seconds"] >= 0.0
         assert snap["config"]["executor"] == "process"
         assert snap["config"]["num_shards"] == 2
         assert snap["requests_completed"] == 6
@@ -446,6 +452,193 @@ class TestSceneShippingAndStats:
         jobs = [w["jobs"] for w in service.metrics_snapshot()["pool"]["workers"]]
         assert sum(jobs) >= 2
         assert all(j > 0 for j in jobs), f"one worker sat idle: {jobs}"
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """The parent sees two cores: a one-worker pool serves two lanes."""
+    monkeypatch.setattr(highs, "_cores", lambda: 2)
+
+
+def slow_batches(delay):
+    """Every worker batch first sleeps ``delay`` seconds on its own lane,
+    so jobs submitted together are in flight together."""
+    return FaultPlan([FaultSpec(site="pool.worker.batch", kind="slow", delay=delay)])
+
+
+def distinct_requests(scene_id, count, mode="allocate", profile_key=None, seed=60):
+    return [
+        AuctionRequest(
+            scene_id,
+            K,
+            random_xor_valuations(N, K, seed=seed if profile_key else seed + i),
+            seed=i,
+            mode=mode,
+            profile_key=profile_key,
+        )
+        for i in range(count)
+    ]
+
+
+def submit_together(service, requests, timeout=180):
+    futures = [service.submit(r) for r in requests]
+    return [f.result(timeout=timeout) for f in futures]
+
+
+def wait_in_flight(pool, count, timeout=60.0):
+    """Poll until worker 0's lanes hold ``count`` jobs."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with pool._lock:
+            if pool._workers[0].in_flight == count:
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"worker 0 never held {count} jobs in flight")
+
+
+class TestLanes:
+    """One worker, two lanes: a second job solves beside the first."""
+
+    def test_overlapping_allocate_jobs_equal_serial(self, scene, two_cores):
+        serial = make_service(scene, executor="serial")
+        [scene_id] = serial.registry.ids()
+        requests = distinct_requests(scene_id, 2)
+        expected = serial.solve_batch(requests)
+        delay = 1.0
+        pooled = make_service(
+            scene, num_shards=1, coalesce_window=0.0, fault_plan=slow_batches(delay)
+        )
+        [warm] = distinct_requests(scene_id, 1, seed=90)
+        pooled.submit(warm).result(timeout=180)  # spawned before the clock
+        t0 = time.perf_counter()
+        got = submit_together(pooled, requests)
+        elapsed = time.perf_counter() - t0
+        assert got == expected
+        stats = pooled._pool.stats()
+        assert stats["lanes"] == 2
+        assert stats["workers"][0]["max_in_flight"] == 2
+        # each slow fault slept on its own lane, not one after the other
+        assert elapsed < 1.9 * delay
+        assert pooled.close(timeout=180)
+        serial.close()
+
+    def test_overlapping_truthful_payments_equal_one_lane(self, scene, monkeypatch):
+        monkeypatch.setattr(highs, "_cores", lambda: 1)
+        one_lane = make_service(scene, num_shards=1, coalesce_window=0.0)
+        [scene_id] = one_lane.registry.ids()
+        requests = distinct_requests(scene_id, 2, mode="truthful")
+        expected = submit_together(one_lane, requests)
+        assert one_lane._pool.stats()["lanes"] == 1
+        assert one_lane.close(timeout=180)
+        monkeypatch.setattr(highs, "_cores", lambda: 2)
+        two_lanes = make_service(
+            scene, num_shards=1, coalesce_window=0.0, fault_plan=slow_batches(0.5)
+        )
+        got = submit_together(two_lanes, requests)
+        assert two_lanes._pool.stats()["workers"][0]["max_in_flight"] == 2
+        for x, y in zip(expected, got):
+            assert x.sampled_allocation == y.sampled_allocation
+            assert np.array_equal(x.payments, y.payments)
+        assert two_lanes.close(timeout=180)
+
+    def test_two_lanes_on_one_cached_profile_solve_its_lp_once(self, scene, two_cores):
+        pooled = make_service(
+            scene, num_shards=1, coalesce_window=0.0, fault_plan=slow_batches(0.5)
+        )
+        [scene_id] = pooled.registry.ids()
+        requests = distinct_requests(scene_id, 2, profile_key="shared")
+        first, second = submit_together(pooled, requests)
+        assert first.lp_value == second.lp_value
+        worker = pooled._pool.stats()["workers"][0]
+        assert worker["max_in_flight"] == 2
+        solves = worker["worker_stats"]["caches"]["lp_warm_solves"]
+        assert solves["cold"] + solves["warm"] == 1
+        assert pooled.close(timeout=180)
+
+    def test_two_lanes_on_one_truthful_profile_prepare_it_once(self, scene, two_cores):
+        pooled = make_service(
+            scene, num_shards=1, coalesce_window=0.0, fault_plan=slow_batches(0.5)
+        )
+        [scene_id] = pooled.registry.ids()
+        requests = distinct_requests(
+            scene_id, 2, mode="truthful", profile_key="shared"
+        )
+        first, second = submit_together(pooled, requests)
+        assert np.array_equal(first.payments, second.payments)
+        # a third request's reply carries counters taken after both lanes
+        third = pooled.submit(requests[0]).result(timeout=180)
+        assert np.array_equal(first.payments, third.payments)
+        worker = pooled._pool.stats()["workers"][0]
+        assert worker["max_in_flight"] == 2
+        mechanisms = worker["worker_stats"]["caches"]["mechanisms"]
+        assert (mechanisms["misses"], mechanisms["hits"]) == (1, 2)
+        assert pooled.close(timeout=180)
+
+    def test_worker_killed_with_two_jobs_in_flight(self, scene, two_cores):
+        """Both lanes see the crash; one respawn serves both retries, and
+        a scene registered late still crosses the pipe once per process."""
+        serial = make_service(scene, executor="serial")
+        late = serial.register_scene(metro_protocol_scene(N, seed=503))
+        requests = distinct_requests(late, 2)
+        expected = serial.solve_batch(requests)
+        pooled = make_service(
+            scene,
+            num_shards=1,
+            coalesce_window=0.0,
+            worker_retries=1,
+            fault_plan=slow_batches(0.5),
+            pool_config={"respawn_backoff": 0.01},
+        )
+        [warm] = distinct_requests(pooled.registry.ids()[0], 1)
+        pooled.submit(warm).result(timeout=180)  # pool up before the scene
+        assert pooled.register_scene(metro_protocol_scene(N, seed=503)) == late
+        futures = [pooled.submit(r) for r in requests]
+        pool = pooled._pool
+        wait_in_flight(pool, 2)
+        time.sleep(0.25)  # both batches are asleep in the worker's lanes
+        with pool._lock:
+            process = pool._workers[0].process
+        process.kill()
+        assert [f.result(timeout=180) for f in futures] == expected
+        stats = pool.stats()
+        assert stats["restarts"] == 1
+        assert stats["retried_batches"] == 2
+        assert stats["failed_batches"] == 0
+        assert stats["scenes_shipped"] == 1  # the respawn's snapshot holds it
+        assert stats["healthy"]
+        assert pooled.close(timeout=180)
+        serial.close()
+
+    def test_each_job_spends_its_own_retry_budget(self, scene, two_cores):
+        """Incarnations 0 and 1 crash on their first batch: each of two
+        jobs gets its one retry, both fail typed, and each crash costs one
+        respawn however many lanes saw it."""
+        plan = FaultPlan(
+            [
+                FaultSpec(site="pool.worker.batch", kind="slow", delay=0.5),
+                FaultSpec(site="pool.worker.batch", kind="crash", generations=(0, 1)),
+            ]
+        )
+        pooled = make_service(
+            scene,
+            num_shards=1,
+            coalesce_window=0.0,
+            worker_retries=1,
+            fault_plan=plan,
+            pool_config={"respawn_backoff": 0.01},
+        )
+        [scene_id] = pooled.registry.ids()
+        futures = [pooled.submit(r) for r in distinct_requests(scene_id, 2)]
+        for future in futures:
+            with pytest.raises(WorkerCrashError):
+                future.result(timeout=180)
+        stats = pooled._pool.stats()
+        assert stats["failed_batches"] == 2
+        assert stats["retried_batches"] == 2
+        assert stats["restarts"] == 2
+        ok = pooled.submit(distinct_requests(scene_id, 1, seed=90)[0])
+        assert ok.result(timeout=180).feasible
+        assert pooled.close(timeout=180)
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -73,6 +74,91 @@ class TestLRUCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
+
+    def test_concurrent_misses_share_one_build(self):
+        cache = LRUCache(4)
+        built = []
+
+        def factory():
+            built.append(threading.get_ident())
+            time.sleep(0.2)  # the second caller arrives mid-build
+            return object()
+
+        values = []
+        threads = [
+            threading.Thread(target=lambda: values.append(cache.get_or_create("k", factory)))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(built) == 1
+        assert values[0] is values[1]
+        stats = cache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
+
+    def test_failed_build_leaves_the_waiter_to_build(self):
+        cache = LRUCache(4)
+        started = threading.Event()
+
+        def failing():
+            started.set()
+            time.sleep(0.2)
+            raise RuntimeError("build failed")
+
+        errors = []
+
+        def first():
+            try:
+                cache.get_or_create("k", failing)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        started.wait()
+        assert cache.get_or_create("k", lambda: "second") == "second"
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(errors) == 1
+        assert cache.get("k") == "second"
+
+    def test_single_flight_stress(self):
+        """Many threads, few keys, a tiny switch interval: each key is
+        built exactly once and every call is counted once."""
+        import sys
+
+        cache = LRUCache(16)
+        built = []
+        lock = threading.Lock()
+
+        def factory(key):
+            with lock:
+                built.append(key)
+            return key
+
+        def worker():
+            for i in range(300):
+                key = i % 5
+                assert cache.get_or_create(key, lambda: factory(key)) == key
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(built) == list(range(5))
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == 8 * 300
+        assert stats["misses"] == 5
 
     def test_clear_resets_counters(self):
         cache = LRUCache(2)
