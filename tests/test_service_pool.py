@@ -442,8 +442,11 @@ class TestSceneShippingAndStats:
         assert snap["config"]["num_shards"] == 2
         assert snap["requests_completed"] == 6
 
-    def test_routing_spills_away_from_busy_home(self, scene):
-        """One hot scene must not serialize behind its home worker."""
+    def test_routing_spills_away_from_busy_home(self, scene, monkeypatch):
+        """One hot scene must not serialize behind its home worker.  Four
+        cores give each of the two workers two lanes, so the home is busy
+        from its third job on, whatever the host's core count."""
+        monkeypatch.setattr(highs, "_cores", lambda: 4)
         service = make_service(scene, num_shards=2)
         trace = make_trace(
             service, num_requests=8, repeat_fraction=0.0, unique_profiles=0
