@@ -3,12 +3,11 @@
 Times every backend mode of :func:`repro.engine.highs.solve_packing_lp_fast`
 (``simplex`` = HiGHS's default dual simplex, the seed-parity path;
 ``primal`` = primal simplex from the greedy basis, row-generated from
-``ROWGEN_MIN_ROWS`` kept rows up; ``ipm`` = interior point + crossover) as
-the backend runs it, on the LP (1)/(4) of
+``ROWGEN_MIN_ROWS`` kept rows up) as the backend runs it, on the LP (1)/(4) of
 metro disk-model auctions (k=6, 4 bids per bidder) over a grid of n, and
 records what the ``solver="auto"`` policy
 (:func:`repro.engine.highs.choose_solver`) picks at each point.  Dual
-simplex and IPM are timed as a cold
+simplex is timed as a cold
 :class:`~repro.engine.highs.ResidentLP` load + solve, with HiGHS presolve
 on and off.  Primal runs both of the engine's paths at every point: row
 generation through ``solve_packing_lp_fast`` itself, with its edge set to
@@ -38,7 +37,9 @@ variant's median wall time is recorded, on one model per variant.  The
 full and the kept LP's rows and nnz are recorded too.  ``median_ms``
 holds each mode as the backend runs it.  Every variant's objective, and
 the full LP's (solved once), must agree to 1e-9 relative.  Dual simplex
-is skipped from n=2000 up.
+is skipped from n=2000 up.  The committed BENCH_lp.json still holds an
+``ipm`` column (interior point + crossover), recorded while the backend
+had that mode: primal beat it at every point, so the mode was removed.
 
 ``policy_n1000`` is what the CI gate (``check_regression.py``)
 re-measures at n=1000: the fastest median over the chosen mode's, so 1.0
@@ -52,7 +53,7 @@ that stops row generation at n=1000, fails CI).
 
 Run from the repository root:
 
-    PYTHONPATH=src python benchmarks/bench_lp_policy.py             # ~3 min
+    PYTHONPATH=src python benchmarks/bench_lp_policy.py             # ~2 min
     PYTHONPATH=src python benchmarks/bench_lp_policy.py --repeats 5
 """
 
@@ -194,8 +195,8 @@ def measure_point(
     a_full, b_full, _ = compiled.build()
     rows, cols = a.shape
     modes = [m for m in SOLVER_MODES if m != "simplex" or n <= DUAL_MAX_N]
-    # the ResidentLP variants: dual simplex and IPM per presolve setting,
-    # and the full-row primal model
+    # the ResidentLP variants: dual simplex per presolve setting, and the
+    # full-row primal model
     variants = [(mode, p) for mode in modes for p in presolve_settings(mode)]
     models = {variant: variant_model(*variant) for variant in variants}
     slack = new_highs_instance("primal")
@@ -307,14 +308,15 @@ def main(argv=None) -> int:
     for family, n in points:
         point = measure_point(n, repeats=max(1, args.repeats), family=family)
         grid.append(point)
-        times = ", ".join(
-            f"{m} {ms['on']:.0f}/{ms['off']:.0f}ms" for m, ms in point["presolve_ms"].items()
+        times = "".join(  # dual simplex only, and it is skipped from n=2000 up
+            f"presolve on/off {m} {ms['on']:.0f}/{ms['off']:.0f}ms; "
+            for m, ms in point["presolve_ms"].items()
         )
         its = point["primal_iterations"]
         rowgen = point["row_generation"]
         print(
             f"{family} n={n} ({point['full_rows']} -> {point['rows']} rows, "
-            f"{point['nnz']} nnz): presolve on/off {times}; row-generated primal "
+            f"{point['nnz']} nnz): {times}row-generated primal "
             f"{point['primal_row_generated_ms']:.0f}ms/{its['row_generated']} it on "
             f"{rowgen['seed_rows']} -> {rowgen['final_rows']} rows in "
             f"{rowgen['rounds']} rounds (full rows {point['primal_full_rows_ms']:.0f}ms/"

@@ -639,8 +639,8 @@ class CompiledAuction:
         solution (repeat-rounding loops solve the LP once and pass it in).
         ``lp_warm_start`` opts the LP stage into the shared-structure
         warm-start path (optimal value guaranteed, vertex not pinned);
-        ``lp_solver`` forces a backend mode — ``"simplex"``, ``"primal"``
-        or ``"ipm"`` (benchmarks pin ``"simplex"`` to reproduce the
+        ``lp_solver`` forces a backend mode — ``"simplex"`` or
+        ``"primal"`` (benchmarks pin ``"simplex"`` to reproduce the
         pre-fast-path behavior).
         """
         from repro.engine.vectorized import round_batch

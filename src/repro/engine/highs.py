@@ -30,9 +30,9 @@ iterations.  A set basis also makes HiGHS skip presolve.
 solver mode.  Which HiGHS algorithm runs is the ``solver="auto"`` policy
 (:func:`choose_solver`), measured on metro LPs in BENCH_lp.json: the
 seed's dual simplex below :data:`PRIMAL_MIN_ROWS` rows (bit-identical to
-the seed), primal simplex from there up; IPM with crossover stays an
-explicit mode.  The row count is that of the LP as solved: callers pass
-the rows that can bind (``CompiledAuction.matrices_csc``).
+the seed), primal simplex from there up.  The row count is that of the
+LP as solved: callers pass the rows that can bind
+(``CompiledAuction.matrices_csc``).
 
 Its ``"primal"`` mode is **row-generated** from :data:`ROWGEN_MIN_ROWS`
 rows up — the dual of the column generation in
@@ -130,9 +130,10 @@ __all__ = [
 
 # The backend's solver modes.  "simplex" runs HiGHS's default options (dual
 # simplex) — the seed pipeline's linprog path, bit for bit; "primal" forces
-# primal simplex; "ipm" runs interior point with crossover.  All three
-# return an optimal *basic* solution.
-SOLVER_MODES = ("simplex", "primal", "ipm")
+# primal simplex.  Both return an optimal *basic* solution.  There is no
+# interior-point mode: primal from the greedy basis beat IPM with crossover
+# at every BENCH_lp.json grid point (2.9x at n=5000).
+SOLVER_MODES = ("simplex", "primal")
 
 # The "auto" policy's one band edge, in the rows an LP is solved with —
 # the rows that can bind (CompiledAuction.matrices_csc; a metro k=6 LP
@@ -141,10 +142,9 @@ SOLVER_MODES = ("simplex", "primal", "ipm")
 # the seed-parity dual simplex, although primal is faster there too; the
 # edge sits between n=300 (1106 rows) and n=400 (1562 rows), where the
 # earlier rules left the parity band.  From there up primal simplex from
-# the greedy basis beats IPM at every grid point, to n=5000 (20k rows), so
-# no size picks IPM.
-# Dual simplex and IPM run with HiGHS presolve on (the grid also times
-# "off", which was not faster at every point); primal skips presolve, as
+# the greedy basis wins at every grid point, to n=5000 (20k rows).
+# Dual simplex runs with HiGHS presolve on (the grid also times "off",
+# which was not faster at every point); primal skips presolve, as
 # HiGHS does for any model with a basis set (DESIGN.md, LP policy).
 PRIMAL_MIN_ROWS = 1500
 
@@ -169,16 +169,14 @@ MIN_PROBES_PER_THREAD = 12
 MAX_INFEASIBILITY = 1e-7
 
 # The keys of warm_start_stats(): warm/cold model loads and solves per mode
-# (one each per solve_packing_lp_fast call), HiGHS's simplex / IPM
-# iteration totals (crossover's not included; every round of a
-# row-generated solve counted), and the row generation's rounds (one per
-# add_rows + dual re-solve) and rows added.
+# (one each per solve_packing_lp_fast call), HiGHS's simplex iteration
+# total (every round of a row-generated solve counted), and the row
+# generation's rounds (one per add_rows + dual re-solve) and rows added.
 LP_COUNTERS = (
     "warm",
     "cold",
     *SOLVER_MODES,
     "simplex_iterations",
-    "ipm_iterations",
     "row_rounds",
     "rows_added",
 )
@@ -218,8 +216,6 @@ def new_highs_instance(solver: str = "simplex") -> Any:
     options.threads = 1
     if solver == "primal":
         options.simplex_strategy = 4  # primal; default pricing
-    elif solver == "ipm":
-        options.solver = "ipm"  # crossover stays on: basic solutions
     elif solver != "simplex":
         raise ValueError(f"solver must be one of {SOLVER_MODES}, got {solver!r}")
     highs.passOptions(options)
@@ -393,7 +389,6 @@ class SolveReport:
     mode: str
     warm: bool
     simplex_iterations: int
-    ipm_iterations: int
     max_primal_infeasibility: float
     max_dual_infeasibility: float
     basis_valid: bool
@@ -551,7 +546,6 @@ class ResidentLP:
             mode=self.mode,
             warm=self._warm,
             simplex_iterations=info.simplex_iteration_count,
-            ipm_iterations=info.ipm_iteration_count,
             max_primal_infeasibility=info.max_primal_infeasibility,
             max_dual_infeasibility=info.max_dual_infeasibility,
             basis_valid=info.basis_validity == _hcore.kBasisValidityValid,
@@ -697,7 +691,7 @@ def solve_packing_lp_fast(
 
     ``solver`` is one of :data:`SOLVER_MODES` or ``"auto"`` (the
     :func:`choose_solver` size policy).  Every mode returns an optimal basic
-    solution (IPM runs crossover); small LPs always take simplex, keeping
+    solution; small LPs always take simplex, keeping
     bit-parity with the seed pipeline.  ``"primal"`` is row-generated from
     :data:`ROWGEN_MIN_ROWS` rows up (see the module docstring): its
     solution is basic for the rows it loaded, and its duals are 0 on the
@@ -707,9 +701,8 @@ def solve_packing_lp_fast(
     the LP dimensions) opts into the warm-start path: if the mode's resident
     model carries the same key, matrix, and RHS, only the objective is
     mutated and HiGHS starts from the previous basis.  Callers must accept
-    any optimal vertex when passing a key (see module docstring).  Warm
-    starts apply to the simplex-family modes, each with its own resident
-    model (IPM has no basis to reuse).
+    any optimal vertex when passing a key (see module docstring).  Each
+    mode warm-starts its own resident model.
     """
     if _hcore is None:
         return solve_packing_lp(c, a_ub, b_ub)
@@ -726,8 +719,6 @@ def solve_packing_lp_fast(
 
     lp = _thread_model(solver)
     stats = _local.stats
-    if solver == "ipm":
-        warm_key = None  # no basis to restart from
     if warm_key is not None and _same_model(lp.key, warm_key, a, b_ub):
         stats["warm"] += 1
         lp.set_costs(np.arange(n, dtype=np.int32), -c)  # basis survives
@@ -763,7 +754,6 @@ def solve_packing_lp_fast(
 def _count(report: SolveReport) -> None:
     stats = _local.stats
     stats["simplex_iterations"] += report.simplex_iterations
-    stats["ipm_iterations"] += report.ipm_iterations
 
 
 def _generate_rows(  # repro: mutates[lp]

@@ -24,7 +24,7 @@ Two evaluation strategies for the n "LP without bidder v" terms:
   ``AuctionLP`` and cold-solving ``linprog`` per bidder.  The model always
   runs primal simplex: a cost-only change leaves the full LP's optimal
   basis primal feasible, so primal restarts from it, whatever the LP's
-  size (no probe re-runs IPM).  The full LP is solved once and its basis
+  size.  The full LP is solved once and its basis
   saved; every probe restores that base basis first
   (:meth:`~repro.engine.highs.ResidentLP.restore`), so its value depends
   only on the model and the base basis — never on which probe ran before

@@ -12,7 +12,8 @@ chaos", and "The serving edge"):
   graceful drain, admission control + per-request deadlines with
   greedy-baseline degradation;
 * :mod:`repro.service.pool` — :class:`ProcessShardPool`: long-lived
-  worker processes (own HiGHS backend, warm bases, caches) behind the
+  worker processes (own HiGHS backend and caches; LP models are
+  released after every batch) behind the
   ``executor="process"`` service configuration — the only parallel
   executor, for distinct-heavy traffic — with scene-affinity routing,
   capped-backoff respawn and per-worker circuit breakers;
@@ -20,21 +21,22 @@ chaos", and "The serving edge"):
   (``schema_version`` :data:`SCHEMA_VERSION`): :class:`AuctionRequest` /
   :class:`AuctionResponse` with exact JSON round trips, and every typed
   error mapped to a stable ``error_code`` + HTTP status
-  (:data:`WIRE_ERROR_CODES`);
-* :mod:`repro.service.gateway` — :class:`AuctionGateway`, the
+  (:data:`~repro.service.wire.WIRE_ERROR_CODES`);
+* :mod:`repro.service.gateway` — :class:`~repro.service.gateway.AuctionGateway`, the
   stdlib-asyncio HTTP/1.1 front-end serving the wire schema over
   localhost sockets (plus :class:`GatewayServer`, its sync wrapper);
-* :mod:`repro.service.client` — :class:`GatewayClient` (asyncio,
+* :mod:`repro.service.client` — :class:`~repro.service.client.GatewayClient` (asyncio,
   over one or more gateway endpoints: pooled keep-alive connections,
   typed-error reconstruction, :class:`RetryPolicy` retries + hedging,
   failover as a retry with passive endpoint health) and its sync facade
   :class:`SyncGatewayClient` (future-based ``submit``, mirroring the
   in-process service) on the loop-thread bridge
   (:mod:`repro.service._loop`);
-* :mod:`repro.service.traffic` — open-loop Poisson/burst/replay traffic
-  over the metro workload family;
+* :mod:`repro.service.traffic` — open-loop Poisson/burst traffic over
+  the metro workload family;
 * :mod:`repro.service.metrics` — throughput, latency percentiles, cache
-  hit rates, shed/timeout/degraded counters, persisted as JSON;
+  hit rates, shed/timeout/degraded counters, served as JSON at
+  ``/v1/metrics``;
 * :mod:`repro.service.errors` — the typed failure hierarchy
   (:class:`ShedError`, :class:`DeadlineExceeded`,
   :class:`InjectedFaultError`);
@@ -44,12 +46,8 @@ chaos", and "The serving edge"):
   named scenario library and the invariant-checking chaos runner.
 """
 
-from repro.service.chaos import ChaosReport, run_matrix, run_scenario
-from repro.service.client import (
-    GatewayClient,
-    RetryPolicy,
-    SyncGatewayClient,
-)
+from repro.service.chaos import ChaosReport, run_scenario
+from repro.service.client import RetryPolicy, SyncGatewayClient
 from repro.service.errors import (
     DeadlineExceeded,
     InjectedFaultError,
@@ -57,23 +55,15 @@ from repro.service.errors import (
     ShedError,
 )
 from repro.service.faults import FAULT_SITES, FaultPlan, FaultSpec
-from repro.service.gateway import AuctionGateway, GatewayServer
+from repro.service.gateway import GatewayServer
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import ProcessShardPool, WorkerCrashError
 from repro.service.scenarios import Scenario, scenario_library
 from repro.service.scenes import SceneRegistry, scene_fingerprint
 from repro.service.service import AuctionService
-from repro.service.traffic import (
-    TrafficRequest,
-    TrafficTrace,
-    burst_trace,
-    load_trace,
-    poisson_trace,
-    save_trace,
-)
+from repro.service.traffic import TrafficTrace, burst_trace, poisson_trace
 from repro.service.wire import (
     SCHEMA_VERSION,
-    WIRE_ERROR_CODES,
     AuctionRequest,
     AuctionResponse,
     default_idempotency_key,
@@ -89,16 +79,13 @@ __all__ = [
     "AuctionResponse",
     "AuctionService",
     "SCHEMA_VERSION",
-    "WIRE_ERROR_CODES",
     "request_to_wire",
     "request_from_wire",
     "error_to_wire",
     "error_from_wire",
     "http_status_for",
     "default_idempotency_key",
-    "AuctionGateway",
     "GatewayServer",
-    "GatewayClient",
     "RetryPolicy",
     "SyncGatewayClient",
     "ProcessShardPool",
@@ -117,11 +104,7 @@ __all__ = [
     "Scenario",
     "scenario_library",
     "run_scenario",
-    "run_matrix",
-    "TrafficRequest",
     "TrafficTrace",
     "poisson_trace",
     "burst_trace",
-    "save_trace",
-    "load_trace",
 ]

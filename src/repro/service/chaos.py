@@ -23,26 +23,22 @@ Degraded results (greedy fallback, flagged ``details["degraded"]``) are
 exempt from invariant 2 by construction — they deliberately serve a
 different algorithm — and are counted separately.  Shed requests were
 never accepted, so they appear only in the report's ``shed`` count.
-
-:func:`run_matrix` sweeps scenario × fault-plan combinations — the
-"scenario library + stress/chaos harness" ROADMAP item — and is what the
-CI ``chaos-smoke`` job and ``benchmarks/bench_chaos.py`` drive.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.service.client import RetryPolicy, SyncGatewayClient
 from repro.service.errors import ServiceFaultError, ShedError
 from repro.service.faults import FaultPlan
 from repro.service.gateway import GatewayServer
 from repro.service.pool import WorkerCrashError
-from repro.service.scenarios import Scenario, scenario_library
+from repro.service.scenarios import Scenario
 
-__all__ = ["TYPED_FAILURES", "ChaosReport", "run_scenario", "run_matrix"]
+__all__ = ["TYPED_FAILURES", "ChaosReport", "run_scenario"]
 
 # the complete set of failures the service is allowed to resolve with
 TYPED_FAILURES = (ServiceFaultError, WorkerCrashError)
@@ -297,29 +293,3 @@ def run_scenario(
         "no_duplicate_solves": gateway_counters.get("duplicate_solves", 0) == 0,
     }
     return report
-
-
-def run_matrix(
-    scenarios: Iterable[Scenario] | None = None,
-    fault_plans: Iterable[FaultPlan | None] | None = None,
-    *,
-    check_replay: bool = True,
-) -> list[ChaosReport]:
-    """Sweep scenario × fault plan; returns one report per combination.
-
-    Defaults: every library scenario, each under its own fault plan.
-    Passing ``fault_plans`` crosses *every* scenario with every given
-    plan instead (``None`` entries mean fault-free).
-    """
-    if scenarios is None:
-        scenarios = scenario_library().values()
-    reports: list[ChaosReport] = []
-    for scenario in scenarios:
-        plans: list[FaultPlan | None] = (
-            [scenario.fault_plan] if fault_plans is None else list(fault_plans)
-        )
-        for plan in plans:
-            reports.append(
-                run_scenario(scenario, fault_plan=plan, check_replay=check_replay)
-            )
-    return reports

@@ -543,26 +543,6 @@ class GatewayClient:
                     f"injected client.connect reset (attempt {attempt})"
                 )
 
-    async def solve_batch(
-        self, requests: list[AuctionRequest]
-    ) -> list[AuctionResponse | Exception]:
-        """Solve a batch in one exchange; per-item failures come back as
-        the typed exception *instances* in request order (mirroring how
-        the in-process API fails futures individually)."""
-        _status, payload = await self._exchange(
-            self._pick(set()),
-            "POST",
-            "/v1/solve-batch",
-            {"requests": [request_to_wire(r) for r in requests]},
-        )
-        envelopes = self._raise_if_error(payload)["responses"]
-        return [
-            error_from_wire(item)
-            if item.get("status") == "error"
-            else AuctionResponse.from_wire(item)
-            for item in envelopes
-        ]
-
     async def close(self) -> None:
         self._closed = True
         for endpoint in self._endpoints:
@@ -610,11 +590,6 @@ class SyncGatewayClient:
 
     def solve(self, request: AuctionRequest) -> AuctionResponse:
         return self.submit(request).result()
-
-    def solve_batch(
-        self, requests: list[AuctionRequest]
-    ) -> list[AuctionResponse | Exception]:
-        return self._runner.run(self._client.solve_batch(requests))
 
     def register_scene(self, structure: AnyStructure) -> str:
         return self._runner.run(self._client.register_scene(structure), timeout=60)

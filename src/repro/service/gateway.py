@@ -22,9 +22,6 @@ POST      ``/v1/scenes``        register a conflict structure (io-layer
                                 re-solve by, so shard affinity survives the
                                 network boundary
 POST      ``/v1/solve``         one wire request → one wire response
-POST      ``/v1/solve-batch``   ``{"requests": [...]}`` → per-item success
-                                *or* error envelopes, submitted concurrently
-                                so the service can coalesce them
 GET       ``/v1/metrics``       the service metrics snapshot plus gateway
                                 HTTP counters
 GET       ``/v1/health``        200 while the service can serve, 503 after
@@ -461,8 +458,6 @@ class AuctionGateway:
             if path == "/v1/solve" and method == "POST":
                 request = self._decode_request(self._json_body(body), headers)
                 return await self._solve_one(request, self._attempt_from(headers))
-            if path == "/v1/solve-batch" and method == "POST":
-                return await self._solve_batch(self._json_body(body), headers)
             if path.startswith("/v1/"):
                 raise _HttpError("not-found", f"no such endpoint {path!r}")
             raise _HttpError("not-found", f"unknown path {path!r} (try /v1/...)")
@@ -640,44 +635,6 @@ class AuctionGateway:
             raise
         self._journal.complete(key, claim, payload)
         return payload
-
-    async def _solve_batch(
-        self, data: dict[str, Any], headers: dict[str, str]
-    ) -> tuple[int, dict[str, Any]]:
-        """Submit a batch concurrently; one envelope per item, in order.
-
-        Items are submitted back to back *before* any is awaited, so the
-        service's coalescing window sees them as one arrival wave — the
-        wire-level equivalent of :meth:`AuctionService.solve_batch` —
-        and per-item failures stay per-item (HTTP 200 with mixed
-        envelopes), matching how the in-process API fails futures
-        individually.
-        """
-        items = data.get("requests")
-        if not isinstance(items, list):
-            raise _HttpError("bad-request", 'expected {"requests": [...]}')
-        requests = [self._decode_request(item, headers) for item in items]
-        attempt = self._attempt_from(headers)
-
-        async def run(request: AuctionRequest) -> dict[str, Any]:
-            try:
-                _status, payload = await self._solve_one(request, attempt)
-            except _ConnectionDrop:
-                raise  # injected network fault abandons the whole connection
-            except _HttpError as exc:  # repro: allow[silent-except] -- per-item error envelope in the batch response
-                return exc.to_wire()
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:  # noqa: BLE001  # repro: allow[silent-except] -- per-item typed wire error in the batch response
-                return error_to_wire(exc)
-            return payload
-
-        responses = await asyncio.gather(*(run(request) for request in requests))
-        return 200, {
-            "schema_version": SCHEMA_VERSION,
-            "status": "ok",
-            "responses": list(responses),
-        }
 
 
 class GatewayServer:

@@ -4,8 +4,9 @@ One :class:`ServiceMetrics` instance lives per
 :class:`~repro.service.AuctionService`.  Workers record each completed
 request's latency (submit → result set) and each dispatched batch's
 size; :meth:`snapshot` folds in the cache counters the service injects
-and returns a plain dict — ``AuctionService.write_metrics`` persists it
-(plus the service configuration) as JSON.
+and returns a plain dict of JSON types, which
+``AuctionService.metrics_snapshot`` extends with the service
+configuration and the gateway serves at ``/v1/metrics``.
 """
 
 from __future__ import annotations

@@ -52,9 +52,11 @@ scene and the request.
 
 **Affinity routing with spill.**  A scene's *home* worker is
 ``hash(scene_id) % workers``, so repeat traffic keeps hitting the worker
-whose caches and warm LP bases already hold that scene.  When the home
-worker is busier than the least-loaded one (a worker with a free lane
-counts as idle), the batch spills to the least-loaded worker instead
+whose compiled-structure, compiled-auction and mechanism caches already
+hold that scene (LP bases do not survive a batch: every lane releases
+its models after each one).  When the home worker is busier than the
+least-loaded one (a worker with a free lane counts as idle), the batch
+spills to the least-loaded worker instead
 (deterministic scan from the home index):
 distinct-heavy traffic on one hot scene — the workload this pool exists
 for — then spreads across all workers instead of serializing behind the
@@ -110,7 +112,8 @@ from repro.util.mp import mp_context
 if TYPE_CHECKING:
     from repro.core.result import SolverResult
     from repro.service.scenes import AnyStructure, SceneRegistry
-    from repro.service.service import AuctionRequest, AuctionService
+    from repro.service.service import AuctionService
+    from repro.service.wire import AuctionRequest
 
 __all__ = ["ProcessShardPool", "WorkerCrashError"]
 

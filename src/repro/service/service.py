@@ -23,11 +23,12 @@ system.  The moving parts, in request order:
   which batch it was coalesced into (pinned by the service tests).
 * **Executors** — ``executor="serial"`` (the default) solves every
   group inline on the dispatcher thread: deterministic ordering, and one
-  thread owns every warm basis of the thread-local HiGHS backend.
+  thread owns the thread-local HiGHS backend.
   ``executor="process"`` hands each group to a
   :class:`~repro.service.pool.ProcessShardPool` of long-lived worker
-  processes — each owning its own HiGHS backend, warm bases, and
-  compilation caches, and each running the serial path — with
+  processes — each owning its own HiGHS backend and compilation caches
+  (every lane releases its LP models after each batch, so pool solves
+  start cold), and each running the serial path — with
   scene-affinity routing (plus spill to the least-loaded worker),
   pickle-once scene shipping, and crash recovery.  Each worker solves
   its share of the cores' worth of groups at once on threads (HiGHS
@@ -36,7 +37,7 @@ system.  The moving parts, in request order:
   so the choice of executor is purely a throughput decision.
 * **Metrics** (:mod:`repro.service.metrics`) — throughput, p50/p95/p99
   latency, batch sizes, cache hit rates, warm/cold LP solve counts, LP
-  solves per solver mode and simplex/IPM iteration totals.
+  solves per solver mode and simplex iteration totals.
 
 :meth:`solve_batch` / :meth:`run_trace` bypass the queue entirely for
 synchronous, simulated replays.
@@ -77,7 +78,6 @@ from repro.util.rng import ensure_rng
 from repro.valuations.profile import Profile, as_profile
 
 if TYPE_CHECKING:
-    import pathlib
     from collections.abc import Sequence
 
     from repro.valuations.base import Valuation
@@ -88,9 +88,7 @@ if TYPE_CHECKING:
     from repro.service.scenes import AnyStructure
     from repro.service.traffic import TrafficTrace
 
-# AuctionRequest is defined in the wire module (the request *is* the
-# wire schema) and re-exported here for the pre-gateway import path
-__all__ = ["AuctionRequest", "AuctionService"]
+__all__ = ["AuctionService"]
 
 _EXECUTORS = ("serial", "process")
 
@@ -841,12 +839,3 @@ class AuctionService:
             "scenes": len(self.registry),
         }
         return snapshot
-
-    def write_metrics(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Persist :meth:`metrics_snapshot` as JSON; returns the path."""
-        import json
-        import pathlib
-
-        path = pathlib.Path(path)
-        path.write_text(json.dumps(self.metrics_snapshot(), indent=2) + "\n")
-        return path

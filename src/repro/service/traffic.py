@@ -15,18 +15,15 @@ Two mix axes, matching how real request streams repeat themselves:
 * **distinct-heavy** (``repeat_fraction`` near 0) — every request draws a
   fresh profile; only the scene's compiled structure is reusable.
 
-Traces are plain data (arrival stamp + :class:`AuctionRequest`) and
-serialize to JSON for record/replay — each request in its wire form
-(:func:`~repro.service.wire.request_to_wire`), so a captured production mix
-can be re-driven against a new build, bit-identically and under the same
-idempotency keys — the same shape `benchmarks/bench_service.py` uses for
-its regression scenarios.
+Traces are plain data (arrival stamp + :class:`AuctionRequest`) — the
+same shape `benchmarks/bench_service.py` uses for its regression
+scenarios.  Each request crosses the wire in the form
+:func:`~repro.service.wire.request_to_wire` gives it, so a replay
+through the gateway runs under the same idempotency keys.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -34,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.service.scenes import SceneRegistry
-from repro.service.wire import AuctionRequest, request_from_wire, request_to_wire
+from repro.service.wire import AuctionRequest
 from repro.util.rng import SeedLike, ensure_rng
 from repro.valuations.base import Valuation
 from repro.valuations.generators import random_xor_valuations
@@ -44,8 +41,6 @@ __all__ = [
     "TrafficTrace",
     "poisson_trace",
     "burst_trace",
-    "save_trace",
-    "load_trace",
 ]
 
 
@@ -264,41 +259,3 @@ def burst_trace(
             "deadline": deadline,
         },
     )
-
-
-# ----------------------------------------------------------------------
-# record / replay
-# ----------------------------------------------------------------------
-# each entry is the request's wire dict (request_to_wire: columnar profile
-# in bid order, metadata and idempotency key included) plus its arrival
-
-
-def save_trace(trace: TrafficTrace, path: str | pathlib.Path) -> pathlib.Path:
-    """Serialize a trace to JSON, each request in its wire form.  Raises
-    ``TypeError`` for valuations without a bid list (the additive
-    family), as :func:`~repro.service.wire.request_to_wire` does."""
-    payload = {
-        "meta": trace.meta,
-        "requests": [
-            {"arrival": item.arrival, "request": request_to_wire(item.request)}
-            for item in trace.requests
-        ],
-    }
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload) + "\n")
-    return path
-
-
-def load_trace(path: str | pathlib.Path) -> TrafficTrace:
-    """Load a trace written by :func:`save_trace` for replay; each
-    request's valuations come back as one
-    :class:`~repro.valuations.profile.Profile`."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    requests = [
-        TrafficRequest(
-            arrival=float(entry["arrival"]),
-            request=request_from_wire(entry["request"]),
-        )
-        for entry in payload["requests"]
-    ]
-    return TrafficTrace(requests=requests, meta=payload.get("meta", {}))

@@ -5,19 +5,20 @@ boundary: the request/response dataclasses shared by the in-process
 :class:`~repro.service.AuctionService`, the HTTP gateway
 (:mod:`repro.service.gateway`), and the asyncio client
 (:mod:`repro.service.client`).  Everything here is plain data with
-explicit ``to_wire``/``from_wire`` (dict) and ``to_json``/``from_json``
-(string) forms, and every payload carries ``schema_version`` so a
-client and server disagreeing about the schema fail loudly instead of
-misparsing each other.
+explicit ``to_wire``/``from_wire`` (dict) forms that the gateway and
+client pass through ``json.dumps``/``json.loads``, and every payload
+carries ``schema_version`` so a client and server disagreeing about the
+schema fail loudly instead of misparsing each other.
 
 Design rules, in decreasing order of importance:
 
-* **Round trips are bit-exact.**  ``from_json(to_json(x)) == x`` for
-  every request, response, and typed error — floats survive through
-  ``repr`` (Python's JSON encoder), non-finite floats are encoded as
-  the strings ``"inf"``/``"-inf"``/``"nan"``, and valuation *bid order*
-  is preserved (LP column order follows it; a sorted re-encoding can
-  round a degenerate LP to a different, equally optimal allocation).
+* **Round trips are bit-exact.**  ``from_wire(to_wire(x)) == x``, with
+  the dict sent through JSON, for every request, response, and typed
+  error — floats survive through ``repr`` (Python's JSON encoder),
+  non-finite floats are encoded as the strings
+  ``"inf"``/``"-inf"``/``"nan"``, and valuation *bid order* is preserved
+  (LP column order follows it; a sorted re-encoding can round a
+  degenerate LP to a different, equally optimal allocation).
   Replaying a recorded trace through the gateway therefore yields
   results bit-identical to an in-process replay.
 * **Requests are columnar.**  A request's valuations cross as one
@@ -26,8 +27,6 @@ Design rules, in decreasing order of importance:
   and decode straight back into a validated profile, with no per-bidder
   objects on the way.  Only bid-list valuations (XOR, explicit,
   single-minded) have this form; the additive family stays in-process.
-  Trace files (:func:`~repro.service.traffic.save_trace`) store each
-  request in this same form.
 * **Key order is load order.**  Nothing here sorts keys; the canonical
   sorted encoder lives in :mod:`repro.io` only.  Decoding is, however,
   insensitive to key order, so payloads re-serialized by a client with
@@ -378,13 +377,6 @@ class AuctionResponse(SolverResult):
             seed=None if data.get("seed") is None else int(data["seed"]),
             timing=dict(data.get("timing") or {}),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_wire())
-
-    @classmethod
-    def from_json(cls, payload: str) -> "AuctionResponse":
-        return cls.from_wire(json.loads(payload))
 
 
 # ----------------------------------------------------------------------

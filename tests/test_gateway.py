@@ -62,6 +62,30 @@ class TestExportsSync:
     def test_no_duplicates(self):
         assert len(repro.service.__all__) == len(set(repro.service.__all__))
 
+    def test_test_only_entry_points_are_gone(self):
+        """Public names whose only callers were tests were removed; the
+        classes and constants that stay are imported from their own
+        modules."""
+        from repro.service import chaos, client, service, traffic
+
+        for name in (
+            "run_matrix",
+            "save_trace",
+            "load_trace",
+            "AuctionGateway",
+            "GatewayClient",
+            "TrafficRequest",
+            "WIRE_ERROR_CODES",
+        ):
+            assert name not in repro.service.__all__, name
+            assert not hasattr(repro.service, name), name
+        assert not hasattr(chaos, "run_matrix")
+        assert not hasattr(traffic, "save_trace")
+        assert not hasattr(traffic, "load_trace")
+        assert not hasattr(AuctionService, "write_metrics")
+        assert not hasattr(client.GatewayClient, "solve_batch")
+        assert service.__all__ == ["AuctionService"]
+
     def test_canonical_request_and_response_are_the_wire_types(self):
         from repro.service import wire
 
@@ -143,17 +167,6 @@ class TestEndpoints:
             [make_request(scene_id, seed=11)]
         )
         assert response == expected
-
-    def test_solve_batch_mixes_success_and_typed_errors(self, served):
-        _, client, scene_id = served
-        outcomes = client.solve_batch(
-            [
-                make_request(scene_id, seed=21),
-                make_request("0" * 16, seed=22),  # unregistered scene
-            ]
-        )
-        assert isinstance(outcomes[0], AuctionResponse)
-        assert isinstance(outcomes[1], KeyError)
 
     def test_metrics_include_gateway_counters(self, served):
         _, client, _ = served
@@ -309,6 +322,17 @@ class TestErrorStatuses:
         status, payload = http_request(server, "GET", "/v1/oracle")
         assert status == 404
         assert payload["error_code"] == "not-found"
+
+    def test_solve_batch_route_is_gone(self, served):
+        """``/v1/solve-batch`` was removed: a batch is pipelined
+        ``/v1/solve`` calls, and the old path is an unknown endpoint."""
+        server, _, scene_id = served
+        body = {"requests": [request_to_wire(make_request(scene_id, seed=21))]}
+        status, payload = http_request(server, "POST", "/v1/solve-batch", body)
+        assert status == 404
+        assert payload["status"] == "error"
+        assert payload["error_code"] == "not-found"
+        assert not hasattr(SyncGatewayClient, "solve_batch")
 
     def test_nonpositive_deadline_is_400(self, served):
         server, _, scene_id = served

@@ -19,7 +19,6 @@ from repro.service import (
     FaultPlan,
     FaultSpec,
     Scenario,
-    run_matrix,
     run_scenario,
     scenario_library,
 )
@@ -151,24 +150,16 @@ class TestRunScenario:
         assert report.ok()
         assert report.replay_mismatches == 0
 
-    def test_run_matrix_crosses_scenarios_and_plans(self):
-        scenarios = [
-            tiny(scenario_library()["dense_metro"], n=8),
-            tiny(scenario_library()["flash_crowd_burst"], n=8),
-        ]
-        plans = [None, FaultPlan([FaultSpec(site="service.solve", kind="error")])]
-        reports = run_matrix(scenarios, plans, check_replay=False)
-        assert len(reports) == 4
-        assert [r.scenario for r in reports] == [
-            "dense_metro",
-            "dense_metro",
-            "flash_crowd_burst",
-            "flash_crowd_burst",
-        ]
-        # the armed runs fail everything typed; the fault-free runs nothing
-        assert reports[0].failed_typed == 0
-        assert reports[1].failed_typed == reports[1].accepted
-        assert all(r.invariants["typed_failures_only"] for r in reports)
+    def test_armed_solve_error_fails_every_accepted_request_typed(self):
+        plan = FaultPlan([FaultSpec(site="service.solve", kind="error")])
+        for name in ("dense_metro", "flash_crowd_burst"):
+            report = run_scenario(
+                tiny(scenario_library()[name], n=8), fault_plan=plan, check_replay=False
+            )
+            assert report.scenario == name
+            assert report.accepted > 0
+            assert report.failed_typed == report.accepted
+            assert report.invariants["typed_failures_only"]
 
 
 class TestChaosReport:

@@ -288,7 +288,7 @@ class TestResponseRoundTrip:
     @pytest.mark.parametrize("shape", sorted(RESPONSE_SHAPES))
     def test_round_trip_is_bit_identical(self, shape):
         response = RESPONSE_SHAPES[shape]
-        decoded = AuctionResponse.from_json(response.to_json())
+        decoded = AuctionResponse.from_wire(json.loads(json.dumps(response.to_wire())))
         # wire-dict identity covers every field exactly (floats via repr,
         # numpy powers element-wise); ndarray values make full dataclass
         # equality unusable here, the wire form is the canonical comparison
@@ -304,17 +304,17 @@ class TestResponseRoundTrip:
         assert AuctionResponse.from_wire(resorted).to_wire() == response.to_wire()
 
     def test_non_finite_floats_cross_as_json_strings(self):
-        payload = RESPONSE_SHAPES["non-finite"].to_json()
+        payload = json.dumps(RESPONSE_SHAPES["non-finite"].to_wire())
         data = json.loads(payload)  # strict JSON: no bare Infinity/NaN
         assert data["lp_value"] == "inf"
         assert data["guarantee"] == "nan"
-        decoded = AuctionResponse.from_json(payload)
+        decoded = AuctionResponse.from_wire(json.loads(payload))
         assert math.isinf(decoded.lp_value)
         assert math.isnan(decoded.guarantee)
 
     def test_json_form_is_a_string_round_trip(self):
         response = RESPONSE_SHAPES["success"]
-        assert json.loads(response.to_json()) == response.to_wire()
+        assert json.loads(json.dumps(response.to_wire())) == response.to_wire()
 
     def test_unknown_schema_version_rejected(self):
         wire = RESPONSE_SHAPES["success"].to_wire()
@@ -369,6 +369,13 @@ class TestResultShim:
         assert not hasattr(response, "as_solver_result")
         assert not hasattr(AuctionResponse, "as_solver_result")
         assert isinstance(response, SolverResult)
+
+    def test_json_string_helpers_are_gone(self):
+        """The gateway and client encode with ``json.dumps(to_wire())``
+        and decode with ``from_wire(json.loads(...))``; the string
+        helpers that only tests called no longer exist."""
+        assert not hasattr(AuctionResponse, "to_json")
+        assert not hasattr(AuctionResponse, "from_json")
 
 
 def all_typed_errors():

@@ -31,7 +31,7 @@ pytestmark = pytest.mark.skipif(
 
 def test_choose_solver_policy():
     # two bands on the (kept) row count: seed-parity simplex, then primal
-    # at every size (IPM is an explicit mode only)
+    # at every size
     assert PRIMAL_MIN_ROWS == 1500
     assert choose_solver(1, 10) == "simplex"
     assert choose_solver(PRIMAL_MIN_ROWS - 1, 10) == "simplex"
@@ -52,7 +52,7 @@ def metro_lp():
     return a, b, c
 
 
-@pytest.mark.parametrize("solver", ["auto", "ipm"])
+@pytest.mark.parametrize("solver", ["auto", "simplex"])
 def test_fast_bands_match_reference_lp(metro_lp, solver):
     a, b, c = metro_lp
     reference = solve_packing_lp(c, a, b)
@@ -76,13 +76,21 @@ def test_counters_track_modes_and_iterations(metro_lp):
     before = warm_start_stats()
     solve_packing_lp_fast(small[2], small[0], small[1])
     solve_packing_lp_fast(c, a, b)
-    solve_packing_lp_fast(c, a, b, solver="ipm")
     after = warm_start_stats()
     delta = {key: after[key] - before[key] for key in after}
-    assert (delta["simplex"], delta["primal"], delta["ipm"]) == (1, 1, 1)
-    assert delta["warm"] + delta["cold"] == 3
+    assert (delta["simplex"], delta["primal"]) == (1, 1)
+    assert delta["warm"] + delta["cold"] == 2
     assert delta["simplex_iterations"] > 0
-    assert delta["ipm_iterations"] > 0
+
+
+def test_ipm_mode_is_gone(metro_lp):
+    """Interior point lost to primal at every grid point and was removed:
+    asking for it is an unknown mode, and no counter is kept for it."""
+    a, b, c = metro_lp
+    with pytest.raises(ValueError, match="solver must be"):
+        solve_packing_lp_fast(c, a, b, solver="ipm")
+    assert "ipm" not in warm_start_stats()
+    assert "ipm_iterations" not in warm_start_stats()
 
 
 def test_certificate_check_guards_fast_bands_only(metro_lp, monkeypatch):
@@ -91,9 +99,8 @@ def test_certificate_check_guards_fast_bands_only(metro_lp, monkeypatch):
     a, b, c = metro_lp
     small = CompiledAuction(protocol_auction(12, 4, seed=3))._build_csc()
     monkeypatch.setattr(highs, "MAX_INFEASIBILITY", -1.0)
-    for solver in ("primal", "ipm"):
-        with pytest.raises(RuntimeError, match="no certified optimal basis"):
-            solve_packing_lp_fast(c, a, b, solver=solver)
+    with pytest.raises(RuntimeError, match="no certified optimal basis"):
+        solve_packing_lp_fast(c, a, b, solver="primal")
     parity = solve_packing_lp_fast(small[2], small[0], small[1])
     assert parity.value == pytest.approx(
         solve_packing_lp(small[2], small[0], small[1]).value, rel=1e-12
