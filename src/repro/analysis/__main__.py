@@ -106,7 +106,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.json:
         payload = {
-            "findings": [f.to_json() for f in new],
+            "findings": [f.to_dict() for f in new],
             "baselined": len(findings) - len(new),
             "stale_baseline": [
                 {"rule": rule, "path": rel, "context": context}

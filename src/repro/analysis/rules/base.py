@@ -32,7 +32,7 @@ class Finding:
     def key(self) -> tuple[str, str, str]:
         return (self.rule, self.path, self.context)
 
-    def to_json(self) -> dict[str, object]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "rule": self.rule,
             "path": self.path,

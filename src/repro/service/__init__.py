@@ -26,9 +26,9 @@ chaos", and "The serving edge"):
   stdlib-asyncio HTTP/1.1 front-end serving the wire schema over
   localhost sockets (plus :class:`GatewayServer`, its sync wrapper);
 * :mod:`repro.service.client` — :class:`~repro.service.client.GatewayClient` (asyncio,
-  over one or more gateway endpoints: pooled keep-alive connections,
-  typed-error reconstruction, :class:`RetryPolicy` retries + hedging,
-  failover as a retry with passive endpoint health) and its sync facade
+  over one gateway endpoint: pooled keep-alive connections,
+  typed-error reconstruction, :class:`RetryPolicy` retries with seeded
+  backoff) and its sync facade
   :class:`SyncGatewayClient` (future-based ``submit``, mirroring the
   in-process service) on the loop-thread bridge
   (:mod:`repro.service._loop`);

@@ -14,8 +14,8 @@ chaos"):
    per-request seeds make this checkable at all);
 3. **end-state health** — after draining, the pool (if any) holds only
    live workers: crashes were absorbed by respawn, not papered over;
-4. **no duplicate solves** (gateway transport) — retried and hedged
-   requests were deduplicated by the gateway's idempotency journal: the
+4. **no duplicate solves** (gateway transport) — retried requests were
+   deduplicated by the gateway's idempotency journal: the
    ``duplicate_solves`` counter stayed zero, so at-least-once delivery
    still produced exactly-once results.
 
@@ -211,7 +211,6 @@ def run_scenario(
         snapshot = service.metrics_snapshot()
         gateway_counters = {} if server is None else server.gateway.counters()
         client_stats = {} if client is None else client.stats()
-        client_stats.pop("endpoints", None)  # counters only: endpoints name run-local ports
     finally:
         if client is not None:
             client.close()

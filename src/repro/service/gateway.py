@@ -46,7 +46,8 @@ carries none).  A retried request — the client resending after a lost
 response, identified by the ``X-Auction-Attempt`` header it stamps —
 hits the journal and receives the original response payload
 byte-identically, without a second solve; concurrent duplicates (a
-hedged request racing its primary) coalesce onto the in-flight solve.
+retry racing a slow original, or two clients sending one key) coalesce
+onto the in-flight solve.
 Errors are never journaled: a retry of a failed request genuinely
 re-attempts it.  The ``duplicate_solves`` counter pins the contract —
 it only moves when a key solves twice (possible only after journal
@@ -157,10 +158,11 @@ class _ResultJournal:
       ``capacity`` (each entry is one JSON-native response dict; sizing
       is therefore ``capacity × typical response size``);
     * ``_inflight`` — key → future of a solve currently running, so a
-      concurrent duplicate (hedge, aggressive retry) *coalesces* instead
-      of double-submitting; the future resolves to an ``("ok", payload)``
-      / ``("error", exc)`` outcome tuple so an unobserved error never
-      trips asyncio's exception-never-retrieved warning;
+      concurrent duplicate (a retry after a timeout, a second client)
+      *coalesces* instead of double-submitting; the future resolves to
+      an ``("ok", payload)`` / ``("error", exc)`` outcome tuple so an
+      unobserved error never trips asyncio's exception-never-retrieved
+      warning;
     * ``_seen`` — every key ever completed, for the ``duplicate_solves``
       accounting: a completed solve whose key was seen before means the
       journal failed to deduplicate (only possible after eviction).
@@ -261,7 +263,6 @@ class AuctionGateway:
             "refused_connections": 0,
             "dropped_responses": 0,
         }
-        self._open_writers: set[asyncio.StreamWriter] = set()
 
     @property
     def _fault_plan(self) -> FaultPlan | None:
@@ -285,18 +286,6 @@ class AuctionGateway:
         merged.update(self._journal.stats)
         return merged
 
-    def abort_connections(self) -> None:
-        """Slam every open connection (simulated process death).
-
-        Must run on the gateway's event loop.  Unlike a graceful drain,
-        clients see their in-flight exchanges die with a reset/EOF — the
-        transport failure a multi-endpoint
-        :class:`~repro.service.client.GatewayClient` retries on another
-        endpoint.
-        """
-        for writer in list(self._open_writers):
-            writer.close()
-
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
@@ -304,7 +293,6 @@ class AuctionGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._counters["connections"] += 1
-        self._open_writers.add(writer)
         try:
             while True:
                 try:
@@ -340,7 +328,6 @@ class AuctionGateway:
         except _PEER_GONE:  # repro: allow[silent-except] -- peer hung up mid-request; per-connection, nothing to fail
             pass
         finally:
-            self._open_writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -399,7 +386,7 @@ class AuctionGateway:
         keep_alive: bool,
     ) -> None:
         if writer.is_closing():
-            # aborted mid-solve (abort_connections): surface as the
+            # the peer reset the connection mid-solve: surface as the
             # peer-gone path, never a write on a dead transport
             raise ConnectionResetError("connection aborted")
         body = json.dumps(payload).encode()
@@ -683,25 +670,6 @@ class GatewayServer:
     @property
     def address(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def kill(self) -> None:
-        """Simulate this replica's process dying mid-trace.
-
-        ``close()`` is a graceful drain: the listener stops but live
-        keep-alive connections finish their exchanges.  ``kill()`` also
-        slams every open connection, so clients see resets/EOF on their
-        in-flight requests — the signal that drives endpoint eviction
-        in :class:`~repro.service.client.GatewayClient`.
-        """
-        runner, server = self._runner, self._server
-        if runner is not None and server is not None:
-
-            def slam() -> None:
-                server.close()
-                self.gateway.abort_connections()
-
-            runner.loop.call_soon_threadsafe(slam)
-        self.close()
 
     def close(self) -> None:
         """Stop accepting, close the listener, and join the loop thread."""

@@ -886,6 +886,6 @@ def test_findings_carry_location_and_context(tmp_path):
     assert finding.line == 3 and finding.col >= 1
     assert finding.context == "t = time.time()"
     assert finding.key() == ("wall-clock", "snippet.py", "t = time.time()")
-    payload = finding.to_json()
+    payload = finding.to_dict()
     assert payload["rule"] == "wall-clock" and payload["line"] == 3
     assert "snippet.py:3:" in finding.render()

@@ -1,4 +1,4 @@
-"""Resilient edge: retries with idempotent replay, hedging, failover.
+"""Resilient edge: bounded retries with idempotent replay.
 
 Every test drives a real localhost gateway.  The contracts pinned here
 (DESIGN.md → "Resilient edge"):
@@ -8,17 +8,15 @@ Every test drives a real localhost gateway.  The contracts pinned here
 * retries are bounded, status-selective (never 400/404, never after a
   504 deadline), and deterministic: same trace + same fault plan means
   identical retry counts and bit-identical responses across runs;
-* a hedged request races its primary under the same idempotency key,
-  so hedging buys tail latency without duplicate work;
-* killing one of two gateway replicas mid-trace loses no accepted
-  request — the client evicts the dead endpoint and drains onto the
-  survivor while the backing service stays healthy;
-* an evicted endpoint is re-admitted passively, by the first request
-  after its cooldown, with no background traffic while the client idles.
+* concurrent deliveries of one idempotency key coalesce onto a single
+  in-flight solve;
+* an exchange that outlives the request timeout fails as a retryable
+  transport error.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import socket
 import time
@@ -26,6 +24,7 @@ import time
 import pytest
 
 from repro.experiments.workloads import metro_disk_scene
+from repro.service import client as client_module
 from repro.service import (
     AuctionRequest,
     AuctionResponse,
@@ -69,19 +68,23 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
+        with pytest.raises(ValueError, match="backoff_base"):
+            RetryPolicy(backoff_base=-0.1)
+        with pytest.raises(TypeError):
+            RetryPolicy(jitter=1.5)  # a module constant, not a policy field
 
     def test_default_makes_no_retries(self):
         assert RetryPolicy().max_attempts == 1
 
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base=0.01, backoff_factor=2.0, backoff_cap=0.05
-        )
+        # base 0.2 doubles past the 0.5 s cap from retry 3 on
+        policy = RetryPolicy(max_attempts=5, backoff_base=0.2)
         delays = [policy.delay_before(i, token=99) for i in (1, 2, 3, 4)]
         assert delays == [policy.delay_before(i, token=99) for i in (1, 2, 3, 4)]
-        assert all(0 < d <= 0.05 for d in delays)
+        assert all(0 < d <= client_module.BACKOFF_CAP for d in delays)
+        # jitter only scales down, by at most JITTER of the capped base
+        floor = client_module.BACKOFF_CAP * (1 - client_module.JITTER)
+        assert all(floor <= d for d in delays[2:])
         # a different token jitters differently, same token replays
         assert delays != [policy.delay_before(i, token=100) for i in (1, 2, 3, 4)]
 
@@ -280,133 +283,80 @@ class TestRetryDeterminism:
             assert first.gateway[key] == second.gateway[key], key
 
 
-class TestHedging:
-    def test_hedge_wins_over_a_slow_path_without_duplicate_solves(self, scene):
-        spec = FaultSpec(
-            site="client.connect", kind="latency", probability=0.5, delay=1.0
+class TestCoalescing:
+    def test_concurrent_deliveries_of_one_key_share_one_solve(self, scene):
+        """Two overlapping solves under one explicit key: the second waits
+        on the first's in-flight solve instead of starting its own."""
+        plan = FaultPlan(
+            [FaultSpec(site="service.solve", kind="slow", delay=0.4)], seed=5
         )
-        # pick seeds deterministically from a probe copy of the plan:
-        # warm-up seeds must not fire, the target must fire on attempt 1
-        # (so its primary sleeps) and not on the hedge ordinal
-        probe = FaultPlan([spec], seed=2)
-        fires = {
-            s: probe.fires("client.connect", key=(s, 1)) is not None
-            for s in range(64)
-        }
-        slow_seed = next(
-            s
-            for s, fired in fires.items()
-            if fired and probe.fires("client.connect", key=(s, 2)) is None
-        )
-        fast_seeds = [s for s, fired in fires.items() if not fired][:6]
-        assert len(fast_seeds) == 6
-
-        service, scene_id = serve(scene)
-        policy = RetryPolicy(
-            max_attempts=1, hedge=True, hedge_min_delay=0.02, hedge_after_samples=4
-        )
+        service, scene_id = serve(scene, fault_plan=plan)
         try:
             with GatewayServer(service) as server:
-                with SyncGatewayClient(
-                    port=server.port,
-                    retry=policy,
-                    fault_plan=FaultPlan([spec], seed=2),
-                ) as client:
-                    for s in fast_seeds:  # build the p99 window
-                        client.solve(make_request(scene_id, seed=s))
-                    t0 = time.perf_counter()
-                    response = client.solve(make_request(scene_id, seed=slow_seed))
-                    elapsed = time.perf_counter() - t0
-                    stats = client.stats()
+                with SyncGatewayClient(port=server.port) as client:
+                    futures = [
+                        client.submit(
+                            make_request(scene_id, seed=21, idempotency_key="twin")
+                        )
+                        for _ in range(2)
+                    ]
+                    first, second = (f.result(timeout=60) for f in futures)
                     counters = server.gateway.counters()
-            assert response.seed == slow_seed
-            assert stats["hedges_launched"] == 1
-            assert stats["hedges_won"] == 1
-            assert elapsed < 1.0  # did not wait out the injected second
+            assert first == second
+            assert counters["journal_coalesced"] == 1
+            assert counters["journal_misses"] == 1
             assert counters["duplicate_solves"] == 0
+            assert service.metrics_snapshot()["requests_completed"] == 1
         finally:
             service.close()
 
 
-class TestReplicaFailover:
-    def test_killing_one_of_two_replicas_loses_no_accepted_request(self, scene):
-        service = AuctionService(executor="serial", coalesce_window=0.002)
-        scene_id = service.register_scene(scene)
-        server_a = GatewayServer(service).start()
-        server_b = GatewayServer(service).start()
-        client = SyncGatewayClient(
-            port=server_a.port,
-            replicas=[("127.0.0.1", server_b.port)],
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.002),
-            failure_threshold=2,
-            cooldown=30.0,  # the dead replica must stay out for this test
-            request_timeout=10.0,
-        )
+class TestRequestTimeout:
+    def test_stalled_exchange_fails_as_a_retryable_transport_error(
+        self, monkeypatch
+    ):
+        """A peer that accepts connections and never answers: each attempt
+        times out as a transport error, and the retry loop makes another."""
+        monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 0.2)
+        with socket.socket() as mute:  # the kernel accepts; nobody reads
+            mute.bind(("127.0.0.1", 0))
+            mute.listen(8)
+            with SyncGatewayClient(
+                port=mute.getsockname()[1],
+                retry=RetryPolicy(max_attempts=2, backoff_base=0.001),
+            ) as client:
+                t0 = time.perf_counter()
+                with pytest.raises(asyncio.TimeoutError) as caught:
+                    client.solve(make_request("f" * 16, seed=5))
+                elapsed = time.perf_counter() - t0
+                stats = client.stats()
+        assert isinstance(caught.value, client_module._TRANSPORT_ERRORS)
+        assert elapsed < 2.0  # two 0.2 s exchanges, not the 60 s default
+        assert stats["attempts"] == 2
+        assert stats["retries"] == 1
+
+
+class TestRemovedSurface:
+    """The client serves one endpoint and never hedges; these pins keep
+    the deleted knobs from coming back as silently ignored keywords."""
+
+    def test_removed_keywords_raise(self):
+        with pytest.raises(TypeError):
+            SyncGatewayClient(replicas=[("127.0.0.1", 1)])
+        with pytest.raises(TypeError):
+            client_module.GatewayClient(replicas=[("127.0.0.1", 1)])
+        with pytest.raises(TypeError):
+            RetryPolicy(hedge=True)
+        assert not hasattr(GatewayServer, "kill")
+
+    def test_stats_hold_only_the_retry_counters(self, scene):
+        service, scene_id = serve(scene)
         try:
-            futures = []
-            for i in range(40):
-                futures.append(client.submit(make_request(scene_id, seed=100 + i)))
-                if i == 10:
-                    server_a.kill()
-                time.sleep(0.005)
-            results = [future.result(timeout=60) for future in futures]
-            assert all(isinstance(r, AuctionResponse) for r in results)
-
-            stats = client.stats()
-            dead = [r for r in stats["endpoints"] if not r["live"]]
-            assert len(dead) == 1
-            assert dead[0]["endpoint"].endswith(f":{server_a.port}")
-            assert stats["evictions"] == 1
-            assert service.healthy()  # the pool-side service never flinched
-
-            # accepted requests are bit-identical to fault-free replay
-            expected = service.solve_batch(
-                [make_request(scene_id, seed=100 + i) for i in range(40)]
-            )
-            assert results == expected
+            with GatewayServer(service) as server:
+                with SyncGatewayClient(port=server.port) as client:
+                    client.solve(make_request(scene_id, seed=3))
+                    stats = client.stats()
+            assert set(stats) == {"attempts", "retries", "connect_faults"}
+            assert stats["attempts"] == 1
         finally:
-            client.close()
-            server_b.close()
-            server_a.close()
-            service.close()
-
-    def test_evicted_endpoint_is_readmitted_by_traffic_not_probes(self, scene):
-        service = AuctionService(executor="serial", coalesce_window=0.0)
-        scene_id = service.register_scene(scene)
-        server_b = GatewayServer(service).start()
-        reserved = socket.socket()  # bound, never listening: connects are refused
-        reserved.bind(("127.0.0.1", 0))
-        port_a = reserved.getsockname()[1]
-        client = SyncGatewayClient(
-            port=port_a,
-            replicas=[("127.0.0.1", server_b.port)],
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.001),
-            failure_threshold=2,
-            cooldown=0.3,
-        )
-        server_a = None
-        try:
-            for seed in (1, 2):  # each tries A first, is refused, lands on B
-                assert client.solve(make_request(scene_id, seed=seed)).seed == seed
-            stats = client.stats()
-            assert stats["evictions"] == 1
-            assert [e["live"] for e in stats["endpoints"]] == [False, True]
-
-            reserved.close()
-            server_a = GatewayServer(service, port=port_a).start()
-            time.sleep(0.5)  # idle past the cooldown: nothing may reach A
-            assert server_a.gateway.counters()["requests"] == 0
-
-            response = client.solve(make_request(scene_id, seed=3))
-            stats = client.stats()
-            assert response.seed == 3
-            assert stats["readmissions"] == 1
-            assert [e["live"] for e in stats["endpoints"]] == [True, True]
-            assert server_a.gateway.counters()["requests"] == 1  # the half-open trial
-        finally:
-            client.close()
-            reserved.close()
-            if server_a is not None:
-                server_a.close()
-            server_b.close()
             service.close()
