@@ -41,7 +41,7 @@ import asyncio
 import hashlib
 import json
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -54,6 +54,7 @@ from repro.service.wire import (
     error_from_wire,
     request_to_wire,
 )
+from repro.valuations.profile import Profile
 
 if TYPE_CHECKING:
     from repro.conflicts.base import AnyStructure
@@ -181,14 +182,13 @@ class GatewayClient:
         self,
         method: str,
         path: str,
-        body: dict[str, Any] | None = None,
+        payload: bytes = b"",
         headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, Any]]:
-        """One HTTP exchange under :data:`REQUEST_TIMEOUT`; returns
-        (status, payload)."""
+        """One HTTP exchange of an encoded JSON body under
+        :data:`REQUEST_TIMEOUT`; returns (status, payload)."""
         if self._closed:
             raise RuntimeError("client is closed")
-        payload = b"" if body is None else json.dumps(body).encode()
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (headers or {}).items()
         )
@@ -264,30 +264,35 @@ class GatewayClient:
 
     async def register_scene(self, structure: AnyStructure) -> str:
         """Register a conflict structure; returns its fingerprint scene id."""
-        _status, payload = await self._exchange(
-            "POST", "/v1/scenes", {"structure": _structure_to_dict(structure)}
-        )
+        body = json.dumps({"structure": _structure_to_dict(structure)}).encode()
+        _status, payload = await self._exchange("POST", "/v1/scenes", body)
         return str(self._raise_if_error(payload)["scene_id"])
 
     async def solve(self, request: AuctionRequest) -> AuctionResponse:
         """Solve one request under the retry policy; typed error on failure.
 
-        Every attempt resends the same idempotency key (derived from
-        the request when the envelope carries none), so a retry after a
-        lost response replays from the gateway journal instead of
-        re-solving.  A ``request.deadline`` travels as the
+        The valuations are packed into one
+        :class:`~repro.valuations.profile.Profile` and the body encoded
+        once; every attempt resends those bytes with the same idempotency
+        key (derived from the request when the envelope carries none), so
+        a retry after a lost response replays from the gateway journal
+        instead of re-solving.  A ``request.deadline`` travels as the
         ``X-Auction-Deadline`` header and is enforced server-side by the
         service's EWMA triage.
         """
         policy = self.retry
+        request = replace(request, valuations=Profile.of(request.valuations, request.k))
         key = request.idempotency_key or default_idempotency_key(request)
+        wire = request_to_wire(request)
+        wire["idempotency_key"] = key
+        body = json.dumps(wire).encode()
         token = _jitter_token(key)
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self._stats["retries"] += 1
                 await asyncio.sleep(policy.delay_before(attempt - 1, token))
             try:
-                return await self._solve_attempt(request, key, attempt)
+                return await self._solve_attempt(request, body, attempt)
             except _WireError as exc:
                 if (
                     attempt >= policy.max_attempts
@@ -300,17 +305,16 @@ class GatewayClient:
         raise RuntimeError("unreachable: retry loop neither returned nor raised")
 
     async def _solve_attempt(
-        self, request: AuctionRequest, key: str, attempt: int
+        self, request: AuctionRequest, body: bytes, attempt: int
     ) -> AuctionResponse:
-        """One wire exchange, stamped with its attempt ordinal."""
+        """One wire exchange of the encoded ``body``, stamped with its
+        attempt ordinal."""
         self._stats["attempts"] += 1
         await self._inject_connect_faults(request, attempt)
         headers = {"X-Auction-Attempt": str(attempt)}
         if request.deadline is not None:
             headers["X-Auction-Deadline"] = repr(request.deadline)
-        wire = request_to_wire(request)
-        wire["idempotency_key"] = key
-        status, payload = await self._exchange("POST", "/v1/solve", wire, headers)
+        status, payload = await self._exchange("POST", "/v1/solve", body, headers)
         if payload.get("status") == "error":
             raise _WireError(status, error_from_wire(payload))
         return AuctionResponse.from_wire(payload)

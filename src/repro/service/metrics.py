@@ -3,8 +3,9 @@
 One :class:`ServiceMetrics` instance lives per
 :class:`~repro.service.AuctionService`.  Workers record each completed
 request's latency (submit → result set) and each dispatched batch's
-size; :meth:`snapshot` folds in the cache counters the service injects
-and returns a plain dict of JSON types, which
+size and summed dispatch wait (submit → handed to a solver);
+:meth:`snapshot` folds in the cache counters the service injects and
+returns a plain dict of JSON types, which
 ``AuctionService.metrics_snapshot`` extends with the service
 configuration and the gateway serves at ``/v1/metrics``.
 """
@@ -37,6 +38,7 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self._latencies: list[float] = []  #: guarded-by: _lock
         self._batch_sizes: list[int] = []  #: guarded-by: _lock
+        self._dispatch_wait = 0.0  #: guarded-by: _lock
         self._submitted = 0  #: guarded-by: _lock
         self._completed = 0  #: guarded-by: _lock
         self._failed = 0  #: guarded-by: _lock
@@ -56,8 +58,12 @@ class ServiceMetrics:
                 self._first_submit = now
         return now
 
-    def record_batch(self, size: int) -> None:
+    def record_batch(self, size: int, dispatch_wait: float = 0.0) -> None:
+        """Mark one batch of ``size`` requests dispatched; ``dispatch_wait``
+        sums its members' seconds from submit to dispatch (0 on the
+        queueless path)."""
         with self._lock:
+            self._dispatch_wait += dispatch_wait
             if len(self._batch_sizes) < self.max_samples:
                 self._batch_sizes.append(size)
 
@@ -142,6 +148,7 @@ class ServiceMetrics:
                     float(np.mean(batch_sizes)) if batch_sizes else None
                 ),
                 "max_batch_size": max(batch_sizes) if batch_sizes else None,
+                "dispatch_wait_seconds": self._dispatch_wait,
             }
         if latencies.size:
             # exact order statistics (inverted CDF), not interpolation: with
@@ -169,6 +176,7 @@ class ServiceMetrics:
         with self._lock:
             self._latencies.clear()
             self._batch_sizes.clear()
+            self._dispatch_wait = 0.0
             self._submitted = self._completed = self._failed = 0
             self._shed = self._timeouts = self._degraded = 0
             self._first_submit = self._last_done = None

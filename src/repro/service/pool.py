@@ -32,7 +32,11 @@ which it empties after every batch
 (:func:`repro.engine.highs.set_solver_processes`), so the VCG probe
 threads of all lanes together stay within the cores.  Lanes share the
 worker's service and caches: two lanes on one cached profile solve its
-LP once (``CompiledAuction`` solves single-flight).
+LP once (``CompiledAuction`` solves single-flight).  The service's
+dispatcher asks :meth:`ProcessShardPool.lane_free_for` before it holds
+a batch open: while the worker a job would route to has a free lane the
+batch leaves at once, so two requests never queue on one lane while
+another idles; only when every lane is busy do requests coalesce.
 
 Design points, mirroring the request-stream framing of the paper's
 secondary-spectrum setting (scenes are stable, valuations churn):
@@ -521,6 +525,20 @@ class ProcessShardPool:
             key=lambda i: (loads[(home + i) % self.num_workers], i),
         )
         return self._workers[(home + best) % self.num_workers]
+
+    def lane_free_for(self, scene_id: str) -> bool:
+        """Would a job on ``scene_id`` submitted now start at once?
+
+        Routes as :meth:`submit` does: true when the chosen worker has a
+        free lane and a closed breaker (with spill off, a busy home
+        worker counts as busy whatever the others hold)."""
+        with self._lock:
+            if self._closed or not self._started:
+                return False
+            handle = self._route_locked(scene_id)
+            return self._load_locked(handle) == 0 and not self._breaker_open_locked(
+                handle
+            )
 
     def submit(
         self, scene_id: str, requests: list[AuctionRequest]

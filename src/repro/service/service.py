@@ -161,7 +161,10 @@ class AuctionService:
         baseline.  ``mechanism_pricing`` forwards the decomposition's
         pricing mode.  The service skips the batching window when it
         cannot pay off — caches disabled, or a distinct-heavy request
-        stream (see :meth:`_bypass_window`).
+        stream (see :meth:`_bypass_window`) — and, with the process
+        executor, whenever a pool lane could start the batch at once
+        (:meth:`_window_for`): ``coalesce_window`` is the longest a batch
+        is held, and only while every lane is busy.
 
         With ``executor="process"``, ``num_shards`` is the worker-process
         count (started as :mod:`repro.util.mp` decides: forkserver where
@@ -341,6 +344,19 @@ class AuctionService:
             recent = list(self._recent_profiled[-32:])
         recent.append(head.profile_key is not None)
         return sum(recent) / len(recent) < 0.25
+
+    def _window_for(self, head: AuctionRequest) -> float:
+        """How long the dispatcher holds a batch open behind ``head``.
+
+        Zero when the process pool would start ``head``'s job at once: a
+        batch held while a lane idles only queues its members behind one
+        another on one lane.  The serial executor solves each batch
+        inline, so there the window is what forms batches at all.
+        """
+        pool = self._pool
+        if pool is not None and pool.lane_free_for(head.scene_id):
+            return 0.0
+        return 0.0 if self._bypass_window(head) else self.coalesce_window
 
     def _inject_solve_faults(self, requests: list[AuctionRequest]) -> None:
         """Evaluate the ``"service.solve"`` fault site for one scene group.
@@ -544,9 +560,7 @@ class AuctionService:
                         return
                 continue
             batch = [first]
-            window = (
-                0.0 if self._bypass_window(first.request) else self.coalesce_window
-            )
+            window = self._window_for(first.request)
             # a batch never waits past the point where its earliest-deadline
             # member could still be served: each deadlined member pulls the
             # cutoff up to its expiry minus a solve-estimate margin
@@ -567,7 +581,10 @@ class AuctionService:
             batch = self._triage(batch)
             if not batch:
                 continue
-            self.metrics.record_batch(len(batch))
+            now = time.perf_counter()
+            self.metrics.record_batch(
+                len(batch), dispatch_wait=sum(now - p.submitted_at for p in batch)
+            )
             self._note_requests([p.request for p in batch])
             groups: dict[str, list[_Pending]] = {}
             for pending in batch:

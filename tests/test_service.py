@@ -139,6 +139,19 @@ class TestCoalescing:
         service.run_trace(trace)
         assert service.metrics_snapshot()["max_batch_size"] == 1
 
+    def test_serial_dispatcher_holds_the_window_and_stamps_the_wait(self, scene):
+        """The serial executor forms batches only through the window, so a
+        lone profiled request waits it out, and the metrics say so."""
+        service = make_service(scene, coalesce_window=0.3)
+        [scene_id] = service.registry.ids()
+        vals = random_xor_valuations(N, K, seed=920)
+        request = AuctionRequest(scene_id, K, vals, seed=1, profile_key="renewal")
+        service.solve_batch([request])
+        assert service.metrics_snapshot()["dispatch_wait_seconds"] == 0.0
+        service.submit(request).result(timeout=60)
+        assert service.close(timeout=60)
+        assert service.metrics_snapshot()["dispatch_wait_seconds"] >= 0.25
+
     def test_batch_groups_respect_scene_boundaries(self, scene):
         service = make_service(scene, coalesce_window=10.0, max_batch=64)
         other_id = service.register_scene(metro_protocol_scene(N, seed=502))

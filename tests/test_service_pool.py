@@ -644,6 +644,82 @@ class TestLanes:
         assert pooled.close(timeout=180)
 
 
+class TestIdleLaneDispatch:
+    """The process dispatcher holds a batch open only while every lane
+    it could go to is busy."""
+
+    def test_lone_request_skips_the_window_while_a_lane_is_free(
+        self, scene, two_cores
+    ):
+        serial = make_service(scene, executor="serial")
+        [scene_id] = serial.registry.ids()
+        [request] = distinct_requests(scene_id, 1, profile_key="renewed")
+        [expected] = serial.solve_batch([request])
+        pooled = make_service(scene, num_shards=1, coalesce_window=10.0)
+        # a one-off profile bypasses the window anyway: the pool comes up
+        [warm] = distinct_requests(scene_id, 1, seed=90)
+        pooled.submit(warm).result(timeout=180)
+        # a profiled request would be held the whole 10 s window
+        assert pooled.submit(request).result(timeout=5) == expected
+        assert pooled.metrics_snapshot()["dispatch_wait_seconds"] < 5.0
+        assert pooled.close(timeout=180)
+        serial.close()
+
+    def test_requests_coalesce_while_every_lane_is_busy(self, scene, two_cores):
+        serial = make_service(scene, executor="serial")
+        [scene_id] = serial.registry.ids()
+        requests = distinct_requests(scene_id, 3, profile_key="held", seed=70)
+        expected = serial.solve_batch(requests)
+        pooled = make_service(
+            scene, num_shards=1, coalesce_window=0.5, fault_plan=slow_batches(1.0)
+        )
+        blockers = [
+            pooled.submit(r)
+            for r in distinct_requests(scene_id, 2, profile_key="blocker")
+        ]
+        wait_in_flight(pooled._pool, 2)
+        assert not pooled._pool.lane_free_for(scene_id)
+        assert submit_together(pooled, requests) == expected
+        for blocker in blockers:
+            blocker.result(timeout=180)
+        snap = pooled.metrics_snapshot()
+        assert snap["max_batch_size"] >= 2
+        # the held batch waited out (most of) its window before dispatch
+        assert snap["dispatch_wait_seconds"] >= 0.4
+        assert pooled.close(timeout=180)
+        serial.close()
+
+    @pytest.mark.parametrize("spill", [True, False])
+    def test_busy_home_counts_as_busy_only_without_spill(
+        self, scene, monkeypatch, spill
+    ):
+        """Two workers of one lane each: the home's job leaves the other
+        worker free, which only a spilling pool would route to."""
+        from repro.service.pool import ProcessShardPool
+        from repro.service.scenes import SceneRegistry
+
+        monkeypatch.setattr(highs, "_cores", lambda: 2)
+        registry = SceneRegistry()
+        scene_id = registry.register(scene)
+        pool = ProcessShardPool(
+            registry,
+            2,
+            worker_config={"fault_plan": slow_batches(0.5)},
+            spill=spill,
+        )
+        assert not pool.lane_free_for(scene_id)  # not started
+        pool.start()
+        assert pool.lanes == 1
+        assert pool.lane_free_for(scene_id)
+        [request] = distinct_requests(scene_id, 1)
+        job = pool.submit(scene_id, [request])
+        assert pool.lane_free_for(scene_id) == spill
+        job.result(timeout=180)
+        assert pool.lane_free_for(scene_id)
+        pool.close()
+        assert not pool.lane_free_for(scene_id)
+
+
 class TestValidation:
     def test_bad_pool_options_rejected(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,16 @@ Every test drives a real localhost gateway.  The contracts pinned here
 * concurrent deliveries of one idempotency key coalesce onto a single
   in-flight solve;
 * an exchange that outlives the request timeout fails as a retryable
-  transport error.
+  transport error;
+* a retry resends the first attempt's body: one profile conversion and
+  one encode per solve.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import socket
 import time
 
@@ -38,7 +41,9 @@ from repro.service import (
     run_scenario,
     scenario_library,
 )
+from repro.service.wire import default_idempotency_key, request_to_wire
 from repro.valuations.generators import random_xor_valuations
+from repro.valuations.profile import Profile
 
 N = 16
 K = 3
@@ -309,6 +314,53 @@ class TestCoalescing:
             assert service.metrics_snapshot()["requests_completed"] == 1
         finally:
             service.close()
+
+
+class TestOneBodyPerSolve:
+    def test_retried_solve_packs_and_encodes_once(self, scene, monkeypatch):
+        """A retry resends the first attempt's bytes: one ``Profile.of``
+        conversion and one body encode per solve, and the key and body
+        equal the ones derived from the bare request."""
+        service, scene_id = serve(scene)
+        request = make_request(scene_id, seed=9)
+        [response] = service.solve_batch([request])
+        response = response.to_wire()
+        service.close()
+        key = default_idempotency_key(request)
+        wire = request_to_wire(request)
+        wire["idempotency_key"] = key
+        expected_body = json.dumps(wire).encode()
+        conversions, encodes, bodies = [], [], []
+        original_of, original_dumps = Profile.of, json.dumps
+
+        def counting_of(valuations, k=None):
+            if not isinstance(valuations, Profile):
+                conversions.append(len(valuations))
+            return original_of(valuations, k)
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, dict) and "profile" in obj:
+                encodes.append(obj["idempotency_key"])
+            return original_dumps(obj, *args, **kwargs)
+
+        async def flaky_roundtrip(self, raw):
+            bodies.append(raw.partition(b"\r\n\r\n")[2])
+            if len(bodies) == 1:
+                raise ConnectionResetError("lost on the way")
+            return 200, response
+
+        monkeypatch.setattr(Profile, "of", counting_of)
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        monkeypatch.setattr(client_module.GatewayClient, "_roundtrip", flaky_roundtrip)
+        with SyncGatewayClient(
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.001)
+        ) as client:
+            assert client.solve(request).seed == 9
+            stats = client.stats()
+        assert (stats["attempts"], stats["retries"]) == (2, 1)
+        assert conversions == [N]
+        assert encodes == [key]
+        assert bodies == [expected_body, expected_body]
 
 
 class TestRequestTimeout:
