@@ -57,7 +57,7 @@ drop would refire on every retry and the request could never be
 served.  Sites evaluated without a key fall back to a per-spec counter
 stream (deterministic per plan instance).  Plans pickle cleanly — each
 pool worker arms its own copy — and serialize to plain dicts for the
-scenario library's JSON format.
+metrics snapshot's config and the chaos report.
 """
 
 from __future__ import annotations
@@ -149,18 +149,6 @@ class FaultSpec:
             ),
             "max_fires": self.max_fires,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultSpec":
-        generations = data.get("generations")
-        return cls(
-            site=data["site"],
-            kind=data["kind"],
-            probability=float(data.get("probability", 1.0)),
-            delay=float(data.get("delay", 0.0)),
-            generations=None if generations is None else tuple(generations),
-            max_fires=data.get("max_fires"),
-        )
 
 
 class FaultPlan:
@@ -263,7 +251,7 @@ class FaultPlan:
         return iter(self.specs)
 
     # ------------------------------------------------------------------
-    # serialization (pickle for worker shipping, dicts for scenario JSON)
+    # serialization (pickle for worker shipping, dicts for config reports)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict[str, Any]:
         # runtime state (lock, streams, fire counts) stays behind: a
@@ -275,13 +263,6 @@ class FaultPlan:
 
     def to_dict(self) -> dict[str, Any]:
         return {"seed": self.seed, "specs": [spec.to_dict() for spec in self.specs]}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultPlan":
-        return cls(
-            (FaultSpec.from_dict(entry) for entry in data.get("specs", [])),
-            seed=int(data.get("seed", 0)),
-        )
 
     def __repr__(self) -> str:
         return f"FaultPlan(seed={self.seed}, specs={list(self.specs)!r})"

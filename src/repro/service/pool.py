@@ -60,7 +60,7 @@ whose compiled-structure, compiled-auction and mechanism caches already
 hold that scene (LP bases do not survive a batch: every lane releases
 its models after each one).  When the home worker is busier than the
 least-loaded one (a worker with a free lane counts as idle), the batch
-spills to the least-loaded worker instead
+always spills to the least-loaded worker instead
 (deterministic scan from the home index):
 distinct-heavy traffic on one hot scene — the workload this pool exists
 for — then spreads across all workers instead of serializing behind the
@@ -75,10 +75,10 @@ incarnation already replaced and only retry.  Each in-flight batch is
 retried up to ``max_retries`` times before its futures fail with
 :class:`WorkerCrashError`; later batches queued behind it are unaffected.
 Respawns back off exponentially (``respawn_backoff`` doubling per
-consecutive crash, capped at ``backoff_cap``), and a slot that crashes
-more than ``respawn_limit`` times in a row trips a per-worker **circuit
+consecutive crash, capped at ``_BACKOFF_CAP``), and a slot that crashes
+more than ``_RESPAWN_LIMIT`` times in a row trips a per-worker **circuit
 breaker**: the slot is abandoned, routing and queued jobs move to the
-remaining workers, and after ``breaker_cooldown`` seconds a single
+remaining workers, and after ``_BREAKER_COOLDOWN`` seconds a single
 half-open probe incarnation may close the breaker again.  Fault
 injection at the worker sites (crash, slow batch, spawn failure) is
 driven by the parent service's :class:`~repro.service.faults.FaultPlan`,
@@ -285,6 +285,12 @@ def _worker_stats(
 # ----------------------------------------------------------------------
 _CLOSE = object()  # sentinel on a worker's job queue
 
+# Crash policy, fixed for every pool (tests patch these to trip fast):
+_CLOSE_TIMEOUT = 5.0  # seconds a worker has to exit or die before escalation
+_BACKOFF_CAP = 2.0  # longest wait, in seconds, before one respawn
+_RESPAWN_LIMIT = 5  # consecutive crashes of one slot before its breaker trips
+_BREAKER_COOLDOWN = 30.0  # seconds a tripped slot stays out of routing
+
 
 @dataclass
 class _Job:
@@ -353,40 +359,26 @@ class ProcessShardPool:
         *,
         worker_config: dict[str, Any] | None = None,
         max_retries: int = 1,
-        spill: bool = True,
-        close_timeout: float = 5.0,
-        respawn_limit: int = 5,
         respawn_backoff: float = 0.05,
-        backoff_cap: float = 2.0,
-        breaker_cooldown: float = 30.0,
     ) -> None:
-        """``respawn_limit`` bounds *consecutive* crashes of one worker
-        slot (the counter resets on any successful batch); beyond it the
-        slot's circuit breaker trips: no further respawns, jobs route
-        around it, and after ``breaker_cooldown`` seconds one half-open
-        probe incarnation is allowed (a single failure re-trips).  Each
-        respawn waits ``respawn_backoff * 2**(failures-1)`` seconds,
-        capped at ``backoff_cap`` — a worker crashing at spawn burns
-        through its budget in bounded time instead of respawn-storming."""
+        """``max_retries`` bounds how often one batch is retried after its
+        worker crashed.  Each respawn waits
+        ``respawn_backoff * 2**(failures-1)`` seconds, capped at
+        :data:`_BACKOFF_CAP` — a worker crashing at spawn burns through
+        its :data:`_RESPAWN_LIMIT` in bounded time instead of
+        respawn-storming."""
         if num_workers < 1:
             raise ValueError("need at least one worker")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if respawn_limit < 0:
-            raise ValueError("respawn_limit must be non-negative")
-        if respawn_backoff < 0 or backoff_cap < 0 or breaker_cooldown < 0:
-            raise ValueError("backoff/cooldown settings must be non-negative")
+        if respawn_backoff < 0:
+            raise ValueError("respawn_backoff must be non-negative")
         self.registry = registry
         self.num_workers = num_workers
         self.lanes = core_share(num_workers)
         self.worker_config = dict(worker_config or {})
         self.max_retries = max_retries
-        self.spill = spill
-        self.close_timeout = close_timeout
-        self.respawn_limit = respawn_limit
         self.respawn_backoff = respawn_backoff
-        self.backoff_cap = backoff_cap
-        self.breaker_cooldown = breaker_cooldown
         self._ctx = mp_context()
         self._lock = threading.Lock()
         self._workers = [_WorkerHandle(index=i) for i in range(num_workers)]
@@ -511,8 +503,6 @@ class ProcessShardPool:
             # nothing routable: queue on home anyway — its feeder fails
             # the job typed (or revives the slot if the cooldown elapsed)
             return self._workers[home]
-        if (not self.spill or self.num_workers == 1) and not open_[home]:
-            return self._workers[home]
         loads = [
             float("inf") if open_[i] else self._load_locked(w)
             for i, w in enumerate(self._workers)
@@ -530,8 +520,7 @@ class ProcessShardPool:
         """Would a job on ``scene_id`` submitted now start at once?
 
         Routes as :meth:`submit` does: true when the chosen worker has a
-        free lane and a closed breaker (with spill off, a busy home
-        worker counts as busy whatever the others hold)."""
+        free lane and a closed breaker."""
         with self._lock:
             if self._closed or not self._started:
                 return False
@@ -588,12 +577,9 @@ class ProcessShardPool:
             if handle.process is None:
                 if self._breaker_open_locked(handle):
                     return None
-                handle.consecutive_failures = self.respawn_limit
+                handle.consecutive_failures = _RESPAWN_LIMIT
                 handle.breaker_until = None
-                handle.generation += 1
-                handle.restarts += 1
-                self._restarts += 1
-                self._spawn_locked(handle)
+                self._respawn_locked(handle)
             return handle.process, handle.conns[lane]
 
     def _reroute_or_fail(self, handle: _WorkerHandle, job: _Job) -> None:
@@ -739,26 +725,30 @@ class ProcessShardPool:
                     return handle.process is not None
             if process.is_alive():  # crashed pipe, live process: reap it
                 process.terminate()
-            process.join(self.close_timeout)
+            process.join(_CLOSE_TIMEOUT)
             with self._lock:
                 handle.consecutive_failures += 1
                 failures = handle.consecutive_failures
-                if failures > self.respawn_limit:
+                if failures > _RESPAWN_LIMIT:
                     handle.breaker_trips += 1
-                    handle.breaker_until = time.monotonic() + self.breaker_cooldown
+                    handle.breaker_until = time.monotonic() + _BREAKER_COOLDOWN
                     handle.process = None
                     handle.conns = []
                     return False
-            delay = min(self.respawn_backoff * 2 ** (failures - 1), self.backoff_cap)
+            delay = min(self.respawn_backoff * 2 ** (failures - 1), _BACKOFF_CAP)
             if delay > 0:
                 time.sleep(delay)
             with self._lock:
-                handle.generation += 1
-                handle.restarts += 1
-                handle.job_counter = 0
-                self._restarts += 1
-                self._spawn_locked(handle)
+                self._respawn_locked(handle)
             return True
+
+    def _respawn_locked(self, handle: _WorkerHandle) -> None:
+        """Start the slot's next incarnation (caller holds ``_lock``)."""
+        handle.generation += 1
+        handle.restarts += 1
+        handle.job_counter = 0
+        self._restarts += 1
+        self._spawn_locked(handle)
 
     def _shutdown_worker(self, handle: _WorkerHandle) -> None:
         """Ask every lane of an idle worker to exit, then join it."""
@@ -769,11 +759,11 @@ class ProcessShardPool:
         for conn in conns:
             try:
                 self._send(handle, conn, ("close",))
-                if conn.poll(self.close_timeout):
+                if conn.poll(_CLOSE_TIMEOUT):
                     conn.recv_bytes()  # ("closed",) acknowledgement
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError):  # repro: allow[silent-except] -- already dead; joining below is all that is left
                 pass
-        process.join(self.close_timeout)
+        process.join(_CLOSE_TIMEOUT)
         if process.is_alive():  # pragma: no cover - stuck worker escalation
             process.terminate()
             process.join(1.0)

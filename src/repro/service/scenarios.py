@@ -159,14 +159,6 @@ class Scenario:
             out[f.name] = value.to_dict() if f.name == "fault_plan" and value else value
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        data = dict(data)
-        plan = data.get("fault_plan")
-        if plan is not None and not isinstance(plan, FaultPlan):
-            data["fault_plan"] = FaultPlan.from_dict(plan)
-        return cls(**data)
-
 
 def scenario_library() -> dict[str, Scenario]:
     """The named scenarios, freshly built (fault plans armed per call)."""

@@ -37,7 +37,9 @@ system.  The moving parts, in request order:
   so the choice of executor is purely a throughput decision.
 * **Metrics** (:mod:`repro.service.metrics`) — throughput, p50/p95/p99
   latency, batch sizes, cache hit rates, warm/cold LP solve counts, LP
-  solves per solver mode and simplex iteration totals.
+  solves per solver mode and simplex iteration totals.  Every accepted
+  request is counted once, completed or failed, where its future
+  resolves: one settle step for every path out of the queue.
 
 :meth:`solve_batch` / :meth:`run_trace` bypass the queue entirely for
 synchronous, simulated replays.
@@ -103,6 +105,14 @@ def _check_modes(requests: Sequence[AuctionRequest]) -> None:
         raise ValueError(f"mode must be one of {_REQUEST_MODES}, got {bad[0]!r}")
 
 
+def _scene_groups(requests: Sequence[AuctionRequest]) -> dict[str, list[int]]:
+    """The positions of ``requests`` by scene, scenes in first-seen order."""
+    groups: dict[str, list[int]] = {}
+    for i, request in enumerate(requests):
+        groups.setdefault(request.scene_id, []).append(i)
+    return groups
+
+
 def _valuations_of(request: AuctionRequest) -> Sequence[Valuation]:
     """The request's valuations for an :class:`AuctionProblem`: a
     :class:`Profile` as is (problems treat it as immutable), any other
@@ -152,7 +162,6 @@ class AuctionService:
         degrade_headroom: float = 1.0,
         solve_time_hint: float | None = None,
         pool_config: dict[str, Any] | None = None,
-        metrics: ServiceMetrics | None = None,
     ) -> None:
         """``mechanism_cache_size`` bounds the LRU of prepared truthful
         outcomes (decomposition + payments) keyed by
@@ -174,8 +183,8 @@ class AuctionService:
         configure each *worker's* caches — the parent-side caches
         stay idle, since compilation happens where the solving does.
         ``pool_config`` forwards extra keyword arguments to
-        :class:`~repro.service.pool.ProcessShardPool` (respawn backoff and
-        circuit-breaker tuning).
+        :class:`~repro.service.pool.ProcessShardPool` (its respawn
+        backoff; the breaker's limits are the pool's module constants).
 
         ``max_queue`` bounds the dispatcher backlog (``None`` =
         unbounded); :meth:`submit` raises
@@ -215,7 +224,7 @@ class AuctionService:
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self.mechanism_pricing = mechanism_pricing
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.structure_cache = LRUCache(structure_cache_size, name="structures")
         self.problem_cache = LRUCache(problem_cache_size, name="problems")
         self.mechanism_cache = LRUCache(mechanism_cache_size, name="mechanisms")
@@ -356,6 +365,11 @@ class AuctionService:
         pool = self._pool
         if pool is not None and pool.lane_free_for(head.scene_id):
             return 0.0
+        return self._serial_window(head)
+
+    def _serial_window(self, head: AuctionRequest) -> float:
+        """The window without a pool to ask: ``coalesce_window`` unless
+        :meth:`_bypass_window` fires.  Simulated replay uses it as is."""
         return 0.0 if self._bypass_window(head) else self.coalesce_window
 
     def _inject_solve_faults(self, requests: list[AuctionRequest]) -> None:
@@ -428,15 +442,19 @@ class AuctionService:
             self.metrics.record_submit(start)
         self.metrics.record_batch(len(requests))
         self._note_requests(requests)
-        groups: dict[str, list[int]] = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(request.scene_id, []).append(i)
         results: list[AuctionResponse | None] = [None] * len(requests)
-        for indices in groups.values():
-            solved = self._solve_scene_group([requests[i] for i in indices])
-            for i, result in zip(indices, solved):
-                results[i] = result
-                self.metrics.record_done(time.perf_counter() - start)
+        try:
+            for indices in _scene_groups(requests).values():
+                solved = self._solve_scene_group([requests[i] for i in indices])
+                for i, result in zip(indices, solved):
+                    results[i] = result
+                    self.metrics.record_done(time.perf_counter() - start)
+        except BaseException:
+            # each request was recorded as submitted: the ones left unsolved
+            # finish failed, or the metrics would count them in flight
+            for _ in range(sum(r is None for r in results)):
+                self.metrics.record_done(time.perf_counter() - start, failed=True)
+            raise
         return results  # type: ignore[return-value]
 
     def run_trace(self, trace: TrafficTrace, realtime: bool = False) -> list[AuctionResponse]:
@@ -464,8 +482,7 @@ class AuctionService:
         i = 0
         while i < len(requests):
             head = requests[i].request
-            window = 0.0 if self._bypass_window(head) else self.coalesce_window
-            cutoff = requests[i].arrival + window
+            cutoff = requests[i].arrival + self._serial_window(head)
             j = i + 1
             while (
                 j < len(requests)
@@ -585,11 +602,10 @@ class AuctionService:
             self.metrics.record_batch(
                 len(batch), dispatch_wait=sum(now - p.submitted_at for p in batch)
             )
-            self._note_requests([p.request for p in batch])
-            groups: dict[str, list[_Pending]] = {}
-            for pending in batch:
-                groups.setdefault(pending.request.scene_id, []).append(pending)
-            for scene_id, pendings in groups.items():
+            requests = [p.request for p in batch]
+            self._note_requests(requests)
+            for scene_id, indices in _scene_groups(requests).items():
+                pendings = [batch[i] for i in indices]
                 if self.executor == "process":
                     self._submit_remote(scene_id, pendings)
                 else:
@@ -644,13 +660,10 @@ class AuctionService:
                 continue
             remaining = p.expires_at - now
             if remaining <= 0:
-                self.metrics.record_done(now - p.submitted_at, timed_out=True)
-                p.future.set_exception(
-                    DeadlineExceeded(
-                        f"deadline {p.request.deadline}s expired before dispatch"
-                    )
+                expired = DeadlineExceeded(
+                    f"deadline {p.request.deadline}s expired before dispatch"
                 )
-                self._mark_finished(1)
+                self._settle([p], expired, timed_out=True)
             elif (
                 self.degrade_headroom > 0
                 and estimate is not None
@@ -667,19 +680,12 @@ class AuctionService:
     def _serve_degraded(self, pendings: list[_Pending]) -> None:
         """Serve low-budget requests with the greedy baseline, inline."""
         for p in pendings:
+            outcome: list[AuctionResponse] | BaseException
             try:
-                result = self._greedy_result(p.request)
-            except BaseException as exc:  # noqa: BLE001 - forwarded to the future
-                self.metrics.record_done(
-                    time.perf_counter() - p.submitted_at, failed=True
-                )
-                p.future.set_exception(exc)
-            else:
-                self.metrics.record_done(
-                    time.perf_counter() - p.submitted_at, degraded=True
-                )
-                p.future.set_result(result)
-            self._mark_finished(1)
+                outcome = [self._greedy_result(p.request)]
+            except BaseException as exc:  # noqa: BLE001  # repro: allow[silent-except] -- _settle fails the future
+                outcome = exc
+            self._settle([p], outcome, degraded=True)
 
     def _greedy_result(self, request: AuctionRequest) -> AuctionResponse:
         """The paper's greedy baseline as a flagged, LP-free result.
@@ -721,39 +727,43 @@ class AuctionService:
         dispatched_at = time.perf_counter()
         group_future = pool.submit(scene_id, [p.request for p in pendings])
 
-        def finish(
-            f: Future[list[AuctionResponse]], pendings: list[_Pending] = pendings
-        ) -> None:
+        def finish(f: Future[list[AuctionResponse]]) -> None:
             exc = f.exception()
-            now = time.perf_counter()
-            if exc is not None:
-                for p in pendings:
-                    self.metrics.record_done(now - p.submitted_at, failed=True)
-                    p.future.set_exception(exc)
-            else:
+            if exc is None:
                 # remote roundtrip (solve + IPC) feeds the triage EWMA —
                 # what a parent-side deadline actually has to budget for
-                self._observe_solve_time((now - dispatched_at) / len(pendings))
-                for p, result in zip(pendings, f.result()):
-                    self.metrics.record_done(time.perf_counter() - p.submitted_at)
-                    p.future.set_result(result)
-            self._mark_finished(len(pendings))
+                elapsed = time.perf_counter() - dispatched_at
+                self._observe_solve_time(elapsed / len(pendings))
+            self._settle(pendings, f.result() if exc is None else exc)
 
         group_future.add_done_callback(finish)
 
     def _run_pendings(self, pendings: list[_Pending]) -> None:
+        outcome: list[Any] | BaseException
         try:
-            results = self._solve_scene_group([p.request for p in pendings])
-        except BaseException as exc:  # noqa: BLE001 - forwarded to the futures
-            now = time.perf_counter()
-            for p in pendings:
-                self.metrics.record_done(now - p.submitted_at, failed=True)
-                p.future.set_exception(exc)
-            self._mark_finished(len(pendings))
-            return
-        for p, result in zip(pendings, results):
-            self.metrics.record_done(time.perf_counter() - p.submitted_at)
-            p.future.set_result(result)
+            outcome = self._solve_scene_group([p.request for p in pendings])
+        except BaseException as exc:  # noqa: BLE001  # repro: allow[silent-except] -- _settle fails the futures
+            outcome = exc
+        self._settle(pendings, outcome)
+
+    def _settle(
+        self,
+        pendings: list[_Pending],
+        outcome: Sequence[Any] | BaseException,
+        **flags: bool,
+    ) -> None:
+        """The one way out for accepted requests: record each completion,
+        resolve each future with its result (``outcome`` in ``pendings``
+        order) or with the one exception ``outcome``, and release them
+        from the in-flight count.  ``flags`` pass to ``record_done``."""
+        for i, p in enumerate(pendings):
+            latency = time.perf_counter() - p.submitted_at
+            if isinstance(outcome, BaseException):
+                self.metrics.record_done(latency, failed=True, **flags)
+                p.future.set_exception(outcome)
+            else:
+                self.metrics.record_done(latency, **flags)
+                p.future.set_result(outcome[i])
         self._mark_finished(len(pendings))
 
     def _mark_finished(self, count: int) -> None:

